@@ -1,6 +1,6 @@
-"""Bench S1–S8: the serving layer.
+"""Benches S1–S5, S7 and S8: the serving layer.
 
-Eight families:
+Seven families:
 
 - ``serving_batched_queries`` — the tentpole perf claim: ranking a
   query block through :class:`~repro.serving.engine.BatchQueryEngine`'s
@@ -13,9 +13,6 @@ Eight families:
 - ``serving_mmap_coldstart`` — O(manifest) cold start: subprocess
   loads of the same bundle eagerly vs memory-mapped, recording load
   seconds and post-load peak RSS, asserting bit-identical rankings;
-- ``serving_blocked_gemm`` — the cache-budget fallback: panelled
-  scoring under a deliberately tight budget agrees with the monolithic
-  GEMM on rankings;
 - ``serving_bundle_roundtrip`` — save → load → rank reproduces the
   in-memory rankings exactly, plus wall-clock for both directions;
 - ``serving_foldin_drift`` — fold document batches into an index fitted
@@ -24,10 +21,11 @@ Eight families:
 - ``serving_sharded_throughput`` — the sharded fan-out claim: ranking
   the same query block through a :class:`~repro.serving.sharded.
   ShardedIndex` at 1/2/4 shards, recording queries/sec plus single-query
-  p50/p99 latency per shard count, and gating *merge exactness* — the
-  sharded ranking bit-equal to the single-index one — as a measured 0/1
-  claim (column-subset GEMMs can round ±1 ULP, so exactness is
-  verified on the actual corpus, never assumed);
+  p50/p99 latency per shard count against one uncached index, and
+  gating *merge exactness* — the sharded ranking bit-equal to the
+  single-index one — as a measured 0/1 claim (column-subset GEMMs can
+  round ±1 ULP, so exactness is verified on the actual corpus, never
+  assumed);
 - ``serving_microbatch_dispatch`` — the micro-batching dispatcher:
   single-query submissions coalesced into batches under
   ``max_batch``/``max_wait_ms``, recording throughput, mean flush
@@ -304,48 +302,6 @@ def bench_serving_mmap_coldstart(params, seed):
     return metrics
 
 
-@benchmark(name="serving_blocked_gemm", tags=("serving",),
-           sizes={"smoke": {"n_terms": 400, "n_topics": 8,
-                            "n_documents": 400, "rank": 8,
-                            "n_queries": 64, "cache_budget_kb": 64},
-                  "full": {"n_terms": 1500, "n_topics": 12,
-                           "n_documents": 1200, "rank": 12,
-                           "n_queries": 128, "cache_budget_kb": 256},
-                  "scale": {"n_terms": 4096, "rank": 96,
-                            "n_documents": 100_000, "n_queries": 128,
-                            "synthetic": True,
-                            "cache_budget_kb": 16_384}},
-           time_metrics=("unblocked_seconds", "blocked_seconds",
-                         "blocked_speedup"))
-def bench_serving_blocked_gemm(params, seed):
-    """S6: panelled scoring under a cache budget agrees with one GEMM."""
-    model = _serving_model(params, seed)
-    basis = model.term_basis
-    docs = model.document_vectors()
-    engine = BatchQueryEngine(basis, docs)
-    blocked = BatchQueryEngine(
-        basis, docs,
-        cache_budget_bytes=params["cache_budget_kb"] * 1024)
-    queries = _query_block(params["n_terms"], params["n_queries"],
-                           seed + 1)
-    top_k = 10
-
-    plain = measure(lambda: engine.rank_batch(queries, top_k=top_k),
-                    warmup=1, repeats=2)
-    panelled = measure(
-        lambda: blocked.rank_batch(queries, top_k=top_k),
-        warmup=1, repeats=2)
-    overlap = ranking_overlap(plain.result, panelled.result)
-    return {
-        "unblocked_seconds": plain.mean_seconds,
-        "blocked_seconds": panelled.mean_seconds,
-        "blocked_speedup": plain.mean_seconds
-        / max(panelled.mean_seconds, 1e-12),
-        "blocked_top10_overlap": overlap,
-        "blocked_rankings_agree": bool(overlap >= 0.99),
-    }
-
-
 @benchmark(name="serving_bundle_roundtrip", tags=("serving",),
            sizes={"smoke": {"n_terms": 400, "n_topics": 8,
                             "n_documents": 300, "rank": 8,
@@ -444,7 +400,7 @@ def _latency_percentiles(index, queries, *, top_k, probes):
                          "p50_ms_1shard", "p99_ms_1shard",
                          "p50_ms_2shard", "p99_ms_2shard",
                          "p50_ms_4shard", "p99_ms_4shard",
-                         "single_seconds"))
+                         "single_seconds", "sharded_speedup_4shard"))
 def bench_serving_sharded_throughput(params, seed):
     """S7: sharded fan-out throughput + gated merge exactness.
 
@@ -453,9 +409,14 @@ def bench_serving_sharded_throughput(params, seed):
     "sharded ranking == single-index ranking" is measured on the
     actual corpus at every shard count and gated against the committed
     baseline, never assumed from the merge algebra alone.
+
+    Every arm, the single-index reference included, runs with the
+    result cache off: with it on, every timed repeat after the warmup
+    would replay rankings from the cache instead of computing them.
     """
     model = _serving_model(params, seed)
-    single = ServedIndex(model)
+    config = ServingConfig(cache_capacity=0)
+    single = ServedIndex(model, config=config)
     queries = _query_block(params["n_terms"], params["n_queries"],
                            seed + 1)
     top_k = 10
@@ -470,7 +431,6 @@ def bench_serving_sharded_throughput(params, seed):
                         repeats=repeats)
     metrics = {"single_seconds": reference.mean_seconds,
                "n_queries": queries.shape[1]}
-    config = ServingConfig(pool="thread", cache_capacity=0)
     for n_shards in (1, 2, 4):
         sharded = ShardedIndex.shard(model, n_shards, config=config)
         timed = measure(lambda: rank_all(sharded), warmup=1,

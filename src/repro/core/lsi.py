@@ -15,8 +15,6 @@ swap the two engines.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.errors import NotFittedError, ValidationError
@@ -253,19 +251,6 @@ class LSIModel:
         top_k = check_top_k(top_k, self.n_documents)
         order = np.argsort(-scores, kind="stable")
         return order[:top_k]
-
-    def rank_for_query(self, query_vector, *, top_k=None) -> np.ndarray:
-        """Deprecated alias of :meth:`rank_documents`.
-
-        Kept as a shim for pre-serving-layer callers; emits a
-        :class:`DeprecationWarning` and will be removed once downstream
-        code has migrated to the canonical name.
-        """
-        warnings.warn(
-            "LSIModel.rank_for_query is deprecated; use "
-            "LSIModel.rank_documents instead",
-            DeprecationWarning, stacklevel=2)
-        return self.rank_documents(query_vector, top_k=top_k)
 
     def similarities(self) -> np.ndarray:
         """All-pairs document cosine similarity in the LSI space (m × m)."""

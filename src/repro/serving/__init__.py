@@ -6,8 +6,8 @@ sound?"; this package answers "can you run it?".  It wraps a fitted
 retrieval service needs:
 
 - :mod:`repro.serving.config` — :class:`ServingConfig`, the one frozen
-  policy object (precision, caching, mmap, pooling, micro-batching)
-  shared by every layer below;
+  policy object (precision, caching, mmap, micro-batching, streaming
+  fits) shared by every layer below;
 - :mod:`repro.serving.bundle` — versioned, checksummed on-disk index
   bundles with environment fingerprints and backward-compatible loading;
 - :mod:`repro.serving.engine` — batched query execution (whole query
@@ -21,7 +21,7 @@ retrieval service needs:
   the pieces together behind the shared
   :class:`~repro.ir.retriever.Retriever` protocol;
 - :mod:`repro.serving.sharded` — :class:`ShardedIndex`, N shards of
-  one corpus with exact top-``k`` merging and thread/process fan-out;
+  one corpus with exact top-``k`` merging over a thread-pool fan-out;
 - :mod:`repro.serving.dispatch` — :class:`MicroBatchDispatcher`, the
   latency-bounded queue coalescing single queries into batches.
 """
@@ -38,7 +38,7 @@ from repro.serving.bundle import (
     sha256_file,
     write_bundle,
 )
-from repro.serving.config import POOL_KINDS, ServingConfig, resolve_config
+from repro.serving.config import ServingConfig
 from repro.serving.dispatch import DispatchStats, MicroBatchDispatcher
 from repro.serving.engine import (
     COMPUTE_DTYPES,
@@ -77,7 +77,6 @@ __all__ = [
     "IndexWriter",
     "LRUResultCache",
     "MicroBatchDispatcher",
-    "POOL_KINDS",
     "QueryBatch",
     "SHARDED_FORMAT",
     "SHARDED_SCHEMA_VERSION",
@@ -93,7 +92,6 @@ __all__ = [
     "read_bundle",
     "read_manifest",
     "read_sharded_manifest",
-    "resolve_config",
     "sha256_file",
     "shard_document_ids",
     "stable_top_k",

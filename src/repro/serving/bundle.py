@@ -114,10 +114,6 @@ def sha256_file(path: Path) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-# Backwards-compatible private alias (pre-sharding internal name).
-_sha256_file = sha256_file
-
-
 @dataclass(frozen=True)
 class ChecksumMismatch:
     """One array file that failed bundle checksum verification.
@@ -326,7 +322,7 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
         array_path = directory / f"{name}.npy"
         np.save(array_path, np.asarray(arrays[name]),
                 allow_pickle=False)
-        checksums[f"{name}.npy"] = _sha256_file(array_path)
+        checksums[f"{name}.npy"] = sha256_file(array_path)
     # A superseded v1/v2 payload in the same directory would shadow
     # nothing (readers dispatch on schema_version) but waste space and
     # confuse checksum audits; drop it.

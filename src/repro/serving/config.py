@@ -1,43 +1,40 @@
 """One frozen configuration object for the whole serving stack.
 
-The serving layer grew its knobs one PR at a time: ``ServedIndex``
-took ``cache_capacity=...``, then ``dtype=...``, then
-``cache_budget_bytes=...``; ``load`` added ``mmap=...`` on top.  Every
-new layer (the sharded index, the micro-batching dispatcher) would
-have had to re-thread that kwarg sprawl.  :class:`ServingConfig`
-collapses it into a single frozen dataclass accepted by
-:class:`~repro.serving.index.ServedIndex`,
+The serving layer grew its knobs one at a time: ``ServedIndex`` took
+``cache_capacity=...``, then ``dtype=...``; ``load`` added
+``mmap=...`` on top.  Every new layer (the sharded index, the
+micro-batching dispatcher) would have had to re-thread that kwarg
+sprawl.  :class:`ServingConfig` collapses it into a single frozen
+dataclass accepted by :class:`~repro.serving.index.ServedIndex`,
 :class:`~repro.serving.sharded.ShardedIndex`, and
 :class:`~repro.serving.dispatch.MicroBatchDispatcher`:
 
-- one object describes precision, caching, cold-start, pooling, and
-  micro-batching policy, so a config built for a single index drops
-  unchanged onto a sharded one;
-- unknown fields fail eagerly with the valid ones listed — the same
-  typo policy as :func:`repro.linalg.svd.truncated_svd`'s
-  ``engine_options`` errors;
-- the old per-call kwargs still work for one release through a
-  :class:`DeprecationWarning` shim (:func:`resolve_config`), then go.
+- one object describes precision, caching, cold-start,
+  micro-batching, and streaming-fit policy, so a config built for a
+  single index drops unchanged onto a sharded one;
+- ``config=`` is the only way in: the entry points take no per-field
+  kwargs, so a stray ``cache_capacity=4`` is a :class:`TypeError`
+  rather than a silently ignored setting;
+- unknown fields in :meth:`ServingConfig.merged` fail eagerly with the
+  valid ones listed — the same typo policy as
+  :func:`repro.linalg.svd.truncated_svd`'s ``engine_options`` errors.
+
+A knob stays only while it wins on some measured workload; one that
+never wins is deleted rather than left off by default (the
+measurements are in ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
+from repro.serving.engine import COMPUTE_DTYPES
 from repro.utils.validation import check_fraction, check_non_negative_int, \
     check_positive_int
 
-__all__ = ["POOL_KINDS", "ServingConfig", "resolve_config"]
-
-#: Executor kinds a :class:`~repro.serving.sharded.ShardedIndex` fans
-#: out with.  ``"thread"`` is the default (the GEMMs release the GIL);
-#: ``"process"`` needs disk-backed shards (workers re-open them via
-#: mmap, which is what makes fork cheap); ``"serial"`` runs shards
-#: in the calling thread, mainly for debugging and tiny corpora.
-POOL_KINDS = ("thread", "process", "serial")
+__all__ = ["ServingConfig"]
 
 
 @dataclass(frozen=True)
@@ -55,15 +52,9 @@ class ServingConfig:
             them eagerly.  Ignored for indexes built in memory.
         cache_capacity: LRU result-cache size per index/shard
             (0 disables caching).
-        cache_budget_bytes: optional bound on the scoring working set;
-            oversized similarity blocks are computed in document
-            panels (opt-in, non-bitwise — see the engine docs).
         drift_threshold: fold-in drift past which a refit is
             recommended (``None`` disables the recommendation).
             Loading a bundle keeps the bundle's persisted threshold.
-        pool: shard fan-out executor, one of :data:`POOL_KINDS`.
-        max_workers: pool width for the sharded fan-out (``None`` =
-            one worker per shard).
         max_batch: dispatcher queue depth that forces a flush — the
             largest micro-batch the dispatcher will coalesce.
         max_wait_ms: longest a queued query may wait for co-riders
@@ -83,10 +74,7 @@ class ServingConfig:
     dtype: "str | None" = None
     mmap: bool = False
     cache_capacity: int = 256
-    cache_budget_bytes: "int | None" = None
     drift_threshold: "float | None" = 0.1
-    pool: str = "thread"
-    max_workers: "int | None" = None
     max_batch: int = 32
     max_wait_ms: float = 2.0
     stream_block_size: int = 256
@@ -94,26 +82,13 @@ class ServingConfig:
     stream_polish: int = 0
 
     def __post_init__(self):
-        if self.dtype is not None:
-            # Late import: engine imports this module for the shim.
-            from repro.serving.engine import COMPUTE_DTYPES
-
-            if self.dtype not in COMPUTE_DTYPES:
-                raise ValidationError(
-                    f"ServingConfig.dtype must be None or one of "
-                    f"{COMPUTE_DTYPES}, got {self.dtype!r}")
+        if self.dtype is not None and self.dtype not in COMPUTE_DTYPES:
+            raise ValidationError(
+                f"ServingConfig.dtype must be None or one of "
+                f"{COMPUTE_DTYPES}, got {self.dtype!r}")
         check_non_negative_int(self.cache_capacity, "cache_capacity")
-        if self.cache_budget_bytes is not None:
-            check_non_negative_int(self.cache_budget_bytes,
-                                   "cache_budget_bytes")
         if self.drift_threshold is not None:
             check_fraction(self.drift_threshold, "drift_threshold")
-        if self.pool not in POOL_KINDS:
-            raise ValidationError(
-                f"ServingConfig.pool must be one of {POOL_KINDS}, "
-                f"got {self.pool!r}")
-        if self.max_workers is not None:
-            check_positive_int(self.max_workers, "max_workers")
         check_positive_int(self.max_batch, "max_batch")
         if not isinstance(self.max_wait_ms, (int, float)) \
                 or isinstance(self.max_wait_ms, bool) \
@@ -126,74 +101,19 @@ class ServingConfig:
                                "stream_oversample")
         check_non_negative_int(self.stream_polish, "stream_polish")
 
-    @classmethod
-    def field_names(cls) -> "tuple[str, ...]":
-        """The valid configuration fields, in declaration order."""
-        return tuple(cls.__dataclass_fields__)
-
-    @classmethod
-    def from_kwargs(cls, **fields) -> "ServingConfig":
-        """Build a config, rejecting unknown fields eagerly.
-
-        Args:
-            **fields: any subset of the dataclass fields; a typo
-                raises :class:`~repro.errors.ValidationError` listing
-                the valid names, mirroring ``truncated_svd``'s
-                ``engine_options`` policy.
-        """
-        _check_fields(fields, "ServingConfig")
-        return cls(**fields)
-
     def merged(self, **overrides) -> "ServingConfig":
-        """A copy with ``overrides`` applied (unknown fields raise)."""
+        """A copy with ``overrides`` applied.
+
+        Raises:
+            ValidationError: on an unknown field (the message lists
+                the valid ones) or an invalid value.
+        """
         if not overrides:
             return self
-        _check_fields(overrides, "ServingConfig.merged")
+        valid = [field.name for field in dataclasses.fields(self)]
+        unknown = sorted(set(overrides) - set(valid))
+        if unknown:
+            raise ValidationError(
+                f"unknown field(s) {unknown} for ServingConfig.merged; "
+                f"valid fields are {valid}")
         return dataclasses.replace(self, **overrides)
-
-
-def _check_fields(fields, where: str) -> None:
-    """Reject unknown config fields instead of ignoring typos."""
-    unknown = sorted(set(fields) - set(ServingConfig.field_names()))
-    if unknown:
-        raise ValidationError(
-            f"unknown field(s) {unknown} for {where}; valid fields "
-            f"are {list(ServingConfig.field_names())}")
-
-
-def resolve_config(config: "ServingConfig | None", legacy: dict, *,
-                   where: str) -> ServingConfig:
-    """Merge deprecated per-call kwargs into a :class:`ServingConfig`.
-
-    The one-release migration shim: callers that still pass the old
-    kwarg surface (``dtype=...``, ``cache_capacity=...``, ...) get a
-    working config plus a :class:`DeprecationWarning` naming the
-    replacement; unknown kwargs raise eagerly with the valid fields
-    listed; mixing ``config=`` with legacy kwargs raises, because
-    silently letting one override the other is how configs drift.
-
-    Args:
-        config: the caller's explicit config, or ``None``.
-        legacy: the caller's ``**legacy`` kwargs (may be empty).
-        where: call-site name used in warnings and errors.
-
-    Returns:
-        The effective :class:`ServingConfig`.
-
-    Raises:
-        ValidationError: on unknown legacy kwargs, or when ``config=``
-            is mixed with legacy kwargs.
-    """
-    if not legacy:
-        return config if config is not None else ServingConfig()
-    _check_fields(legacy, where)
-    if config is not None:
-        raise ValidationError(
-            f"{where} got both config= and legacy keyword(s) "
-            f"{sorted(legacy)}; set the fields on the ServingConfig "
-            "instead")
-    warnings.warn(
-        f"passing {sorted(legacy)} to {where} as keyword arguments "
-        "is deprecated; pass config=ServingConfig(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return ServingConfig.from_kwargs(**legacy)

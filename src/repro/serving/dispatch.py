@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DispatcherClosedError, ValidationError
-from repro.serving.config import ServingConfig, resolve_config
+from repro.serving.config import ServingConfig
 from repro.serving.engine import CacheKey, QueryBatch
 from repro.utils.validation import check_top_k, check_vector
 
@@ -102,15 +102,12 @@ class MicroBatchDispatcher:
         config: the :class:`~repro.serving.config.ServingConfig`
             supplying ``max_batch`` and ``max_wait_ms`` (``None`` =
             the index's own config when it has one, else defaults).
-        **legacy: deprecated kwarg form of ``config`` fields.
     """
 
     def __init__(self, index, *,
-                 config: "ServingConfig | None" = None, **legacy):
-        if config is None and not legacy:
-            config = getattr(index, "config", None)
-        config = resolve_config(config, legacy,
-                                where="MicroBatchDispatcher")
+                 config: "ServingConfig | None" = None):
+        if config is None:
+            config = getattr(index, "config", None) or ServingConfig()
         self._index = index
         self._config = config
         self._max_batch = config.max_batch

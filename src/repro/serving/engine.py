@@ -10,20 +10,20 @@ reproducing the per-query path's rankings *exactly*, including the
 stable ascending-id tie-break of ``np.argsort(kind="stable")``
 (see :func:`stable_top_k`).
 
-The raw-speed program adds three opt-in levers on top:
+Two raw-speed levers sit on top:
 
-- ``dtype="float32"`` runs both GEMMs in single precision — roughly
-  half the memory traffic — at the cost of last-ULP score agreement;
-  the serving benchmarks measure the resulting top-k ranking overlap
-  (:func:`ranking_overlap`) as a gated claim instead of assuming it;
+- ``dtype="float32"`` (opt-in) runs both GEMMs in single precision —
+  roughly half the memory traffic — at the cost of last-ULP score
+  agreement; the serving benchmarks measure the resulting top-k
+  ranking overlap (:func:`ranking_overlap`) as a gated claim instead
+  of assuming it;
 - the hot path is allocation-free: per-thread scratch buffers hold the
   projected block, the unit queries, and the similarity matrix, so
-  repeated batches of one shape run entirely through ``out=`` GEMMs;
-- ``cache_budget_bytes`` bounds the similarity working set — when the
-  ``(q, m)`` score block would exceed the budget, the document GEMM
-  runs in column panels sized to fit.  Panelled GEMMs are *not*
-  bitwise-identical to one monolithic GEMM (BLAS picks different
-  kernels), so blocking is opt-in and never enabled by default.
+  repeated batches of one shape run entirely through ``out=`` GEMMs.
+
+The document GEMM is always one call over the whole store: column
+panels under a cache budget measured 0.98–1.01x of it on 20k- and
+100k-document stores (2-core host) and are not bitwise-identical to it.
 
 :class:`LRUResultCache` memoises rankings keyed on (index version,
 query hash, cutoff), so repeated queries against an unchanged index are
@@ -334,15 +334,10 @@ class BatchQueryEngine:
         dtype: compute precision, ``"float64"`` (default, bit-exact
             against the per-query path) or ``"float32"`` (opt-in;
             ranking agreement is measured, not assumed).
-        cache_budget_bytes: optional bound on the similarity working
-            set; a ``(q, m)`` score block larger than this is computed
-            in document panels.  ``None`` (default) never blocks, which
-            keeps scores bitwise-identical to a single GEMM.
     """
 
     def __init__(self, term_basis, doc_vectors, *, tombstones=(),
-                 dtype="float64",
-                 cache_budget_bytes: "int | None" = None):
+                 dtype="float64"):
         self._dtype = _check_compute_dtype(dtype)
         basis = np.asarray(term_basis, dtype=self._dtype)
         docs = np.asarray(doc_vectors, dtype=self._dtype)
@@ -358,13 +353,11 @@ class BatchQueryEngine:
             unit = np.empty_like(docs)
             norms = normalize_columns_into(docs, unit,
                                            zero_tol=ZERO_NORM_TOL)
-        self._init_from_parts(basis, unit, norms, tombstones,
-                              cache_budget_bytes)
+        self._init_from_parts(basis, unit, norms, tombstones)
 
     @classmethod
     def from_precomputed(cls, term_basis, doc_unit, doc_norms, *,
-                         tombstones=(), dtype="float64",
-                         cache_budget_bytes: "int | None" = None,
+                         tombstones=(), dtype="float64"
                          ) -> "BatchQueryEngine":
         """Build from already-normalised document factors.
 
@@ -383,8 +376,6 @@ class BatchQueryEngine:
             doc_norms: length-``m`` original column norms.
             tombstones: ids excluded from rankings.
             dtype: compute precision (see the constructor).
-            cache_budget_bytes: similarity working-set bound (see the
-                constructor).
 
         Raises:
             ShapeError: when the factor shapes disagree on the LSI
@@ -405,12 +396,10 @@ class BatchQueryEngine:
             raise ShapeError(
                 f"doc_norms has shape {norms.shape}; expected "
                 f"({unit.shape[1]},)")
-        engine._init_from_parts(basis, unit, norms, tombstones,
-                                cache_budget_bytes)
+        engine._init_from_parts(basis, unit, norms, tombstones)
         return engine
 
-    def _init_from_parts(self, basis, unit, norms, tombstones,
-                         cache_budget_bytes) -> None:
+    def _init_from_parts(self, basis, unit, norms, tombstones) -> None:
         """Shared tail of both construction paths."""
         self._basis = basis
         self._doc_unit = unit
@@ -427,10 +416,6 @@ class BatchQueryEngine:
             self._dead[sorted(self._tombstones)] = True
         self._n_docs = n_docs
         self._n_terms = int(basis.shape[0])
-        if cache_budget_bytes is not None:
-            cache_budget_bytes = check_non_negative_int(
-                cache_budget_bytes, "cache_budget_bytes")
-        self._cache_budget = cache_budget_bytes
         self._scratch = _BatchScratch()
 
     @property
@@ -483,14 +468,6 @@ class BatchQueryEngine:
             scratch.n_queries = n_queries
         return scratch
 
-    def _doc_panel_width(self, n_queries: int) -> int:
-        """Documents per similarity panel under the cache budget."""
-        if self._cache_budget is None:
-            return self._n_docs
-        row_bytes = max(1, n_queries * self._dtype.itemsize)
-        return max(1, min(self._n_docs,
-                          self._cache_budget // row_bytes))
-
     def _score_into(self, batch: QueryBatch) -> np.ndarray:
         """Score ``batch`` into this thread's scratch buffers.
 
@@ -509,15 +486,7 @@ class BatchQueryEngine:
         norms = normalize_columns_into(scratch.projected, scratch.unit,
                                        zero_tol=ZERO_NORM_TOL)
         sims = scratch.sims
-        panel = self._doc_panel_width(batch.n_queries)
-        if panel >= self._n_docs:
-            np.matmul(scratch.unit.T, self._doc_unit, out=sims)
-        else:
-            for start in range(0, self._n_docs, panel):
-                stop = min(start + panel, self._n_docs)
-                np.matmul(scratch.unit.T,
-                          self._doc_unit[:, start:stop],
-                          out=sims[:, start:stop])
+        np.matmul(scratch.unit.T, self._doc_unit, out=sims)
         sims[norms <= ZERO_NORM_TOL, :] = 0.0
         sims[:, self._doc_zero] = 0.0
         np.clip(sims, -1.0, 1.0, out=sims)

@@ -17,8 +17,7 @@ unchanged, and adds what production traffic needs:
 - one :class:`~repro.serving.config.ServingConfig` carrying every
   serving-time policy — compute precision, cache sizing, mmap
   loading — shared verbatim with the sharded index and the
-  micro-batching dispatcher (the old per-call kwargs survive one
-  release behind a :class:`DeprecationWarning` shim);
+  micro-batching dispatcher;
 - ``stats`` — the :class:`~repro.serving.stats.ServingStats` counters
   behind ``repro serve-stats``.
 """
@@ -31,12 +30,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.lsi import LSIModel
-from repro.errors import ValidationError
 from repro.linalg.svd import SVDResult
 from repro.serving.bundle import IndexBundle, read_bundle, write_bundle
-from repro.serving.config import ServingConfig, resolve_config
-from repro.serving.engine import COMPUTE_DTYPES, BatchQueryEngine, \
-    LRUResultCache, QueryBatch
+from repro.serving.config import ServingConfig
+from repro.serving.engine import BatchQueryEngine, LRUResultCache, \
+    QueryBatch, _check_compute_dtype
 from repro.serving.stats import ServingStats
 from repro.serving.writer import DriftReport, IndexWriter
 from repro.utils.validation import check_top_k, check_vector
@@ -55,16 +53,6 @@ if TYPE_CHECKING:
 __all__ = ["ServedIndex"]
 
 
-def _resolve_dtype(dtype) -> str:
-    """Validate a compute-precision request down to its canonical name."""
-    name = np.dtype(dtype).name
-    if name not in COMPUTE_DTYPES:
-        raise ValidationError(
-            f"compute dtype must be one of {COMPUTE_DTYPES}, got "
-            f"{name!r}")
-    return name
-
-
 class ServedIndex:
     """A persistent, batched, incrementally-updatable LSI index.
 
@@ -79,22 +67,33 @@ class ServedIndex:
         config: the :class:`~repro.serving.config.ServingConfig`
             governing precision, caching, and drift policy (``None``
             = all defaults).
-        **legacy: the pre-``ServingConfig`` kwargs
-            (``drift_threshold=``, ``cache_capacity=``, ``dtype=``,
-            ``cache_budget_bytes=``), accepted for one more release
-            behind a :class:`DeprecationWarning`; unknown names raise
-            eagerly with the valid fields listed.
     """
 
     def __init__(self, model: LSIModel, *, vocabulary=None,
-                 config: "ServingConfig | None" = None, **legacy):
-        config = resolve_config(config, legacy, where="ServedIndex")
+                 config: "ServingConfig | None" = None):
+        config = config if config is not None else ServingConfig()
+        writer = IndexWriter(model, drift_threshold=config.drift_threshold)
+        self._init_state(config, writer, vocabulary=vocabulary)
+
+    def _init_state(self, config: ServingConfig,
+                    writer: "IndexWriter | None", *,
+                    bundle: "IndexBundle | None" = None,
+                    vocabulary=None, saved_dtype: str = "float64",
+                    base_version: str = "unsaved",
+                    base_stats: "ServingStats | None" = None) -> None:
+        """Assign every attribute; shared by all construction paths.
+
+        Exactly one of ``writer`` (an in-memory index) and ``bundle``
+        (a not-yet-materialised mmap load) backs the index.
+        ``saved_dtype`` is the precision used when ``config.dtype`` is
+        ``None``; ``base_version`` and ``base_stats`` carry a loaded
+        bundle's identity and counters forward.
+        """
         self._config = config
-        self._dtype = _resolve_dtype(config.dtype or "float64")
-        self._cache_budget = config.cache_budget_bytes
-        self._writer: "IndexWriter | None" = IndexWriter(
-            model, drift_threshold=config.drift_threshold)
-        self._bundle: "IndexBundle | None" = None
+        self._dtype = _check_compute_dtype(
+            config.dtype or saved_dtype).name
+        self._writer: "IndexWriter | None" = writer
+        self._bundle: "IndexBundle | None" = bundle
         self._cache = LRUResultCache(config.cache_capacity)
         self._vocabulary = (tuple(getattr(vocabulary, "terms",
                                           vocabulary))
@@ -102,10 +101,11 @@ class ServedIndex:
         self._generation = 0
         self._engine_cache: "BatchQueryEngine | None" = None
         self._engine_generation = -1
-        self._base_version = "unsaved"
+        self._base_version = base_version
         self._queries_served = 0
         self._batches_served = 0
-        self._base_stats = ServingStats()
+        self._base_stats = (base_stats if base_stats is not None
+                            else ServingStats())
 
     # ------------------------------------------------------------------
     # Construction
@@ -128,14 +128,9 @@ class ServedIndex:
             vocabulary: optional term strings persisted with the index.
             config: serving policy (see the constructor).
             **engine_kwargs: engine tuning forwarded to
-                :meth:`repro.core.lsi.LSIModel.fit`; legacy serving
-                kwargs (``dtype=``, ...) are also still recognised
-                here, with the constructor's deprecation shim.
+                :meth:`repro.core.lsi.LSIModel.fit`; serving fields
+                belong on ``config``, and the engine rejects them.
         """
-        legacy = {name: engine_kwargs.pop(name)
-                  for name in ServingConfig.field_names()
-                  if name in engine_kwargs}
-        config = resolve_config(config, legacy, where="ServedIndex.fit")
         model = LSIModel.fit(matrix, rank, engine=engine, seed=seed,
                              **engine_kwargs)
         return cls(model, vocabulary=vocabulary, config=config)
@@ -167,9 +162,7 @@ class ServedIndex:
             config: serving policy; ``stream_block_size``,
                 ``stream_oversample``, and ``stream_polish`` govern
                 the incremental fit.
-            **engine_kwargs: per-block engine tuning (legacy serving
-                kwargs are also still recognised, with the
-                constructor's deprecation shim).
+            **engine_kwargs: per-block engine tuning.
 
         Raises:
             ValidationError: when ``config.stream_polish > 0`` with a
@@ -178,11 +171,7 @@ class ServedIndex:
             ConvergenceError: when a per-block engine fails to
                 converge.
         """
-        legacy = {name: engine_kwargs.pop(name)
-                  for name in ServingConfig.field_names()
-                  if name in engine_kwargs}
-        config = resolve_config(config, legacy,
-                                where="ServedIndex.fit_streamed")
+        config = config if config is not None else ServingConfig()
         model = LSIModel.fit_streamed(
             blocks, rank, engine=engine, seed=seed,
             block_size=config.stream_block_size,
@@ -210,24 +199,10 @@ class ServedIndex:
             vocabulary: optional term strings persisted with the index.
             config: serving policy (see the constructor).
         """
-        config = config if config is not None else ServingConfig()
         index = cls.__new__(cls)
-        index._config = config
-        index._dtype = _resolve_dtype(config.dtype or "float64")
-        index._cache_budget = config.cache_budget_bytes
-        index._writer = writer
-        index._bundle = None
-        index._cache = LRUResultCache(config.cache_capacity)
-        index._vocabulary = (tuple(getattr(vocabulary, "terms",
-                                           vocabulary))
-                             if vocabulary is not None else None)
-        index._generation = 0
-        index._engine_cache = None
-        index._engine_generation = -1
-        index._base_version = "unsaved"
-        index._queries_served = 0
-        index._batches_served = 0
-        index._base_stats = ServingStats()
+        index._init_state(
+            config if config is not None else ServingConfig(), writer,
+            vocabulary=vocabulary)
         return index
 
     # ------------------------------------------------------------------
@@ -368,15 +343,13 @@ class ServedIndex:
                 self._engine_cache = BatchQueryEngine.from_precomputed(
                     bundle.svd.u, bundle.doc_unit, bundle.doc_norms,
                     tombstones=bundle.tombstones,
-                    dtype=self._dtype,
-                    cache_budget_bytes=self._cache_budget)
+                    dtype=self._dtype)
             else:
                 self._engine_cache = BatchQueryEngine(
                     self._writer.model.term_basis,
                     self._writer.document_vectors(),
                     tombstones=self._writer.tombstones,
-                    dtype=self._dtype,
-                    cache_budget_bytes=self._cache_budget)
+                    dtype=self._dtype)
             self._engine_generation = self._generation
         assert self._engine_cache is not None
         return self._engine_cache
@@ -625,8 +598,8 @@ class ServedIndex:
         return write_bundle(path, bundle)
 
     @classmethod
-    def load(cls, path, *, config: "ServingConfig | None" = None,
-             **legacy) -> "ServedIndex":
+    def load(cls, path, *, config: "ServingConfig | None" = None
+             ) -> "ServedIndex":
         """Load a bundle saved by :meth:`save` (or any older schema).
 
         The restored index reproduces the saved index's rankings
@@ -646,25 +619,12 @@ class ServedIndex:
                 (``compute_dtype`` in the manifest); the bundle's
                 persisted ``drift_threshold`` always wins over the
                 config's.
-            **legacy: the pre-``ServingConfig`` kwargs
-                (``cache_capacity=``, ``mmap=``, ``dtype=``,
-                ``cache_budget_bytes=``), accepted for one more
-                release behind a :class:`DeprecationWarning`.
         """
-        config = resolve_config(config, legacy,
-                                where="ServedIndex.load")
+        config = config if config is not None else ServingConfig()
         bundle = read_bundle(path, mmap=config.mmap)
-        index = cls.__new__(cls)
-        index._config = config
-        index._dtype = _resolve_dtype(
-            config.dtype if config.dtype is not None
-            else bundle.compute_dtype)
-        index._cache_budget = config.cache_budget_bytes
-        if bundle.mmapped and bundle.doc_unit is not None:
-            index._writer = None
-            index._bundle = bundle
-        else:
-            index._writer = IndexWriter.from_state(
+        writer = None
+        if not (bundle.mmapped and bundle.doc_unit is not None):
+            writer = IndexWriter.from_state(
                 LSIModel(bundle.svd), bundle.doc_vectors,
                 n_original=bundle.n_original,
                 tombstones=bundle.tombstones,
@@ -673,22 +633,20 @@ class ServedIndex:
                 fold_ins=bundle.stats.fold_ins_since_refit,
                 deletes=bundle.stats.deletes_since_refit,
                 copy=False)
-            index._bundle = None
-        index._cache = LRUResultCache(config.cache_capacity)
-        index._vocabulary = bundle.vocabulary
-        index._generation = 0
-        index._engine_cache = None
-        index._engine_generation = -1
-        index._base_version = bundle.index_version or "unsaved"
-        index._queries_served = 0
-        index._batches_served = 0
-        index._base_stats = ServingStats(
-            queries_served=bundle.stats.queries_served,
-            batches_served=bundle.stats.batches_served,
-            cache_hits=bundle.stats.cache_hits,
-            cache_misses=bundle.stats.cache_misses,
-            cache_evictions=bundle.stats.cache_evictions,
-            refits=bundle.stats.refits)
+        index = cls.__new__(cls)
+        index._init_state(
+            config, writer,
+            bundle=bundle if writer is None else None,
+            vocabulary=bundle.vocabulary,
+            saved_dtype=bundle.compute_dtype,
+            base_version=bundle.index_version or "unsaved",
+            base_stats=ServingStats(
+                queries_served=bundle.stats.queries_served,
+                batches_served=bundle.stats.batches_served,
+                cache_hits=bundle.stats.cache_hits,
+                cache_misses=bundle.stats.cache_misses,
+                cache_evictions=bundle.stats.cache_evictions,
+                refits=bundle.stats.refits))
         return index
 
     def __repr__(self) -> str:

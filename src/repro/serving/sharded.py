@@ -3,7 +3,7 @@
 :class:`ShardedIndex` partitions a document collection across N
 :class:`~repro.serving.index.ServedIndex` shards — every shard holds
 the *same* SVD basis and a column subset of the document store — and
-fans query batches out over a thread (or process, or serial) pool.
+fans query batches out over a thread pool, one worker per shard.
 Because cosine scores are per-document, a document's score is the same
 number whichever shard computes it; the merge step concatenates each
 shard's scored top-k candidates and re-applies the global tie policy
@@ -15,6 +15,13 @@ over a column subset may round differently from the full GEMM at
 scale, so ``benchmarks/bench_serving.py`` records merge exactness as a
 gated 0/1 claim against the committed baseline, the same policy the
 float32 and mmap fast paths follow.
+
+The thread pool is the only fan-out because it is the only one that
+wins anywhere: on a 2-core host it beat one index for 128-query blocks
+over 100k documents with BLAS pinned to one thread.  It loses on
+single queries and smaller stores, where BLAS threading inside one
+GEMM does better, and process or serial fan-out lost everywhere
+(numbers in ``docs/SERVING.md``).
 
 The shard layout is a first-class value (:class:`ShardManifest`):
 which assignment produced it (``"round_robin"`` — documents ``i`` with
@@ -41,8 +48,7 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, \
-    ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,7 +58,7 @@ import numpy as np
 from repro.core.lsi import LSIModel
 from repro.errors import PersistenceError, ValidationError
 from repro.serving.bundle import sha256_file
-from repro.serving.config import ServingConfig, resolve_config
+from repro.serving.config import ServingConfig
 from repro.serving.engine import QueryBatch
 from repro.serving.index import ServedIndex
 from repro.serving.stats import ServingStats
@@ -231,21 +237,6 @@ def _select_columns(columns, indices):
     return np.asarray(columns)[:, idx]
 
 
-def _rank_shard_worker(path: str, dtype: "str | None",
-                       queries: np.ndarray, top_k: int
-                       ) -> "tuple[np.ndarray, np.ndarray]":
-    """Process-pool fan-out worker: rank one disk-backed shard.
-
-    Module-level and stateless on purpose (fork-safety, R112): the
-    worker re-opens the shard bundle via mmap on every call — an
-    O(manifest) cold start, which is exactly what makes process
-    fan-out affordable — and touches no module globals.
-    """
-    config = ServingConfig(mmap=True, dtype=dtype, cache_capacity=0)
-    shard = ServedIndex.load(path, config=config)
-    return shard.rank_batch_scored(QueryBatch(queries), top_k=top_k)
-
-
 def is_sharded_bundle(path) -> bool:
     """Whether ``path`` looks like a sharded-index directory.
 
@@ -326,19 +317,17 @@ class ShardedIndex:
         assignment: fold-in routing policy, one of
             :data:`ASSIGNMENTS`.
         config: the :class:`~repro.serving.config.ServingConfig`
-            governing the fan-out pool and future shard construction
+            governing the drift policy and future shard construction
             (``None`` = all defaults).
         cursor: round-robin routing position to resume from.
         retired: global ids retired with previously removed shards.
-        **legacy: pre-``ServingConfig`` kwargs, accepted for one
-            release behind a :class:`DeprecationWarning`.
     """
 
     def __init__(self, shards, global_ids, *,
                  assignment: str = "round_robin",
                  config: "ServingConfig | None" = None,
-                 cursor: int = 0, retired=(), **legacy):
-        config = resolve_config(config, legacy, where="ShardedIndex")
+                 cursor: int = 0, retired=()):
+        config = config if config is not None else ServingConfig()
         shards = list(shards)
         if not shards:
             raise ValidationError(
@@ -371,14 +360,9 @@ class ShardedIndex:
         self._retired: "set[int]" = {int(g) for g in layout.retired}
         self._cursor = int(layout.cursor)
         self._revision = 0
-        #: Bundle directory per shard when disk-backed (process pool).
-        self._paths: "list[Path | None]" = [None] * len(shards)
-        #: Whether memory has diverged from the on-disk shard bundles.
-        self._dirty = True
         self._pool_lock = threading.Lock()
         self._executor: "ThreadPoolExecutor | None" = None
         self._executor_width = 0
-        self._process_pool: "ProcessPoolExecutor | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -387,8 +371,8 @@ class ShardedIndex:
     @classmethod
     def shard(cls, source, n_shards: int, *,
               assignment: str = "round_robin", vocabulary=None,
-              config: "ServingConfig | None" = None,
-              **legacy) -> "ShardedIndex":
+              config: "ServingConfig | None" = None
+              ) -> "ShardedIndex":
         """Partition an existing index or model across ``n_shards``.
 
         Every shard shares ``source``'s SVD basis and takes the column
@@ -405,16 +389,14 @@ class ShardedIndex:
             assignment: one of :data:`ASSIGNMENTS`.
             vocabulary: optional term strings persisted with each
                 shard.
-            config: serving policy for the shards and the fan-out.
-            **legacy: deprecated kwarg form of ``config`` fields.
+            config: serving policy for every shard.
 
         Raises:
             ValidationError: on a non-positive ``n_shards``, an
-                unknown assignment policy, an unsupported source
-                type, or bad config/legacy kwargs.
+                unknown assignment policy, or an unsupported source
+                type.
         """
-        config = resolve_config(config, legacy,
-                                where="ShardedIndex.shard")
+        config = config if config is not None else ServingConfig()
         check_positive_int(n_shards, "n_shards")
         if isinstance(source, ServedIndex):
             writer = source._ensure_writer()
@@ -455,14 +437,8 @@ class ShardedIndex:
         """Fit LSI on a term–document matrix and shard the result.
 
         Arguments mirror :meth:`ServedIndex.fit` plus ``n_shards`` /
-        ``assignment``; legacy serving kwargs are still recognised
-        among ``engine_kwargs`` behind the deprecation shim.
+        ``assignment``.
         """
-        legacy = {name: engine_kwargs.pop(name)
-                  for name in ServingConfig.field_names()
-                  if name in engine_kwargs}
-        config = resolve_config(config, legacy,
-                                where="ShardedIndex.fit")
         model = LSIModel.fit(matrix, rank, engine=engine, seed=seed,
                              **engine_kwargs)
         return cls.shard(model, n_shards, assignment=assignment,
@@ -515,7 +491,7 @@ class ShardedIndex:
 
     @property
     def config(self) -> ServingConfig:
-        """The serving policy this index fans out under."""
+        """The serving policy shared by every shard."""
         return self._config
 
     @property
@@ -598,16 +574,16 @@ class ShardedIndex:
         return batch
 
     def _thread_pool(self) -> Executor:
-        """The fan-out thread pool, (re)built to the current width.
+        """The fan-out thread pool, one worker per shard.
 
-        The stale pool (on a width change) is detached under the lock
-        but shut down after releasing it: ``shutdown(wait=True)`` joins
-        worker threads, and joining while holding ``_pool_lock`` would
-        stall every concurrent query behind the drain.
+        The stale pool (on a shard-count change) is detached under the
+        lock but shut down after releasing it: ``shutdown(wait=True)``
+        joins worker threads, and joining while holding ``_pool_lock``
+        would stall every concurrent query behind the drain.
         """
         stale = None
         with self._pool_lock:
-            width = self._config.max_workers or self.n_shards
+            width = self.n_shards
             if self._executor is None \
                     or self._executor_width != width:
                 stale = self._executor
@@ -619,15 +595,6 @@ class ShardedIndex:
         if stale is not None:
             stale.shutdown(wait=True)
         return executor
-
-    def _proc_pool(self) -> Executor:
-        """The process fan-out pool (disk-backed shards only)."""
-        with self._pool_lock:
-            if self._process_pool is None:
-                width = self._config.max_workers or self.n_shards
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=width)
-            return self._process_pool
 
     def _shard_tasks(self, top_k: int) -> "list[tuple[int, int]]":
         """``(shard, shard_top_k)`` for every shard that can rank.
@@ -648,30 +615,11 @@ class ShardedIndex:
                      tasks: "list[tuple[int, int]]"
                      ) -> "list[tuple[np.ndarray, np.ndarray]]":
         """Fan ``rank_batch_scored`` out; results carry *global* ids."""
-        if self._config.pool == "process":
-            if self._dirty or any(p is None for p in self._paths):
-                raise ValidationError(
-                    "process-pool fan-out needs disk-backed, "
-                    "unmodified shards; save() the index (or load "
-                    "one) before ranking with pool='process'")
-            pool = self._proc_pool()
-            matrix = np.ascontiguousarray(batch.matrix)
-            futures = [pool.submit(_rank_shard_worker,
-                                   str(self._paths[s]),
-                                   self._config.dtype, matrix,
-                                   shard_top_k)
-                       for s, shard_top_k in tasks]
-            results = [f.result() for f in futures]
-        elif self._config.pool == "thread":
-            pool = self._thread_pool()
-            futures = [pool.submit(self._shards[s].rank_batch_scored,
-                                   batch, top_k=shard_top_k)
-                       for s, shard_top_k in tasks]
-            results = [f.result() for f in futures]
-        else:
-            results = [self._shards[s].rank_batch_scored(
-                batch, top_k=shard_top_k)
-                for s, shard_top_k in tasks]
+        pool = self._thread_pool()
+        futures = [pool.submit(self._shards[s].rank_batch_scored,
+                               batch, top_k=shard_top_k)
+                   for s, shard_top_k in tasks]
+        results = [f.result() for f in futures]
         mapped = []
         for (s, _), (local_ids, scores) in zip(tasks, results):
             mapped.append((self._global_ids[s][local_ids], scores))
@@ -794,7 +742,7 @@ class ShardedIndex:
                 _select_columns(columns, routed))
             self._global_ids[s] = np.concatenate(
                 [self._global_ids[s], assigned[routed]])
-        self._mutated()
+        self._revision += 1
         return assigned
 
     def remove_documents(self, doc_ids) -> None:
@@ -817,7 +765,7 @@ class ShardedIndex:
             per_shard.setdefault(s, []).append(local)
         for s, local_ids in per_shard.items():
             self._shards[s].remove_documents(local_ids)
-        self._mutated()
+        self._revision += 1
 
     def add_shard(self) -> int:
         """Append an empty shard; returns its index.
@@ -835,8 +783,7 @@ class ShardedIndex:
         self._shards.append(ServedIndex.from_writer(
             writer, config=self._config))
         self._global_ids.append(np.empty(0, dtype=np.int64))
-        self._paths.append(None)
-        self._mutated()
+        self._revision += 1
         return self.n_shards - 1
 
     def remove_shard(self, shard_index: int) -> np.ndarray:
@@ -860,19 +807,13 @@ class ShardedIndex:
         shard_index = int(shard_index)
         removed = self._shards.pop(shard_index)
         ids = self._global_ids.pop(shard_index)
-        self._paths.pop(shard_index)
         self._retired.update(int(g) for g in ids)
         self._cursor %= self.n_shards
         # Fold the removed shard's generation into the revision so the
-        # global counter stays monotone after the sum loses a term.
-        self._revision += removed.generation
-        self._mutated()
+        # global counter stays monotone after the sum loses a term,
+        # then count the topology change itself.
+        self._revision += removed.generation + 1
         return ids
-
-    def _mutated(self) -> None:
-        """Record a mutation: bump topology revision, mark dirty."""
-        self._revision += 1
-        self._dirty = True
 
     # ------------------------------------------------------------------
     # Persistence
@@ -900,11 +841,10 @@ class ShardedIndex:
                 "directory")
         directory.mkdir(parents=True, exist_ok=True)
         entries = []
-        paths: "list[Path | None]" = []
         for s, (shard, ids) in enumerate(zip(self._shards,
                                              self._global_ids)):
             name = f"shard-{s:03d}"
-            bundle_dir = shard.save(directory / name)
+            shard.save(directory / name)
             ids_name = f"{name}.ids.npy"
             np.save(directory / ids_name, ids, allow_pickle=False)
             entries.append({
@@ -914,7 +854,6 @@ class ShardedIndex:
                 "n_documents": int(ids.size),
                 "n_active": int(shard.n_active),
             })
-            paths.append(bundle_dir)
         retired = np.asarray(sorted(self._retired), dtype=np.int64)
         np.save(directory / _RETIRED_NAME, retired,
                 allow_pickle=False)
@@ -936,37 +875,31 @@ class ShardedIndex:
                   encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        self._paths = paths
-        self._dirty = False
         return directory
 
     @classmethod
-    def load(cls, path, *, config: "ServingConfig | None" = None,
-             **legacy) -> "ShardedIndex":
+    def load(cls, path, *, config: "ServingConfig | None" = None
+             ) -> "ShardedIndex":
         """Load a directory saved by :meth:`save`.
 
         ``config`` applies to every shard exactly as in
         :meth:`ServedIndex.load` — ``mmap=True`` gives the sharded
-        index an O(total manifests) cold start, and is what makes
-        ``pool="process"`` fan-out cheap.
+        index an O(total manifests) cold start.
 
         Args:
             path: the sharded-index directory.
-            config: serving policy for the shards and the fan-out.
-            **legacy: deprecated kwarg form of ``config`` fields.
+            config: serving policy for every shard.
 
         Raises:
             PersistenceError: on a missing/malformed manifest, an
                 unsupported schema, or a checksum mismatch.
-            ValidationError: on bad config/legacy kwargs.
+            ValidationError: when the recorded id maps do not match
+                the shards (see the constructor).
         """
-        config = resolve_config(config, legacy,
-                                where="ShardedIndex.load")
         directory = Path(path)
         manifest = read_sharded_manifest(directory)
         shards = []
         global_ids = []
-        paths: "list[Path | None]" = []
         for entry in manifest["shards"]:
             ids_path = directory / str(entry.get("ids_file", ""))
             if not ids_path.is_file():
@@ -988,7 +921,6 @@ class ShardedIndex:
                 np.load(ids_path,  # reprolint: disable=R111
                         allow_pickle=False),
                 dtype=np.int64))
-            paths.append(bundle_dir)
         retired_path = directory / str(
             manifest.get("retired_file", _RETIRED_NAME))
         if retired_path.is_file():
@@ -998,24 +930,21 @@ class ShardedIndex:
                 dtype=np.int64)
         else:
             retired = np.empty(0, dtype=np.int64)
-        index = cls(shards, global_ids,
-                    assignment=str(manifest.get("assignment",
-                                                "round_robin")),
-                    config=config,
-                    cursor=int(manifest.get("cursor", 0)),
-                    retired=retired)
-        index._paths = paths
-        index._dirty = False
-        return index
+        return cls(shards, global_ids,
+                   assignment=str(manifest.get("assignment",
+                                               "round_robin")),
+                   config=config,
+                   cursor=int(manifest.get("cursor", 0)),
+                   retired=retired)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the fan-out pools down (idempotent).
+        """Shut the fan-out pool down (idempotent).
 
-        Pools are detached under ``_pool_lock`` and drained after
+        The pool is detached under ``_pool_lock`` and drained after
         releasing it: ``shutdown(wait=True)`` blocks on in-flight
         shard work, and holding the lock through that drain would
         deadlock any worker (or concurrent caller) that needs it.
@@ -1023,11 +952,8 @@ class ShardedIndex:
         with self._pool_lock:
             executor, self._executor = self._executor, None
             self._executor_width = 0
-            process_pool, self._process_pool = self._process_pool, None
         if executor is not None:
             executor.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=True)
 
     def __enter__(self) -> "ShardedIndex":
         return self
@@ -1040,5 +966,4 @@ class ShardedIndex:
                 f"k={self.rank}, n={self.n_terms}, "
                 f"m={self.n_documents}, active={self.n_active}, "
                 f"assignment={self._assignment!r}, "
-                f"pool={self._config.pool!r}, "
                 f"dtype={self.dtype})")

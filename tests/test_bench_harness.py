@@ -78,8 +78,7 @@ class TestRegistry:
         scale = registry.variants(size="scale")
         names = {v.spec.name for v in scale}
         assert {"serving_batched_queries", "serving_float32_agreement",
-                "serving_mmap_coldstart",
-                "serving_blocked_gemm"} <= names
+                "serving_mmap_coldstart"} <= names
         assert all("serving" in v.spec.tags for v in scale)
 
     def test_variant_id_and_tags_include_size(self):

@@ -123,13 +123,6 @@ class TestRetrieval:
         assert np.allclose(sims, sims.T, atol=1e-10)
         assert np.allclose(np.diag(sims), 1.0, atol=1e-9)
 
-    def test_rank_for_query_alias(self, fitted, tiny_matrix_module):
-        query = tiny_matrix_module.get_column(1)
-        with pytest.warns(DeprecationWarning, match="rank_documents"):
-            aliased = fitted.rank_for_query(query, top_k=5)
-        assert np.array_equal(aliased,
-                              fitted.rank_documents(query, top_k=5))
-
 
 class TestApproximationQuality:
     def test_reconstruct_shape(self, fitted, tiny_matrix_module):

@@ -1,4 +1,8 @@
-"""Tests for ServingConfig, ShardedIndex, and the micro-batcher."""
+"""Tests for ServingConfig, ShardedIndex, and the micro-batcher.
+
+Every ``ShardedIndex`` here fans out through its thread pool, the only
+fan-out it has, and each one is closed by its ``with`` block.
+"""
 
 import dataclasses
 import json
@@ -28,7 +32,6 @@ from repro.serving import (
     ShardedIndex,
     is_sharded_bundle,
     read_sharded_manifest,
-    resolve_config,
     shard_document_ids,
 )
 from repro.serving.sharded import SHARDED_MANIFEST_NAME
@@ -68,74 +71,89 @@ class TestServingConfig:
         config = ServingConfig()
         assert config.dtype is None and config.mmap is False
         assert config.cache_capacity == 256
-        assert config.pool == "thread"
         assert config.max_batch == 32 and config.max_wait_ms == 2.0
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ServingConfig().pool = "serial"
+            ServingConfig().cache_capacity = 0
 
     @pytest.mark.parametrize("fields", [
-        {"pool": "fork"},
+        {"stream_block_size": 0},
         {"dtype": "float16"},
         {"cache_capacity": -1},
         {"max_batch": 0},
         {"max_wait_ms": -1.0},
-        {"max_workers": 0},
+        {"stream_polish": -1},
         {"drift_threshold": 2.0},
     ])
     def test_bad_values_raise(self, fields):
         with pytest.raises(ValidationError):
             ServingConfig(**fields)
 
-    def test_from_kwargs_rejects_unknown_fields(self):
-        with pytest.raises(ValidationError, match="cache_capacit.*"
-                           "valid fields"):
-            ServingConfig.from_kwargs(cache_capacit=4)
-
     def test_merged_applies_overrides(self):
-        config = ServingConfig(pool="serial")
+        config = ServingConfig(cache_capacity=0)
         assert config.merged() is config
         merged = config.merged(max_batch=8)
-        assert merged.max_batch == 8 and merged.pool == "serial"
+        assert merged.max_batch == 8 and merged.cache_capacity == 0
         with pytest.raises(ValidationError):
             config.merged(nope=1)
 
-    def test_field_names_match_dataclass(self):
-        assert ServingConfig.field_names() == tuple(
-            f.name for f in dataclasses.fields(ServingConfig))
+    def test_merged_rejects_unknown_fields(self):
+        with pytest.raises(ValidationError, match="cache_capacit.*"
+                           "valid fields"):
+            ServingConfig().merged(cache_capacit=4)
+
+    def test_fields_are_the_nine_policy_knobs(self):
+        assert tuple(f.name for f in dataclasses.fields(ServingConfig)) \
+            == ("dtype", "mmap", "cache_capacity", "drift_threshold",
+                "max_batch", "max_wait_ms", "stream_block_size",
+                "stream_oversample", "stream_polish")
 
 
-class TestResolveConfig:
-    def test_empty_legacy_passes_config_through(self):
-        config = ServingConfig(pool="serial")
-        assert resolve_config(config, {}, where="t") is config
-        assert resolve_config(None, {}, where="t") == ServingConfig()
+def _saved_bundle(model, tmp_path):
+    return ServedIndex(model).save(tmp_path / "bundle")
 
-    def test_legacy_kwargs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="cache_capacity"):
-            config = resolve_config(None, {"cache_capacity": 4},
-                                    where="t")
-        assert config.cache_capacity == 4
 
-    def test_config_plus_legacy_raises(self):
-        with pytest.raises(ValidationError, match="both config="):
-            resolve_config(ServingConfig(), {"mmap": True}, where="t")
+class TestRemovedSurface:
+    """Deleted options and the expired kwargs shim fail loudly.
 
-    def test_unknown_legacy_raises_eagerly(self):
-        with pytest.raises(ValidationError, match="valid fields"):
-            resolve_config(None, {"cache_cap": 4}, where="t")
+    Each call here used to be accepted, or accepted with a
+    ``DeprecationWarning``; now a serving field passed anywhere but
+    ``config=`` is an error instead of a silently honoured setting.
+    """
 
-    def test_served_index_legacy_shim(self, model):
-        with pytest.warns(DeprecationWarning, match="ServedIndex"):
-            index = ServedIndex(model, cache_capacity=4)
-        assert index.config.cache_capacity == 4
-
-    def test_sharded_legacy_shim(self, model):
-        with pytest.warns(DeprecationWarning):
-            sharded = ShardedIndex.shard(model, 2, cache_capacity=4)
-        assert sharded.config.cache_capacity == 4
-        sharded.close()
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServedIndex(model, cache_capacity=4),
+                     TypeError, "cache_capacity", id="served-index-kwarg"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServedIndex.load(_saved_bundle(model, tmp_path),
+                                      mmap=True),
+                     TypeError, "mmap", id="load-kwarg"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     ShardedIndex.shard(model, 2, dtype="float32"),
+                     TypeError, "dtype", id="shard-kwarg"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     MicroBatchDispatcher(ServedIndex(model),
+                                          max_batch=4),
+                     TypeError, "max_batch", id="dispatcher-kwarg"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServingConfig(pool="thread"),
+                     TypeError, "pool", id="config-pool"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServingConfig(max_workers=2),
+                     TypeError, "max_workers", id="config-max-workers"),
+        # fit forwards its extra kwargs to the SVD engine, whose
+        # option check names the stray serving field.
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServedIndex.fit(matrix, 4, cache_capacity=4),
+                     ValidationError, "unknown option.*cache_capacity",
+                     id="fit-kwarg"),
+    ])
+    def test_removed_call_raises(self, model, dense_matrix, tmp_path,
+                                 call, error, match):
+        with pytest.raises(error, match=match):
+            call(model, dense_matrix, tmp_path)
 
 
 class TestCacheKey:
@@ -220,9 +238,6 @@ class TestShardManifest:
 # ----------------------------------------------------------------------
 
 
-SERIAL = ServingConfig(pool="serial")
-
-
 class TestShardedExactness:
     @pytest.mark.parametrize("assignment", ASSIGNMENTS)
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
@@ -231,36 +246,26 @@ class TestShardedExactness:
                                          assignment, n_shards,
                                          top_k):
         with ShardedIndex.shard(served, n_shards,
-                                assignment=assignment,
-                                config=SERIAL) as sharded:
+                                assignment=assignment) as sharded:
             assert np.array_equal(
                 sharded.rank_batch(queries, top_k=top_k),
                 served.rank_batch(queries, top_k=top_k))
 
-    def test_thread_pool_matches_serial(self, served, queries):
-        serial = ShardedIndex.shard(served, 3, config=SERIAL)
-        threaded = ShardedIndex.shard(
-            served, 3, config=ServingConfig(pool="thread"))
-        with serial, threaded:
-            assert np.array_equal(
-                serial.rank_batch(queries, top_k=4),
-                threaded.rank_batch(queries, top_k=4))
-
     def test_scores_agree_to_rounding(self, served, queries):
-        with ShardedIndex.shard(served, 3, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 3) as sharded:
             assert np.allclose(sharded.score(queries[:, 0]),
                                served.score(queries[:, 0]),
                                rtol=0, atol=1e-12)
 
     def test_conforms_to_retriever_protocol(self, served):
-        with ShardedIndex.shard(served, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 2) as sharded:
             assert isinstance(sharded, Retriever)
             assert sharded.n_documents == served.n_documents
             assert sharded.n_terms == served.n_terms
             assert sharded.rank == served.rank
 
     def test_rank_documents_single_query(self, served, queries):
-        with ShardedIndex.shard(served, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 2) as sharded:
             assert np.array_equal(
                 sharded.rank_documents(queries[:, 0], top_k=3),
                 served.rank_documents(queries[:, 0], top_k=3))
@@ -268,7 +273,7 @@ class TestShardedExactness:
     def test_source_tombstones_carry_over(self, model, queries):
         single = ServedIndex(model)
         single.remove_documents([1, 13])
-        with ShardedIndex.shard(single, 3, config=SERIAL) as sharded:
+        with ShardedIndex.shard(single, 3) as sharded:
             ranked = sharded.rank_batch(queries)
             assert 1 not in ranked and 13 not in ranked
             assert np.array_equal(ranked, single.rank_batch(queries))
@@ -305,8 +310,7 @@ class TestShardedExactnessProperty:
         model = LSIModel.fit(matrix, rank, engine="exact")
         single = ServedIndex(model)
         with ShardedIndex.shard(model, n_shards,
-                                assignment=assignment,
-                                config=SERIAL) as sharded:
+                                assignment=assignment) as sharded:
             for top_k in (1, 3, None):
                 assert np.array_equal(
                     sharded.rank_documents(query, top_k=top_k),
@@ -359,7 +363,7 @@ class TestShardedUpdates:
     def test_fold_in_assigns_single_index_ids(self, model, rng,
                                               queries):
         single = ServedIndex(model)
-        with ShardedIndex.shard(model, 3, config=SERIAL) as sharded:
+        with ShardedIndex.shard(model, 3) as sharded:
             fresh = rng.random((30, 4))
             assert np.array_equal(sharded.add_documents(fresh),
                                   single.add_documents(fresh))
@@ -371,8 +375,7 @@ class TestShardedUpdates:
     def test_fold_in_then_delete_matches_single(self, model, rng,
                                                 queries, assignment):
         single = ServedIndex(model)
-        with ShardedIndex.shard(model, 2, assignment=assignment,
-                                config=SERIAL) as sharded:
+        with ShardedIndex.shard(model, 2, assignment=assignment) as sharded:
             fresh = rng.random((30, 5))
             sharded.add_documents(fresh)
             single.add_documents(fresh)
@@ -382,14 +385,14 @@ class TestShardedUpdates:
                                   single.rank_batch(queries))
 
     def test_double_delete_raises_with_global_id(self, model):
-        with ShardedIndex.shard(model, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(model, 2) as sharded:
             sharded.remove_documents([5])
             with pytest.raises(ValidationError,
                                match="document 5 is already deleted"):
                 sharded.remove_documents([5])
 
     def test_mutations_bump_generation(self, model, rng):
-        with ShardedIndex.shard(model, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(model, 2) as sharded:
             before = sharded.generation
             sharded.add_documents(rng.random((30, 2)))
             bumped = sharded.generation
@@ -398,7 +401,7 @@ class TestShardedUpdates:
             assert sharded.generation > bumped
 
     def test_add_and_remove_shard(self, model, rng, queries):
-        with ShardedIndex.shard(model, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(model, 2) as sharded:
             position = sharded.add_shard()
             assert position == 2 and sharded.n_shards == 3
             sharded.add_documents(rng.random((30, 3)))
@@ -414,19 +417,19 @@ class TestShardedUpdates:
                 sharded.remove_documents([int(retired[0])])
 
     def test_cannot_remove_last_shard(self, model):
-        with ShardedIndex.shard(model, 1, config=SERIAL) as sharded:
+        with ShardedIndex.shard(model, 1) as sharded:
             with pytest.raises(ValidationError, match="last shard"):
                 sharded.remove_shard(0)
 
 
 # ----------------------------------------------------------------------
-# ShardedIndex: persistence and pools
+# ShardedIndex: persistence
 # ----------------------------------------------------------------------
 
 
 class TestShardedPersistence:
     def test_save_load_round_trip(self, served, queries, tmp_path):
-        with ShardedIndex.shard(served, 3, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 3) as sharded:
             sharded.remove_documents([2])
             expected = sharded.rank_batch(queries, top_k=4)
             path = sharded.save(tmp_path / "cluster")
@@ -434,16 +437,16 @@ class TestShardedPersistence:
         assert not is_sharded_bundle(tmp_path)
         manifest = read_sharded_manifest(path)
         assert manifest["n_shards"] == 3
-        with ShardedIndex.load(path, config=SERIAL) as loaded:
+        with ShardedIndex.load(path) as loaded:
             assert loaded.assignment == "round_robin"
             assert np.array_equal(
                 loaded.rank_batch(queries, top_k=4), expected)
 
     def test_load_with_mmap_matches(self, served, queries, tmp_path):
-        with ShardedIndex.shard(served, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 2) as sharded:
             expected = sharded.rank_batch(queries)
             path = sharded.save(tmp_path / "cluster")
-        config = ServingConfig(pool="serial", mmap=True)
+        config = ServingConfig(mmap=True)
         with ShardedIndex.load(path, config=config) as loaded:
             assert loaded.mmapped if hasattr(loaded, "mmapped") \
                 else True
@@ -451,7 +454,7 @@ class TestShardedPersistence:
                                   expected)
 
     def test_corrupt_id_file_fails_load(self, served, tmp_path):
-        with ShardedIndex.shard(served, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 2) as sharded:
             path = sharded.save(tmp_path / "cluster")
         ids_file = path / "shard-000.ids.npy"
         blob = bytearray(ids_file.read_bytes())
@@ -461,7 +464,7 @@ class TestShardedPersistence:
             ShardedIndex.load(path)
 
     def test_manifest_schema_guard(self, served, tmp_path):
-        with ShardedIndex.shard(served, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 2) as sharded:
             path = sharded.save(tmp_path / "cluster")
         manifest_path = path / SHARDED_MANIFEST_NAME
         blob = json.loads(manifest_path.read_text())
@@ -469,17 +472,6 @@ class TestShardedPersistence:
         manifest_path.write_text(json.dumps(blob))
         with pytest.raises(PersistenceError, match="schema"):
             read_sharded_manifest(path)
-
-    def test_process_pool_requires_saved_state(self, served, queries,
-                                               tmp_path):
-        config = ServingConfig(pool="process")
-        with ShardedIndex.shard(served, 2, config=config) as dirty:
-            with pytest.raises(ValidationError, match="save"):
-                dirty.rank_batch(queries)
-            path = dirty.save(tmp_path / "cluster")
-        with ShardedIndex.load(path, config=config) as clean:
-            assert np.array_equal(clean.rank_batch(queries, top_k=4),
-                                  served.rank_batch(queries, top_k=4))
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +627,7 @@ class TestMicroBatchDispatcher:
 class TestServeStatsSharded:
     @pytest.fixture
     def cluster(self, served, queries, tmp_path):
-        with ShardedIndex.shard(served, 2, config=SERIAL) as sharded:
+        with ShardedIndex.shard(served, 2) as sharded:
             sharded.rank_batch(queries, top_k=3)
             return sharded.save(tmp_path / "cluster")
 

@@ -1,4 +1,4 @@
-"""Tests for the raw-speed serving paths: float32, mmap, blocked GEMM.
+"""Tests for the raw-speed serving paths: float32 and mmap.
 
 The speed features are opt-in and every one carries a correctness
 contract this file pins down:
@@ -7,8 +7,6 @@ contract this file pins down:
   bounded score delta), never assumed equivalent;
 - mmap-loaded indexes rank bit-identically to eager loads, and a
   mutation transparently materialises the writer;
-- blocked (panelled) scoring is opt-in because BLAS kernel selection
-  makes it non-bitwise — rankings must still agree at top-k;
 - the bundle remembers its compute dtype (sticky across load).
 """
 
@@ -148,33 +146,6 @@ class TestFloat32Engine:
         assert wide.shape[0] == queries.shape[1]
         assert narrow.shape[0] == 3
         assert np.array_equal(narrow, wide[:3])
-
-
-class TestBlockedGemm:
-    def test_budget_produces_agreeing_rankings(self, model, queries):
-        default = BatchQueryEngine(model.svd.u,
-                                   model.document_vectors())
-        budgeted = BatchQueryEngine(model.svd.u,
-                                    model.document_vectors(),
-                                    cache_budget_bytes=2048)
-        overlap = ranking_overlap(
-            default.rank_batch(queries, top_k=10),
-            budgeted.rank_batch(queries, top_k=10))
-        assert overlap >= 0.99
-
-    def test_no_budget_is_bitwise_default(self, model, queries):
-        a = BatchQueryEngine(model.svd.u, model.document_vectors())
-        b = BatchQueryEngine(model.svd.u, model.document_vectors(),
-                             cache_budget_bytes=None)
-        assert np.array_equal(a.score_batch(queries),
-                              b.score_batch(queries))
-
-    def test_tiny_budget_clamps_to_one_column(self, model, queries):
-        engine = BatchQueryEngine(model.svd.u,
-                                  model.document_vectors(),
-                                  cache_budget_bytes=1)
-        scores = engine.score_batch(queries)
-        assert np.isfinite(scores).all()
 
 
 class TestDtypeStickiness:
