@@ -4,7 +4,7 @@ Two families.  ``reprolint_incremental_cache``: lint a synthetic
 package tree twice through :func:`tools.reprolint.lint_paths` — a cold
 run that populates the content-hash cache, then warm runs that replay
 every per-file record and recompute only the project passes (import
-cycles, doc sync, the call-graph checks).  The paper-style claims are
+cycles, the call-graph checks).  The paper-style claims are
 booleans reported as 0/1:
 
 - ``cache_fully_warm`` — the second run replays every file (hit rate
@@ -38,10 +38,9 @@ lint run — with the corresponding claims:
 
 The trees are generated, not the live repo, so the measurement is
 deterministic in (size, seed) and independent of unrelated source
-churn.  Modules carry docstrings, ``__all__`` exports, numpy shape
+churn.  Modules carry docstrings, ``__all__`` exports, numpy
 arithmetic, and an acyclic import chain so every pass family (per-file
-rules, R100 shape flow, R007 cycle detection, summaries) does real
-work.
+rules, R007 cycle detection, summaries) does real work.
 """
 
 import ast
@@ -132,7 +131,7 @@ def bench_reprolint_incremental_cache(params, seed):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         package = _write_tree(root, params["n_modules"], seed)
-        config = Config(root=root, r100_scope=("pkg",))
+        config = Config(root=root)
         cache = root / "lint.cache.json"
 
         def lint():
@@ -335,7 +334,7 @@ def _write_interproc_tree(root, n_modules):
     return package
 
 
-_INTERPROC_SELECT = ("R100", "R110", "R113", "R120")
+_INTERPROC_SELECT = ("R113", "R120")
 
 
 @benchmark(name="reprolint_interprocedural",

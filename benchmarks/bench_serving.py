@@ -458,7 +458,8 @@ def bench_serving_sharded_throughput(params, seed):
                   "full": {"n_terms": 1500, "n_topics": 12,
                            "n_documents": 1200, "rank": 12,
                            "n_queries": 256, "max_batch": 32,
-                           "max_wait_ms": 2.0}})
+                           "max_wait_ms": 2.0}},
+           time_metrics=("dispatch_seconds", "dispatch_qps"))
 def bench_serving_microbatch_dispatch(params, seed):
     """S8: the dispatcher coalesces singles into exact batched ranks."""
     model = _serving_model(params, seed)

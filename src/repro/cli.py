@@ -9,10 +9,9 @@ Commands:
 - ``report [ids...] [--output path]`` — run experiments and write one
   Markdown report (all of them by default);
 - ``info`` — version and experiment inventory summary;
-- ``lint [paths...] [--format {text,json,sarif,github}]
-  [--select Rxxx,...] [--fix [--check]] [--cache] [--jobs N]
-  [--changed [REF]] [--explain Rxxx]`` — run the repo's
-  static-analysis engine (reprolint) over the source tree;
+- ``lint [...]`` — run the repo's static-analysis engine (reprolint)
+  over the source tree; every argument passes straight through to
+  reprolint (see ``repro lint --help``);
 - ``bench [...]`` — the unified benchmark harness: run registered
   benchmarks into schema-versioned ``BENCH_*.json`` reports,
   ``bench list`` the registry, ``bench compare`` two reports as a
@@ -202,37 +201,14 @@ def _command_bench(bench_argv) -> int:
     return harness_main.main(list(bench_argv))
 
 
-def _command_lint(args) -> int:
+def _command_lint(lint_argv) -> int:
+    """Delegate ``repro lint ...`` to the reprolint CLI."""
     try:
         reprolint_cli = _load_reprolint()
     except ModuleNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.config:
-        argv += ["--config", args.config]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.explain:
-        argv += ["--explain", args.explain]
-    if args.changed is not None:
-        argv.append("--changed")
-        if args.changed != "HEAD":
-            argv.append(args.changed)
-    if args.fix:
-        argv.append("--fix")
-    if args.check:
-        argv.append("--check")
-    if args.cache:
-        argv.append("--cache")
-    if args.cache_file:
-        argv += ["--cache-file", args.cache_file]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    return reprolint_cli.main(argv)
+    return reprolint_cli.main(list(lint_argv))
 
 
 def _sharded_file_failures(directory, manifest) -> list:
@@ -558,48 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the repo's static-analysis pass (reprolint)")
-    lint_parser.add_argument("paths", nargs="*",
-                             help="files or directories to lint "
-                                  "(default: src/repro)")
-    lint_parser.add_argument("--format", "-f",
-                             choices=("text", "json", "sarif",
-                                      "github"), default="text",
-                             help="report format (default: text)")
-    lint_parser.add_argument("--select", default=None,
-                             metavar="Rxxx,...",
-                             help="comma-separated rule codes to run")
-    lint_parser.add_argument("--config", default=None,
-                             metavar="PYPROJECT",
-                             help="explicit pyproject.toml to read")
-    lint_parser.add_argument("--list-rules", action="store_true",
-                             help="print the rule catalogue and exit")
-    lint_parser.add_argument("--explain", default=None,
-                             metavar="Rxxx",
-                             help="print one rule's catalogue entry "
-                                  "and exit")
-    lint_parser.add_argument("--changed", nargs="?", const="HEAD",
-                             default=None, metavar="REF",
-                             help="lint only files changed vs REF "
-                                  "plus their reverse dependencies "
-                                  "(implies --cache)")
-    lint_parser.add_argument("--fix", action="store_true",
-                             help="apply the safe autofixes before "
-                                  "linting")
-    lint_parser.add_argument("--check", action="store_true",
-                             help="with --fix: dry-run; exit 1 if "
-                                  "fixes are pending")
-    lint_parser.add_argument("--cache", action="store_true",
-                             help="reuse the incremental lint cache")
-    lint_parser.add_argument("--cache-file", default=None,
-                             metavar="PATH",
-                             help="explicit cache location (implies "
-                                  "--cache)")
-    lint_parser.add_argument("--jobs", "-j", type=int, default=1,
-                             metavar="N",
-                             help="lint across N processes (0 = one "
-                                  "per CPU)")
-    lint_parser.set_defaults(handler=_command_lint)
+        help="run the repo's static-analysis pass (see `repro lint "
+             "--help`)")
+    lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER,
+                             help="arguments for reprolint")
+    lint_parser.set_defaults(
+        handler=lambda args: _command_lint(args.lint_args))
 
     stats_parser = subparsers.add_parser(
         "serve-stats",
@@ -627,13 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Subcommands whose arguments go to another CLI unparsed.
+_PASSTHROUGH = {"bench": _command_bench, "lint": _command_lint}
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # `bench` owns its argv (flags like --tag would trip argparse's
-    # REMAINDER handling), so dispatch before the main parser runs.
-    if argv and argv[0] == "bench":
-        return _command_bench(argv[1:])
+    # `bench` and `lint` own their argv (flags like --tag would trip
+    # argparse's REMAINDER handling), so dispatch before the main
+    # parser runs.
+    if argv and argv[0] in _PASSTHROUGH:
+        return _PASSTHROUGH[argv[0]](argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):

@@ -1,6 +1,8 @@
 """Tests for tools/reprolint: every rule, suppressions, config, CLI."""
 
 import json
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -359,8 +361,7 @@ class TestConfigLoading:
         config = load_config(start=tmp_path)
         assert config.select == ("R001", "R002", "R003", "R004",
                                  "R005", "R006", "R007",
-                                 "R100", "R101", "R102",
-                                 "R110", "R111", "R112",
+                                 "R111", "R112",
                                  "R113", "R120")
         assert config.r001_allow == ()
 
@@ -428,10 +429,11 @@ class TestReprolintCli:
 
     def test_list_rules_includes_v2_families(self, capsys):
         assert reprolint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ("R100", "R101", "R102",
-                     "R110", "R111", "R112", "R113", "R120"):
-            assert code in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["R001", "R002", "R003", "R004", "R005",
+                          "R006", "R007", "R111", "R112", "R113",
+                          "R120"]
 
     def test_cache_flag_round_trips(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text("[tool.reprolint]\n")
@@ -451,6 +453,67 @@ class TestReprolintCli:
         target.write_text("__all__ = [\"x\"]\n\nx = 1\n")
         assert reprolint_main([str(target), "--jobs", "2"]) == 0
         assert "clean" in capsys.readouterr().out
+
+
+#: A clean public module except for one raw generator construction.
+_RAW_RNG_PROBE = '''\
+"""Probe module."""
+
+import numpy as np
+
+__all__ = ["draw"]
+
+
+def draw():
+    return np.random.default_rng(0)
+'''
+
+
+def _removed_option_cases():
+    for code in ("R100", "R101", "R102", "R110"):
+        for route in ("module", "repro"):
+            yield pytest.param(route, ["--select", code], None, 2, None,
+                               id=f"{route}-select-{code}")
+    # No --config: the project root stays the repository checkout, so
+    # an exit of 2 can only come from rejecting the flag itself.
+    yield pytest.param("module", ["--changed"], None, 2, None,
+                       id="changed")
+    for key in ("r100-scope", "r101-allow", "r102-exempt", "r110-scope"):
+        yield pytest.param("module", [], f'{key} = ["src"]\n', 2, None,
+                           id=f"config-{key}")
+    yield pytest.param("module", [], "", 1, {"R001": 1},
+                       id="default-rng-is-r001")
+
+
+class TestRemovedOptionsFailLoudly:
+    """Rule codes, flags and config keys of deleted families are usage
+    errors, and raw generator construction still reports under R001."""
+
+    @pytest.mark.parametrize("route, args, table, exit_code, by_rule",
+                             _removed_option_cases())
+    def test_removed_option(self, tmp_path, route, args, table,
+                            exit_code, by_rule):
+        probe = tmp_path / "probe.py"
+        probe.write_text(_RAW_RNG_PROBE)
+        argv = [*args, "--format", "json", "--cache-file",
+                str(tmp_path / "cache.json"), str(probe)]
+        if table is not None:
+            pyproject = tmp_path / "pyproject.toml"
+            pyproject.write_text("[tool.reprolint]\n" + table)
+            argv += ["--config", str(pyproject)]
+        if route == "module":
+            proc = subprocess.run(
+                [sys.executable, "-m", "tools.reprolint", *argv],
+                cwd=REPO_ROOT, capture_output=True, text=True,
+                timeout=120, check=False)
+            code, out = proc.returncode, proc.stdout
+        else:
+            from repro.cli import main as repro_main
+
+            code, out = repro_main(["lint", *argv]), ""
+        assert code == exit_code
+        if by_rule is not None:
+            assert json.loads(out)["violations_by_rule"] == by_rule
 
 
 class TestRepoCliLintSubcommand:

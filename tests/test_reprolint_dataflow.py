@@ -1,4 +1,4 @@
-"""Tests for reprolint v2: dataflow core, R100-R102, autofix, cache,
+"""Tests for reprolint v2: dataflow core, R111/R112, autofix, cache,
 SARIF/GitHub reporters, multiprocess fan-out, and the seeded mutation
 checks from the acceptance criteria."""
 
@@ -13,14 +13,11 @@ from tools.reprolint import lint_paths, main as reprolint_main
 from tools.reprolint.cache import (FileRecord, engine_fingerprint,
                                    load_cache, store_cache)
 from tools.reprolint.config import Config
-from tools.reprolint.contracts import (parse_api_doc,
-                                       parse_docstring_args)
 from tools.reprolint.dataflow import (ImportMap, bound_names,
                                       flat_statements, iter_scopes)
 from tools.reprolint.fixes import apply_fixes, compute_fixes, fix_paths
 from tools.reprolint.reporters import render_github, render_sarif
 from tools.reprolint.rules import ModuleContext
-from tools.reprolint.shapes import infer_module_shapes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,400 +130,6 @@ class TestScopeWalk:
         assert bound_names(target) == {"a", "b", "rest"}
 
 
-class TestR100ShapeFlow:
-    def flags(self, tmp_path, body, **kwargs):
-        return lint_source(tmp_path, "import numpy as np\n"
-                           + textwrap.dedent(body),
-                           select=["R100"], **kwargs)
-
-    def test_flags_incompatible_matmul(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 7))
-            B = A.T @ A.T
-            """)
-        assert codes(result) == ["R100"]
-        assert "inner dimensions conflict" in \
-            result.violations[0].message
-
-    def test_silent_on_compatible_matmul(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 7))
-            G = A.T @ A
-            """)
-        assert codes(result) == []
-
-    def test_flags_np_dot_conflict(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.ones((3, 5))
-            B = np.ones((4, 6))
-            C = np.dot(A, B)
-            """)
-        assert codes(result) == ["R100"]
-
-    def test_economy_svd_factors_flow(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((10, 6))
-            u, s, vt = np.linalg.svd(A, full_matrices=False)
-            good = u @ vt
-            bad = u @ u
-            """)
-        assert codes(result) == ["R100"]
-        assert result.violations[0].line == 5
-
-    def test_truncated_svd_factor_shapes(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            from repro.linalg.truncated_svd import truncated_svd
-            A = np.zeros((20, 9))
-            svd = truncated_svd(A, 4)
-            good = svd.u @ svd.vt
-            bad = svd.vt @ svd.vt
-            """)
-        assert codes(result) == ["R100"]
-        assert "(4, 9) @ (4, 9)" in result.violations[0].message
-
-    def test_flags_axisless_sum_on_2d(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 7))
-            total = A.sum()
-            """)
-        assert codes(result) == ["R100"]
-        assert "axis=" in result.violations[0].message
-
-    def test_silent_with_explicit_axis_or_1d(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 7))
-            v = np.zeros(7)
-            ok_a = A.sum(axis=0)
-            ok_b = A.sum(axis=None)
-            ok_c = v.sum()
-            """)
-        assert codes(result) == []
-
-    def test_reassignment_forgets_shape(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            def load():
-                return object()
-
-            A = np.zeros((4, 7))
-            A = load()
-            total = A.sum()
-            """)
-        assert codes(result) == []
-
-    def test_subscript_row_drops_axis(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 7))
-            row_total = A[0].sum()
-            """)
-        assert codes(result) == []
-
-    def test_scope_config_limits_rule(self, tmp_path):
-        config = Config(root=tmp_path, r100_scope=("pkg/core",))
-        in_scope = lint_source(
-            tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            t = A.sum()
-            """, filename="pkg/core/a.py", select=["R100"],
-            config=config)
-        out_of_scope = lint_source(
-            tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            t = A.sum()
-            """, filename="pkg/viz/b.py", select=["R100"],
-            config=config)
-        assert codes(in_scope) == ["R100"]
-        assert codes(out_of_scope) == []
-
-    def test_infer_module_shapes_helper(self):
-        shapes = infer_module_shapes(ast.parse(textwrap.dedent("""\
-            import numpy as np
-            A = np.zeros((4, 7))
-            B = A.T
-            G = B @ A
-            """)))
-        assert shapes["A"] == ("4", "7")
-        assert shapes["B"] == ("7", "4")
-        assert shapes["G"] == ("7", "7")
-
-    def test_inferred_shapes_through_samplers(self):
-        shapes = infer_module_shapes(ast.parse(textwrap.dedent("""\
-            import numpy as np
-            from repro.utils.rng import as_generator
-            rng = as_generator(0)
-            X = rng.standard_normal((8, 3))
-            """)))
-        assert shapes["X"] == ("8", "3")
-
-
-class TestR101RngProvenance:
-    def test_unseeded_default_rng_has_entropy_message(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            import numpy as np
-
-            def draw():
-                return np.random.default_rng()
-            """, select=["R101"])
-        assert codes(result) == ["R101"]
-        assert "OS entropy" in result.violations[0].message
-
-    def test_seeded_raw_construction_flagged(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            import numpy as np
-
-            def draw(seed):
-                return np.random.default_rng(seed)
-            """, select=["R101"])
-        assert codes(result) == ["R101"]
-        assert "repro.utils.rng" in result.violations[0].message
-
-    def test_double_normalisation_flagged_once(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            from repro.utils.rng import as_generator
-
-            def run(seed):
-                first = as_generator(seed)
-                second = as_generator(seed)
-                return first, second
-            """, select=["R101"])
-        assert codes(result) == ["R101"]
-        assert "normalised twice" in result.violations[0].message
-
-    def test_distinct_seeds_are_fine(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            from repro.utils.rng import as_generator
-
-            def run(seed_a, seed_b):
-                return as_generator(seed_a), as_generator(seed_b)
-            """, select=["R101"])
-        assert codes(result) == []
-
-    def test_module_level_generator_flagged(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            from repro.utils.rng import as_generator
-
-            _RNG = as_generator(1234)
-            """, select=["R101"])
-        assert codes(result) == ["R101"]
-        assert "shared mutable state" in result.violations[0].message
-
-    def test_rng_module_allowlisted(self, tmp_path):
-        config = Config(root=tmp_path, r001_allow=("rng.py",))
-        result = lint_source(tmp_path, """\
-            import numpy as np
-
-            def as_generator(seed):
-                return np.random.default_rng(seed)
-            """, filename="rng.py", select=["R101"], config=config)
-        assert codes(result) == []
-
-    def test_r001_shadowed_by_r101_same_line(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            import numpy as np
-
-            def draw():
-                return np.random.default_rng()
-            """, select=["R001", "R101"])
-        assert codes(result) == ["R101"]
-
-
-class TestR102ContractDrift:
-    def test_function_docstring_ghost_parameter(self, tmp_path):
-        result = lint_source(tmp_path, '''\
-            def fit(matrix, rank):
-                """Fit.
-
-                Args:
-                    matrix: the input.
-                    k: the target rank.
-                """
-                return matrix, rank
-            ''', select=["R102"])
-        assert codes(result) == ["R102"]
-        assert "'k'" in result.violations[0].message
-
-    def test_class_docstring_checked_against_init(self, tmp_path):
-        result = lint_source(tmp_path, '''\
-            class Writer:
-                """Writer.
-
-                Args:
-                    capacity: stale name.
-                """
-
-                def __init__(self, max_pending):
-                    self.max_pending = max_pending
-            ''', select=["R102"])
-        assert codes(result) == ["R102"]
-
-    def test_docstring_in_sync_is_silent(self, tmp_path):
-        result = lint_source(tmp_path, '''\
-            def fit(matrix, rank=2):
-                """Fit.
-
-                Args:
-                    matrix: the input.
-                    rank: target rank.
-
-                Returns:
-                    The model.
-                """
-                return matrix, rank
-            ''', select=["R102"])
-        assert codes(result) == []
-
-    def test_retriever_lookalike_missing_n_documents(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            class Engine:
-                def score(self, query):
-                    return query
-
-                def rank_documents(self, query, *, top_k=None):
-                    return query
-            """, select=["R102"])
-        assert codes(result) == ["R102"]
-        assert "n_documents" in result.violations[0].message
-
-    def test_retriever_top_k_must_be_keyword_only_none(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            class Engine:
-                @property
-                def n_documents(self):
-                    return 0
-
-                def score(self, query):
-                    return query
-
-                def rank_documents(self, query, top_k=10):
-                    return query
-            """, select=["R102"])
-        assert codes(result) == ["R102"]
-        assert "keyword-only" in result.violations[0].message
-
-    def test_conforming_retriever_is_silent(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            class Engine:
-                @property
-                def n_documents(self):
-                    return 0
-
-                def score(self, query):
-                    return query
-
-                def rank_documents(self, query, *, top_k=None):
-                    return query
-            """, select=["R102"])
-        assert codes(result) == []
-
-    def test_parse_docstring_args_sections_and_nesting(self):
-        names = parse_docstring_args(textwrap.dedent("""\
-            Summary.
-
-            Args:
-                matrix: the input
-                    with a continuation line.
-                rank (int): target rank.
-                *args: extras.
-                **kwargs: more extras.
-
-            Returns:
-                Something that mentions foo: not a parameter.
-            """))
-        assert names == ["matrix", "rank", "args", "kwargs"]
-
-    def test_parse_api_doc_handles_return_annotations(self):
-        parsed = parse_api_doc(textwrap.dedent("""\
-            # API reference
-
-            ## `pkg.mod`
-
-            Module doc.
-
-            ### class `Engine`
-
-            Class doc.
-
-            - `fit(self, matrix, rank=2) -> None` — fit the model.
-            - `n_documents` (property) — corpus size.
-
-            ### `helper(x, *, flag=False) -> int`
-
-            Helper doc.
-            """))
-        module = parsed["pkg.mod"]
-        assert module["functions"]["helper"] == ["x", "flag"]
-        assert module["classes"]["Engine"]["fit"] == \
-            ["self", "matrix", "rank"]
-        assert module["classes"]["Engine"]["n_documents"] is None
-
-
-def _doc_sync_tree(tmp_path, doc_params="matrix, rank"):
-    """A tiny package + docs/API.md pair for project-pass tests."""
-    write(tmp_path, "", filename="pkg/__init__.py")
-    write(tmp_path, '''\
-        """Module doc."""
-
-        def fit(matrix, rank):
-            """Fit.
-
-            Args:
-                matrix: input.
-                rank: target.
-            """
-            return matrix, rank
-        ''', filename="pkg/mod.py")
-    write(tmp_path, textwrap.dedent(f"""\
-        # API reference
-
-        ## `pkg`
-
-        Package doc.
-
-        ## `pkg.mod`
-
-        Module doc.
-
-        ### `fit({doc_params})`
-
-        Fit doc.
-        """), filename="docs/API.md")
-    return Config(root=tmp_path)
-
-
-class TestR102DocSync:
-    def test_in_sync_reference_is_silent(self, tmp_path):
-        config = _doc_sync_tree(tmp_path)
-        result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R102"])
-        assert codes(result) == []
-
-    def test_parameter_drift_flagged(self, tmp_path):
-        config = _doc_sync_tree(tmp_path, doc_params="matrix, k")
-        result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R102"])
-        assert codes(result) == ["R102"]
-        assert "regenerate the reference" in \
-            result.violations[0].message
-
-    def test_undocumented_module_flagged(self, tmp_path):
-        config = _doc_sync_tree(tmp_path)
-        write(tmp_path, '"""Another."""\n\n\ndef g(x):\n    return x\n',
-              filename="pkg/extra.py")
-        result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R102"])
-        assert codes(result) == ["R102"]
-        assert "missing from docs/API.md" in \
-            result.violations[0].message
-
-    def test_absent_reference_skips_doc_sync(self, tmp_path):
-        config = _doc_sync_tree(tmp_path, doc_params="matrix, k")
-        (tmp_path / "docs" / "API.md").unlink()
-        result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R102"])
-        assert codes(result) == []
-
-
 class TestAutofix:
     def fix_file(self, tmp_path, source, *, filename="mod.py",
                  config=None):
@@ -563,17 +166,6 @@ class TestAutofix:
                 x = 2
             """)
         assert "except Exception:" in path.read_text()
-
-    def test_axis_fix_appends_axis_none(self, tmp_path):
-        path, _ = self.fix_file(tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            total = A.sum()
-            mean = np.mean(A)
-            """)
-        fixed = path.read_text()
-        assert "A.sum(axis=None)" in fixed
-        assert "np.mean(A, axis=None)" in fixed
 
     def test_dunder_all_ghosts_and_duplicates_dropped(self, tmp_path):
         path, _ = self.fix_file(tmp_path, '''\
@@ -678,9 +270,9 @@ class TestAutofix:
 class TestIncrementalCache:
     def _tree(self, tmp_path):
         write(tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            bad = A.T @ A.T
+            import scipy.sparse as sp
+            M = sp.csr_matrix((4, 7))
+            bad = M.toarray()
             """, filename="pkg/a.py")
         write(tmp_path, "x = 1\n", filename="pkg/b.py")
         return Config(root=tmp_path), tmp_path / "cache.json"
@@ -688,23 +280,24 @@ class TestIncrementalCache:
     def test_warm_run_replays_all_files(self, tmp_path):
         config, cache = self._tree(tmp_path)
         cold = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100"], cache=str(cache))
+                          select=["R004"], cache=str(cache))
         warm = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100"], cache=str(cache))
+                          select=["R004"], cache=str(cache))
         assert cold.cache_hits == 0 and cold.cache_misses == 2
         assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert codes(cold) == codes(warm) == ["R100"]
+        assert codes(cold) == codes(warm) == ["R004"]
         assert [v.render() for v in cold.violations] == \
             [v.render() for v in warm.violations]
 
     def test_content_change_invalidates_only_that_file(self, tmp_path):
         config, cache = self._tree(tmp_path)
         lint_paths([str(tmp_path / "pkg")], config=config,
-                   select=["R100"], cache=str(cache))
+                   select=["R004"], cache=str(cache))
         (tmp_path / "pkg" / "a.py").write_text(
-            "import numpy as np\nA = np.zeros((4, 7))\nok = A.T @ A\n")
+            "import scipy.sparse as sp\nM = sp.csr_matrix((4, 7))\n"
+            "ok = M.tocsc()\n")
         warm = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100"], cache=str(cache))
+                          select=["R004"], cache=str(cache))
         assert warm.cache_hits == 1 and warm.cache_misses == 1
         assert codes(warm) == []
 
@@ -725,60 +318,44 @@ class TestIncrementalCache:
         assert warm.cache_hits == 2 and warm.cache_misses == 1
         assert codes(warm) == []
 
-    def test_doc_sync_recomputed_from_cached_summaries(self, tmp_path):
-        config = _doc_sync_tree(tmp_path, doc_params="matrix, k")
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R102"], cache=str(cache))
-        assert codes(cold) == ["R102"]
-        # Fix only the reference document — no .py file changes, every
-        # record replays, and the project pass still reconverges.
-        api = tmp_path / "docs" / "API.md"
-        api.write_text(api.read_text().replace("matrix, k",
-                                               "matrix, rank"))
-        warm = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R102"], cache=str(cache))
-        assert warm.cache_misses == 0
-        assert codes(warm) == []
-
     def test_corrupt_cache_fails_open(self, tmp_path):
         config, cache = self._tree(tmp_path)
         lint_paths([str(tmp_path / "pkg")], config=config,
-                   select=["R100"], cache=str(cache))
+                   select=["R004"], cache=str(cache))
         cache.write_text("{not json")
         result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R100"], cache=str(cache))
+                            select=["R004"], cache=str(cache))
         assert result.cache_hits == 0
-        assert codes(result) == ["R100"]
+        assert codes(result) == ["R004"]
 
     def test_selection_change_invalidates_cache(self, tmp_path):
         config, cache = self._tree(tmp_path)
         lint_paths([str(tmp_path / "pkg")], config=config,
-                   select=["R100"], cache=str(cache))
+                   select=["R004"], cache=str(cache))
         result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R100", "R002"], cache=str(cache))
+                            select=["R004", "R002"], cache=str(cache))
         assert result.cache_hits == 0
 
     def test_suppressions_apply_on_cache_replay(self, tmp_path):
         write(tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            bad = A.T @ A.T  # reprolint: disable=R100 proven offline
+            import scipy.sparse as sp
+            M = sp.csr_matrix((4, 7))
+            bad = M.toarray()  # reprolint: disable=R004 proven small
             """, filename="pkg/a.py")
         config = Config(root=tmp_path)
         cache = tmp_path / "cache.json"
         cold = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100"], cache=str(cache))
+                          select=["R004"], cache=str(cache))
         warm = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100"], cache=str(cache))
+                          select=["R004"], cache=str(cache))
         assert codes(cold) == codes(warm) == []
         assert warm.cache_hits == 1
 
     def test_record_json_roundtrip(self, tmp_path):
         config, cache = self._tree(tmp_path)
-        fingerprint = engine_fingerprint(config, frozenset({"R100"}))
+        fingerprint = engine_fingerprint(config, frozenset({"R004"}))
         lint_paths([str(tmp_path / "pkg")], config=config,
-                   select=["R100"], cache=str(cache))
+                   select=["R004"], cache=str(cache))
         records = load_cache(cache, fingerprint)
         assert set(records) == {"pkg/a.py", "pkg/b.py"}
         record = records["pkg/a.py"]
@@ -791,15 +368,15 @@ class TestMultiprocessFanOut:
     def test_jobs_match_serial_results(self, tmp_path):
         for index in range(6):
             write(tmp_path,
-                  "import numpy as np\n"
-                  f"A{index} = np.zeros((3, {index + 2}))\n"
-                  f"bad{index} = A{index} @ A{index}\n",
+                  "import scipy.sparse as sp\n"
+                  f"M{index} = sp.csr_matrix((3, {index + 2}))\n"
+                  f"bad{index} = M{index}.toarray()\n",
                   filename=f"pkg/m{index}.py")
         config = Config(root=tmp_path)
         serial = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R100"], jobs=1)
+                            select=["R004"], jobs=1)
         fanned = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R100"], jobs=2)
+                            select=["R004"], jobs=2)
         assert [v.render() for v in serial.violations] == \
             [v.render() for v in fanned.violations]
         assert serial.files_checked == fanned.files_checked == 6
@@ -817,11 +394,11 @@ class TestMultiprocessFanOut:
 class TestSarifReporter:
     def _result(self, tmp_path):
         return lint_source(tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            bad = A.T @ A.T
-            total = A.sum()
-            """, select=["R100"])
+            import scipy.sparse as sp
+            M = sp.csr_matrix((4, 7))
+            dense = M.toarray()
+            again = M.todense()
+            """, select=["R004"])
 
     def test_sarif_document_structure(self, tmp_path):
         document = json.loads(render_sarif(self._result(tmp_path)))
@@ -830,10 +407,10 @@ class TestSarifReporter:
         (run,) = document["runs"]
         driver = run["tool"]["driver"]
         assert driver["name"] == "reprolint"
-        assert [rule["id"] for rule in driver["rules"]] == ["R100"]
+        assert [rule["id"] for rule in driver["rules"]] == ["R004"]
         assert len(run["results"]) == 2
         first = run["results"][0]
-        assert first["ruleId"] == "R100"
+        assert first["ruleId"] == "R004"
         assert first["level"] == "error"
         location = first["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "mod.py"
@@ -861,14 +438,14 @@ class TestSarifReporter:
 class TestGitHubReporter:
     def test_annotation_lines(self, tmp_path):
         result = lint_source(tmp_path, """\
-            import numpy as np
-            A = np.zeros((4, 7))
-            bad = A.T @ A.T
-            """, select=["R100"])
+            import scipy.sparse as sp
+            M = sp.csr_matrix((4, 7))
+            dense = M.toarray()
+            """, select=["R004"])
         output = render_github(result)
         lines = output.splitlines()
         assert lines[0].startswith("::error file=mod.py,line=3,col=")
-        assert "R100" in lines[0]
+        assert "R004" in lines[0]
         assert lines[-1].startswith("::notice::reprolint: 1 violation")
 
     def test_clean_run_emits_only_notice(self, tmp_path):
@@ -894,10 +471,6 @@ class TestSeededMutationChecks:
         return Config(
             root=tmp_path,
             r001_allow=("src/repro/utils/rng.py",),
-            r100_scope=("src/repro/core", "src/repro/linalg",
-                        "src/repro/serving", "src/repro/ir"),
-            r110_scope=("src/repro/core", "src/repro/linalg",
-                        "src/repro/serving", "src/repro/ir"),
             r111_scope=("src/repro/serving",
                         "src/repro/linalg/dense.py",
                         "src/repro/corpus/weighting.py"))
@@ -906,48 +479,12 @@ class TestSeededMutationChecks:
         source = (REPO_ROOT / rel).read_text()
         return write(tmp_path, source, filename=rel), source
 
-    def test_transposed_matmul_in_lsi_yields_one_r100(self, tmp_path):
-        path, source = self._copy(tmp_path, "src/repro/core/lsi.py")
-        path.write_text(source
-                        + "\n_SHAPE_PROBE = np.zeros((4, 7))\n"
-                          "_SHAPE_BAD = _SHAPE_PROBE.T @ "
-                          "_SHAPE_PROBE.T\n")
-        result = lint_paths([str(path)], config=self._config(tmp_path))
-        flagged = [v for v in result.violations]
-        assert [v.rule for v in flagged] == ["R100"]
-        assert "inner dimensions conflict" in flagged[0].message
-
-    def test_unseeded_rng_in_writer_yields_one_r101(self, tmp_path):
-        path, source = self._copy(tmp_path,
-                                  "src/repro/serving/writer.py")
-        path.write_text(source
-                        + "\n\ndef _entropy_probe():\n"
-                          "    return np.random.default_rng()\n")
-        result = lint_paths([str(path)], config=self._config(tmp_path))
-        flagged = [v for v in result.violations]
-        assert [v.rule for v in flagged] == ["R101"]
-        assert "OS entropy" in flagged[0].message
-
     def test_unmutated_copies_lint_clean(self, tmp_path):
         lsi, _ = self._copy(tmp_path, "src/repro/core/lsi.py")
         writer, _ = self._copy(tmp_path, "src/repro/serving/writer.py")
         result = lint_paths([str(lsi), str(writer)],
                             config=self._config(tmp_path))
         assert codes(result) == []
-
-    def test_mixed_dtype_gemm_in_dense_yields_one_r110(self, tmp_path):
-        path, source = self._copy(tmp_path,
-                                  "src/repro/linalg/dense.py")
-        path.write_text(source
-                        + "\n_D_PROBE_A = np.zeros((4, 4), "
-                          "dtype=np.float32)\n"
-                          "_D_PROBE_B = np.zeros((4, 4), "
-                          "dtype=np.float64)\n"
-                          "_D_PROBE_BAD = _D_PROBE_A @ _D_PROBE_B\n")
-        result = lint_paths([str(path)], config=self._config(tmp_path))
-        flagged = [v for v in result.violations]
-        assert [v.rule for v in flagged] == ["R110"]
-        assert "mixed-dtype GEMM" in flagged[0].message
 
     def test_eager_load_in_bundle_yields_one_r111(self, tmp_path):
         path, source = self._copy(tmp_path,
@@ -962,7 +499,7 @@ class TestSeededMutationChecks:
 
     def test_module_generator_pool_worker_yields_one_r112(
             self, tmp_path):
-        # The probe's module-level generator also trips R101 by
+        # The probe's module-level generator also trips R001 by
         # design (it *is* shared state two ways); select isolates the
         # fork-safety conclusion.
         path, source = self._copy(tmp_path,
@@ -1021,161 +558,8 @@ class TestRealTreeIsClean:
         config = load_config(REPO_ROOT / "pyproject.toml")
         result = lint_paths([str(REPO_ROOT / "src" / "repro")],
                             config=config,
-                            select=["R110", "R111", "R112"])
+                            select=["R111", "R112"])
         assert codes(result) == []
-
-
-class TestR110DtypeFlow:
-    def flags(self, tmp_path, body, **kwargs):
-        return lint_source(tmp_path, "import numpy as np\n"
-                           + textwrap.dedent(body),
-                           select=["R110"], **kwargs)
-
-    def test_flags_mixed_dtype_gemm(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 4), dtype=np.float32)
-            B = np.zeros((4, 4), dtype=np.float64)
-            C = A @ B
-            """)
-        assert codes(result) == ["R110"]
-        assert "mixed-dtype GEMM" in result.violations[0].message
-
-    def test_flags_np_dot_mixed_dtypes(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 4), dtype=np.float32)
-            B = np.zeros((4, 4))
-            C = np.dot(A, B)
-            """)
-        assert codes(result) == ["R110"]
-
-    def test_silent_on_matching_gemm(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((4, 4), dtype=np.float32)
-            B = np.zeros((4, 4), dtype=np.float32)
-            C = A @ B
-            """)
-        assert codes(result) == []
-
-    def test_flags_silent_upcast_in_float32_scope(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            def mix(n):
-                a = np.zeros(n, dtype=np.float32)
-                b = np.zeros(n)
-                return a + b
-            """)
-        assert codes(result) == ["R110"]
-        assert "silent float64 upcast" in result.violations[0].message
-
-    def test_upcast_without_declared_float32_is_silent(self, tmp_path):
-        # No float32 was deliberately constructed in the scope, so a
-        # float64 result is just the default — nothing to report.
-        result = self.flags(tmp_path, """\
-            def plain(n):
-                a = np.zeros(n)
-                b = np.ones(n)
-                return a + b
-            """)
-        assert codes(result) == []
-
-    def test_weak_python_scalar_does_not_upcast(self, tmp_path):
-        # NEP 50: float32_array * 2.0 stays float32 — no finding.
-        result = self.flags(tmp_path, """\
-            def scale(n):
-                a = np.zeros(n, dtype=np.float32)
-                return a * 2.0
-            """)
-        assert codes(result) == []
-
-    def test_flags_redundant_astype(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            a = np.zeros(3, dtype=np.float64)
-            b = a.astype(np.float64)
-            """)
-        assert codes(result) == ["R110"]
-        assert "redundant astype" in result.violations[0].message
-
-    def test_flags_astype_chained_onto_constructor(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            def convert(raw):
-                return np.asarray(raw).astype(np.float64)
-            """)
-        assert codes(result) == ["R110"]
-        assert "fold the cast into the constructor" in \
-            result.violations[0].message
-
-    def test_constructor_with_dtype_kwarg_is_silent(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            def convert(raw):
-                return np.asarray(raw, dtype=np.float64)
-            """)
-        assert codes(result) == []
-
-    def test_flags_float32_accumulation(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            a = np.zeros(3, dtype=np.float32)
-            s = a.sum()
-            t = np.sum(a)
-            """)
-        assert codes(result) == ["R110", "R110"]
-        assert "dtype-unstable accumulation" in \
-            result.violations[0].message
-
-    def test_accumulation_with_explicit_dtype_is_silent(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            a = np.zeros(3, dtype=np.float32)
-            s = a.sum(dtype=np.float64)
-            t = np.sum(a, dtype=np.float32)
-            """)
-        assert codes(result) == []
-
-    def test_svd_factors_inherit_input_dtype(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            A = np.zeros((6, 4), dtype=np.float32)
-            B = np.zeros((4, 4))
-            u, s, vt = np.linalg.svd(A, full_matrices=False)
-            C = vt @ B
-            """)
-        assert codes(result) == ["R110"]
-        assert "float32" in result.violations[0].message
-
-    def test_unknown_dtypes_stay_silent(self, tmp_path):
-        result = self.flags(tmp_path, """\
-            def combine(a, b):
-                return a @ b + a.sum()
-            """)
-        assert codes(result) == []
-
-    def test_scope_config_limits_rule(self, tmp_path):
-        config = Config(root=tmp_path, r110_scope=("pkg/core",))
-        body = """\
-            import numpy as np
-            A = np.zeros((4, 4), dtype=np.float32)
-            B = np.zeros((4, 4), dtype=np.float64)
-            C = A @ B
-            """
-        in_scope = lint_source(tmp_path, body,
-                               filename="pkg/core/a.py",
-                               select=["R110"], config=config)
-        out_of_scope = lint_source(tmp_path, body,
-                                   filename="pkg/viz/b.py",
-                                   select=["R110"], config=config)
-        assert codes(in_scope) == ["R110"]
-        assert codes(out_of_scope) == []
-
-    def test_infer_module_dtypes_helper(self):
-        from tools.reprolint.dtypes import infer_module_dtypes
-
-        dtypes = infer_module_dtypes(ast.parse(textwrap.dedent("""\
-            import numpy as np
-            A = np.zeros((4, 4), dtype=np.float32)
-            B = A.T
-            C = A.astype(np.float64)
-            D = np.ones(3)
-            """)))
-        assert dtypes["A"] == "float32"
-        assert dtypes["B"] == "float32"
-        assert dtypes["C"] == "float64"
-        assert dtypes["D"] == "float64"
 
 
 class TestR111HotPathAllocation:
@@ -1516,50 +900,6 @@ class TestR112ConcurrencySafety:
 
 
 class TestNewFamilyAutofixes:
-    def test_astype_chain_folds_into_dtype_kwarg(self, tmp_path):
-        path = write(tmp_path, """\
-            import numpy as np
-
-            def convert(raw):
-                return np.asarray(raw).astype(np.float64)
-            """)
-        result = fix_paths([str(path)], Config(root=tmp_path),
-                           ["R110"])
-        fixed = path.read_text()
-        assert "np.asarray(raw, dtype=np.float64)" in fixed
-        assert ".astype" not in fixed
-        assert result.total == 2  # kwarg insertion + chain removal
-        ast.parse(fixed)
-
-    def test_astype_chain_fix_is_idempotent(self, tmp_path):
-        path = write(tmp_path, """\
-            import numpy as np
-
-            def convert(raw):
-                return np.asarray(raw).astype(np.float64)
-            """)
-        fix_paths([str(path)], Config(root=tmp_path), ["R110"])
-        once = path.read_text()
-        second = fix_paths([str(path)], Config(root=tmp_path),
-                           ["R110"])
-        assert second.total == 0
-        assert path.read_text() == once
-
-    def test_redundant_astype_is_not_autofixed(self, tmp_path):
-        # Dropping .astype() on an already-matching dtype would change
-        # copy semantics; that finding stays human-only.
-        path = write(tmp_path, """\
-            import numpy as np
-
-            a = np.zeros(3, dtype=np.float64)
-            b = a.astype(np.float64)
-            """)
-        before = path.read_text()
-        result = fix_paths([str(path)], Config(root=tmp_path),
-                           ["R110"])
-        assert result.total == 0
-        assert path.read_text() == before
-
     def test_np_load_gains_mmap_mode(self, tmp_path):
         path = write(tmp_path, """\
             import numpy as np
@@ -1605,34 +945,34 @@ class TestCacheJobsInteraction:
     def _tree(self, tmp_path):
         for index in range(5):
             write(tmp_path,
-                  "import numpy as np\n"
-                  f"A{index} = np.zeros((3, {index + 4}))\n"
-                  f"bad{index} = A{index} @ A{index}\n"
-                  f"s{index} = np.zeros(3, dtype=np.float32).sum()\n",
+                  "import scipy.sparse as sp\n"
+                  f"M{index} = sp.csr_matrix((3, {index + 4}))\n"
+                  f"bad{index} = M{index}.toarray()\n"
+                  f"flag{index} = {index} == 1.5\n",
                   filename=f"pkg/m{index}.py")
         return Config(root=tmp_path), tmp_path / "cache.json"
 
     def test_warm_multiprocess_run_replays_identical(self, tmp_path):
         config, cache = self._tree(tmp_path)
         cold = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100", "R110"], cache=str(cache),
+                          select=["R002", "R004"], cache=str(cache),
                           jobs=2)
         warm = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100", "R110"], cache=str(cache),
+                          select=["R002", "R004"], cache=str(cache),
                           jobs=2)
         assert cold.cache_misses == 5 and cold.cache_hits == 0
         assert warm.cache_hits == 5 and warm.cache_misses == 0
         assert [v.render() for v in cold.violations] == \
             [v.render() for v in warm.violations]
-        assert len(cold.violations) == 10  # one R100 + one R110 each
+        assert len(cold.violations) == 10  # one R002 + one R004 each
 
     def test_serial_warm_replays_multiprocess_cold(self, tmp_path):
         config, cache = self._tree(tmp_path)
         cold = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100", "R110"], cache=str(cache),
+                          select=["R002", "R004"], cache=str(cache),
                           jobs=2)
         warm = lint_paths([str(tmp_path / "pkg")], config=config,
-                          select=["R100", "R110"], cache=str(cache),
+                          select=["R002", "R004"], cache=str(cache),
                           jobs=1)
         assert warm.cache_hits == 5
         assert [v.render() for v in cold.violations] == \
@@ -1641,15 +981,15 @@ class TestCacheJobsInteraction:
     def test_corrupt_cache_under_jobs_fails_open(self, tmp_path):
         config, cache = self._tree(tmp_path)
         lint_paths([str(tmp_path / "pkg")], config=config,
-                   select=["R100", "R110"], cache=str(cache), jobs=2)
+                   select=["R002", "R004"], cache=str(cache), jobs=2)
         cache.write_text('{"broken": ')
         result = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R100", "R110"], cache=str(cache),
+                            select=["R002", "R004"], cache=str(cache),
                             jobs=2)
         assert result.cache_hits == 0
         assert len(result.violations) == 10
         # The run rewrites a valid cache behind itself.
         rewarm = lint_paths([str(tmp_path / "pkg")], config=config,
-                            select=["R100", "R110"], cache=str(cache),
+                            select=["R002", "R004"], cache=str(cache),
                             jobs=2)
         assert rewarm.cache_hits == 5

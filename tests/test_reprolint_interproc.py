@@ -1,7 +1,7 @@
 """Tests for the interprocedural reprolint layer: effect summaries,
 the project call graph, R113 lock/blocking discipline, R120
-exception-contract flow, call-site R100/R110 propagation, summary-cache
-invalidation, ``--changed`` target resolution, and ``--explain``."""
+exception-contract flow, summary-cache invalidation, and
+``--explain``."""
 
 import ast
 import textwrap
@@ -10,12 +10,11 @@ from pathlib import Path
 from tools.reprolint import lint_paths, main as reprolint_main
 from tools.reprolint.callgraph import build_call_graph
 from tools.reprolint.config import Config, load_config
-from tools.reprolint.contracts import parse_docstring_raises
 from tools.reprolint.cycles import module_name_for
-from tools.reprolint.engine import resolve_changed
 from tools.reprolint.reporters import render_text
 from tools.reprolint.summaries import (extract_summaries,
-                                       function_hashes)
+                                       function_hashes,
+                                       parse_docstring_raises)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,10 +131,8 @@ class TestCallGraphResolution:
         graph = build_call_graph(records, package_roots)
         fid = "repro.serving.bundle.write_bundle"
         assert fid in graph.functions
-        resolved = {
-            graph._resolve_call(fid, call)[0]
-            for call in graph.functions[fid]["calls"]
-            if graph._resolve_call(fid, call) is not None}
+        resolved = {graph._resolve_call(fid, call)
+                    for call in graph.functions[fid]["calls"]}
         assert "repro.linalg.dense.normalize_columns" in resolved
         # ...and the raise flows back across the module boundary.
         closure = graph.raises_closure(fid)
@@ -440,76 +437,6 @@ class TestR120Probes:
         assert result.violations[0].path == "pkg/covered.py"
 
 
-class TestCallSitePropagation:
-    def test_r100_argument_shape_conflict_across_call(self, tmp_path):
-        write(tmp_path, """\
-            import numpy as np
-
-            def project(x):
-                w = np.zeros((4, 7))
-                return x @ w
-            """, filename="a.py")
-        write(tmp_path, """\
-            import numpy as np
-
-            from a import project
-
-            def run():
-                q = np.ones((2, 3))
-                return project(q)
-            """, filename="b.py")
-        result = lint_tree(tmp_path, ["R100"])
-        assert codes(result) == ["R100"]
-        violation = result.violations[0]
-        assert violation.path == "b.py"
-        assert "3 vs 4" in violation.message
-
-    def test_r110_return_dtype_conflict_across_call(self, tmp_path):
-        write(tmp_path, """\
-            import numpy as np
-
-            def make():
-                return np.zeros((3, 3), dtype=np.float32)
-            """, filename="a.py")
-        write(tmp_path, """\
-            import numpy as np
-
-            from a import make
-
-            def run():
-                w = np.ones((3, 3))
-                return make() @ w
-            """, filename="b.py")
-        result = lint_tree(tmp_path, ["R110"])
-        assert codes(result) == ["R110"]
-        violation = result.violations[0]
-        assert violation.path == "b.py"
-        assert "float32" in violation.message
-        assert "float64" in violation.message
-
-    def test_matching_shapes_and_dtypes_are_clean(self, tmp_path):
-        write(tmp_path, """\
-            import numpy as np
-
-            def project(x):
-                w = np.zeros((3, 7))
-                return x @ w
-
-            def make():
-                return np.zeros((3, 3))
-            """, filename="a.py")
-        write(tmp_path, """\
-            import numpy as np
-
-            from a import make, project
-
-            def run():
-                q = np.ones((2, 3))
-                return project(q) + 0 * (make() @ np.ones((3, 2)))
-            """, filename="b.py")
-        assert codes(lint_tree(tmp_path, ["R100", "R110"])) == []
-
-
 class TestSummaryCacheInvalidation:
     CALLER = """\
         import threading
@@ -564,48 +491,18 @@ class TestSummaryCacheInvalidation:
         assert serial.violations == fanned.violations \
             == cached.violations == replayed.violations
 
-
-class TestResolveChanged:
-    def _seed(self, tmp_path):
-        write(tmp_path, """\
-            def work():
-                return 1
-            """, filename="callee.py")
-        write(tmp_path, """\
-            from callee import work
-
-            def run():
-                return work()
-            """, filename="caller.py")
+    def test_partial_run_keeps_cache_warm(self, tmp_path):
+        write(tmp_path, self.CALLER, filename="caller.py")
+        write(tmp_path, self.CALLEE_CLEAN, filename="callee.py")
         write(tmp_path, """\
             def lonely():
                 return 2
             """, filename="other.py")
-        return tmp_path / "cache.json"
-
-    def test_changed_callee_pulls_in_caller(self, tmp_path):
-        cache = self._seed(tmp_path)
+        cache = tmp_path / "cache.json"
         config = Config(root=tmp_path)
         lint_paths([str(tmp_path)], config=config, cache=cache)
-        targets = resolve_changed([str(tmp_path)], ["callee.py"],
-                                  config, cache=cache)
-        names = sorted(path.name for path in targets)
-        assert names == ["callee.py", "caller.py"]
-
-    def test_cold_cache_falls_back_to_everything(self, tmp_path):
-        cache = self._seed(tmp_path)
-        config = Config(root=tmp_path)
-        targets = resolve_changed([str(tmp_path)], ["callee.py"],
-                                  config, cache=cache)
-        assert sorted(path.name for path in targets) \
-            == ["callee.py", "caller.py", "other.py"]
-
-    def test_partial_run_keeps_cache_warm(self, tmp_path):
-        cache = self._seed(tmp_path)
-        config = Config(root=tmp_path)
-        lint_paths([str(tmp_path)], config=config, cache=cache)
-        # A --changed-style partial run must not evict other.py's
-        # record from the cache.
+        # A run over one file must not evict the other files' records
+        # from the cache.
         lint_paths([str(tmp_path / "caller.py")], config=config,
                    cache=cache)
         warm = lint_paths([str(tmp_path)], config=config, cache=cache)

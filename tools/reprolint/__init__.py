@@ -23,19 +23,6 @@ R005   Bare or overbroad ``except`` clauses that swallow exceptions.
 R006   ``__all__`` consistency: every public module declares
        ``__all__`` and every exported name exists.
 R007   Import cycles between modules of the linted package.
-R100   Shape flow: symbolic ndarray shapes through ``@`` / ``np.dot``
-       / SVD factors; provably incompatible matmuls and axis-less
-       reductions on 2-D arrays (scoped via ``r100-scope``).
-R101   RNG provenance: raw ``default_rng`` / ``Generator``
-       construction, the same seed normalised twice in a scope, and
-       module-level shared generators.
-R102   Contract drift: docstring ``Args`` vs signatures, Retriever
-       protocol conformance, and source vs ``docs/API.md``.
-R110   Dtype flow: symbolic dtypes through constructors / ``astype``
-       / arithmetic / ``@`` / SVD factors; mixed-dtype GEMMs, silent
-       float64 upcasts in float32 scopes, redundant ``astype``
-       round-trips, float32 accumulations (scoped via
-       ``r110-scope``).
 R111   Hot-path allocation: assign-back temporaries with an in-place
        / ``out=`` form, eager ``np.load`` without ``mmap_mode``, and
        loop-invariant ``np.linalg.norm`` recomputation (scoped via
@@ -57,20 +44,17 @@ R120   Exception-contract flow (interprocedural): transitively
 =====  ==============================================================
 
 The interprocedural families run on a project call graph assembled
-from per-function effect summaries (returned shapes/dtypes, raised
-exceptions, locks held, blocking calls) that travel with the cached
-per-file records; the same graph upgrades R100/R110 to flag shape and
-dtype conflicts across call boundaries.
+from per-function effect summaries (raised exceptions, locks held,
+blocking calls) that travel with the cached per-file records.
 
 Violations are suppressed per line with ``# reprolint: disable=Rxxx``
 and configured through the ``[tool.reprolint]`` table of
 ``pyproject.toml``.  Run as ``python -m tools.reprolint src/repro`` or
 through the packaged CLI as ``repro lint``.  ``--fix`` applies the
-safe, idempotent autofixes (R003/R005/R006/R100/R110/R111);
-``--cache`` enables the content-hash incremental cache; ``--changed
-[REF]`` lints only the files changed vs REF plus their summary-level
-reverse dependencies; ``--explain Rxxx`` prints one rule's catalogue
-entry; ``--format sarif``/``github`` target CI surfaces.
+safe, idempotent autofixes (R003/R005/R006/R111); ``--cache`` enables
+the content-hash incremental cache; ``--explain Rxxx`` prints one
+rule's catalogue entry; ``--format sarif``/``github`` target CI
+surfaces.
 """
 
 from tools.reprolint.config import Config, load_config

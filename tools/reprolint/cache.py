@@ -2,19 +2,17 @@
 
 One JSON document holds, per linted file, everything the engine
 extracted from it: the per-file violations, the suppression table, the
-raw import records (R007's input), the public-contract summary
-(R102's input) and the per-function effect summaries (the
-interprocedural passes' input), all keyed by the file's content hash.
-On a warm run a
-file whose hash matches is never re-read past the hash check — its
-record is replayed — while the *project* passes (import cycles,
-docs/API.md sync, the interprocedural call-graph checks) always
+raw import records (R007's input) and the per-function effect
+summaries (the interprocedural passes' input), all keyed by the file's
+content hash.  On a warm run a file whose hash matches is never re-read
+past the hash check — its record is replayed — while the *project*
+passes (import cycles, the interprocedural call-graph checks) always
 recompute from the assembled records.  That split is the cross-file
 invalidation story: editing ``a.py`` refreshes ``a.py``'s record —
-changing its functions' summary hashes — and because cycles, contract
-sync and the call-graph checks re-resolve against every record each
-run, a new edge, drifted contract, or changed callee effect involving
-an *unchanged* ``b.py`` is still found.
+changing its functions' summary hashes — and because cycles and the
+call-graph checks re-resolve against every record each run, a new edge
+or changed callee effect involving an *unchanged* ``b.py`` is still
+found.
 
 The whole cache is invalidated by an *engine fingerprint*: the hash of
 every ``tools/reprolint/*.py`` source plus the resolved configuration
@@ -43,7 +41,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the record layout changes shape.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: Default cache location, relative to the project root.
 DEFAULT_CACHE_NAME = ".reprolint-cache.json"
@@ -64,9 +62,6 @@ class FileRecord:
     suppressions: tuple
     #: Raw module-level import records (R007 input).
     imports: tuple
-    #: Public-contract summary (R102 input); None when the module is
-    #: private or failed to parse.
-    contracts: "dict | None"
     #: Per-function effect summaries (interprocedural input); None
     #: when the file failed to parse.
     summaries: "dict | None" = None
@@ -84,7 +79,6 @@ class FileRecord:
             "suppressions": [[line, list(codes)]
                              for line, codes in self.suppressions],
             "imports": list(self.imports),
-            "contracts": self.contracts,
             "summaries": self.summaries,
         }
 
@@ -98,7 +92,6 @@ class FileRecord:
             suppressions=tuple((line, tuple(codes))
                                for line, codes in payload["suppressions"]),
             imports=tuple(payload["imports"]),
-            contracts=payload["contracts"],
             summaries=payload.get("summaries"),
         )
 

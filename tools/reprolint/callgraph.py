@@ -4,8 +4,8 @@ This is the project half of the interprocedural layer: it assembles the
 per-file effect summaries (:mod:`tools.reprolint.summaries`) persisted
 in every :class:`~tools.reprolint.cache.FileRecord` into one resolved
 call graph, then recomputes the cross-function conclusions from scratch
-each run.  Like the R007/R102 project passes, *recompute-from-records*
-is the invalidation story: editing only a callee's body refreshes that
+each run.  Like the R007 project pass, *recompute-from-records* is
+the invalidation story: editing only a callee's body refreshes that
 one record, and because every caller's findings are re-derived against
 the new summary, callers that did not change still get new conclusions
 — cheaply, since their own per-file analysis replays from the cache.
@@ -19,7 +19,7 @@ constructor call pinned.  Package ``__init__`` re-exports are followed
 through the cached import records, so ``repro.serving.ShardedIndex``
 resolves to ``repro.serving.sharded.ShardedIndex``.
 
-Three rule families run on the resolved graph:
+Two rule families run on the resolved graph:
 
 - **R113 lock/blocking discipline** — a blocking operation (or a call
   that transitively reaches one) while a ``threading.Lock``/``RLock``
@@ -31,14 +31,10 @@ Three rule families run on the resolved graph:
   public APIs directly raising taxonomy exceptions with no ``Raises:``
   section at all; public APIs raising builtin exceptions outside the
   project's ``errors`` taxonomy; ``except`` clauses provably
-  unreachable from the callee set;
-- **call-site R100/R110** — a caller passing an argument whose known
-  shape/dtype violates the callee's summarised parameter constraint,
-  and matmuls against a call result whose summarised return
-  shape/dtype conflicts with the partner operand.
+  unreachable from the callee set.
 
-Every check fails open: an unresolved callee, an unknown shape, or a
-foreign package contributes nothing, so the families only speak when
+Every check fails open: an unresolved callee or a foreign package
+contributes nothing, so the families only speak when
 both sides of a conclusion are positively known.
 """
 
@@ -138,40 +134,31 @@ class CallGraph:
             return None
         return candidate if candidate in self.classes else None
 
-    def _resolve_dotted(self, dotted: str) -> "tuple | None":
-        """``(function-id-or-None, implicit_first)`` for a dotted name."""
+    def _resolve_dotted(self, dotted: str) -> "str | None":
+        """The function id a dotted name lands on, if summarised."""
         dotted = self.expand(dotted)
         if dotted in self.functions:
-            return dotted, False
+            return dotted
         if dotted in self.classes:
             init = f"{dotted}.__init__"
-            return (init if init in self.functions else None), True
+            # None for a class with no summarised __init__.
+            return init if init in self.functions else None
         head, _, attr = dotted.rpartition(".")
         if head and head in self.classes:
-            method = self._class_method(head, attr)
-            if method is not None:
-                # Unbound access (Class.method): the caller passes the
-                # instance explicitly unless it is a classmethod.
-                summary = self.functions[method]
-                return method, bool(summary.get("classmethod"))
+            return self._class_method(head, attr)  # Class.method access
         return None
 
-    def resolve(self, module: str, ref: dict) -> "tuple | None":
-        """``(function_id, implicit_first)`` for one call reference.
+    def resolve(self, module: str, ref: dict) -> "str | None":
+        """The function id one call reference lands on.
 
-        ``implicit_first`` is True when the callee's first parameter
-        (``self``/``cls``) is bound implicitly at this call site, so
-        positional arguments map to ``params[1:]``.  Returns ``None``
-        when the reference does not land on a summarised function.
+        Returns ``None`` when the reference does not land on a
+        summarised function.
         """
         kind = ref.get("kind")
         if kind in ("origin", "local"):
             dotted = ref["target"] if kind == "origin" \
                 else f"{module}.{ref['target']}"
-            resolved = self._resolve_dotted(dotted)
-            if resolved is None or resolved[0] is None:
-                return None  # e.g. a class with no summarised __init__
-            return resolved
+            return self._resolve_dotted(dotted)
         if kind in ("self", "var"):
             if kind == "self":
                 summary_cls = ref.get("_cls")
@@ -184,10 +171,7 @@ class CallGraph:
                 return None
             method_name = ref["target"] if kind == "self" \
                 else ref["method"]
-            method = self._class_method(class_id, method_name)
-            if method is None:
-                return None
-            return method, not self.functions[method].get("staticmethod")
+            return self._class_method(class_id, method_name)
         return None
 
     def is_foreign(self, ref: dict) -> bool:
@@ -231,7 +215,7 @@ class CallGraph:
             resolved = self._resolve_call(fid, call)
             if resolved is None:
                 continue
-            chain = self.blocking_chain(resolved[0])
+            chain = self.blocking_chain(resolved)
             if chain is not None:
                 memo[fid] = [short, *chain]
                 return memo[fid]
@@ -251,7 +235,7 @@ class CallGraph:
         for call in summary.get("calls", ()):
             resolved = self._resolve_call(fid, call)
             if resolved is not None:
-                tokens |= self.locks_closure(resolved[0])
+                tokens |= self.locks_closure(resolved)
         memo[fid] = frozenset(tokens)
         return memo[fid]
 
@@ -278,11 +262,11 @@ class CallGraph:
         for call in summary.get("calls", ()):
             resolved = self._resolve_call(fid, call)
             if resolved is not None:
-                keys |= self.raises_closure(resolved[0])
+                keys |= self.raises_closure(resolved)
         memo[fid] = frozenset(keys)
         return memo[fid]
 
-    def _resolve_call(self, fid: str, call: dict) -> "tuple | None":
+    def _resolve_call(self, fid: str, call: dict) -> "str | None":
         ref = dict(call["ref"])
         if ref.get("kind") == "self":
             ref["_cls"] = self.functions[fid].get("cls")
@@ -444,8 +428,8 @@ def module_dependencies(records: dict, package_roots: dict) -> dict:
     """``{rel-path: set-of-rel-paths}`` of summary-level dependencies.
 
     File A depends on file B when any call reference in A's summaries
-    resolves to a function defined in B — the edge set ``--changed``
-    inverts to find the callers a callee edit can re-conclude about.
+    resolves to a function defined in B: the file-level edges along
+    which a callee edit can change conclusions about its callers.
     """
     graph = build_call_graph(records, package_roots)
     dependencies: dict = {rel: set() for rel in records}
@@ -455,7 +439,7 @@ def module_dependencies(records: dict, package_roots: dict) -> dict:
             resolved = graph._resolve_call(fid, call)
             if resolved is None:
                 continue
-            target = graph.paths.get(resolved[0])
+            target = graph.paths.get(resolved)
             if target is not None and target != source:
                 dependencies[source].add(target)
     return dependencies
@@ -476,8 +460,6 @@ def check_interprocedural(records: dict, package_roots: dict, config,
         violations.extend(_check_r113(graph, config))
     if "R120" in enabled:
         violations.extend(_check_r120(graph, config))
-    if enabled & {"R100", "R110"}:
-        violations.extend(_check_call_sites(graph, config, enabled))
     return violations
 
 
@@ -520,10 +502,9 @@ def _check_r113(graph: CallGraph, config) -> list:
                              "blocking")))
         for call in summary.get("calls", ()):
             held = call.get("held", ())
-            resolved = graph._resolve_call(fid, call)
-            if resolved is None:
+            callee = graph._resolve_call(fid, call)
+            if callee is None:
                 continue
-            callee = resolved[0]
             if held:
                 chain = graph.blocking_chain(callee)
                 if chain is not None:
@@ -558,15 +539,14 @@ def _check_r113(graph: CallGraph, config) -> list:
             held = submit.get("held", ())
             if not held:
                 continue
-            resolved = graph.resolve(
+            worker = graph.resolve(
                 graph.module_of.get(fid, ""),
                 dict(submit["worker"],
                      _cls=summary.get("cls"))
                 if submit["worker"].get("kind") == "self"
                 else submit["worker"])
-            if resolved is None:
+            if worker is None:
                 continue
-            worker = resolved[0]
             worker_locks = graph.locks_closure(worker)
             for token in held:
                 absolute = graph._normalise_token(fid, token)
@@ -701,7 +681,7 @@ def _r120_unreachable(graph, fid, summary, rel) -> list:
                 if resolved is None:
                     decidable = False
                     break
-                possible |= graph.raises_closure(resolved[0])
+                possible |= graph.raises_closure(resolved)
         if not decidable:
             continue
         caught_keys = []
@@ -731,125 +711,4 @@ def _r120_unreachable(graph, fid, summary, rel) -> list:
                          "raises it; dead handlers hide the real "
                          "error path, so catch what is actually "
                          "thrown or delete the clause")))
-    return violations
-
-
-# -- call-site R100 / R110 ---------------------------------------------
-
-def _literal(dim) -> bool:
-    return isinstance(dim, str) and dim.isdigit()
-
-
-def _check_call_sites(graph: CallGraph, config, enabled) -> list:
-    r100 = "R100" in enabled
-    r110 = "R110" in enabled
-    r100_patterns = getattr(config, "r100_scope", ())
-    r110_patterns = getattr(config, "r110_scope", ())
-    float_dtypes = {"float16", "float32", "float64"}
-    violations: list = []
-    for fid in sorted(graph.functions):
-        summary = graph.functions[fid]
-        rel = graph.paths[fid]
-        check_shapes = r100 and _in_scope(config, rel, r100_patterns)
-        check_dtypes = r110 and _in_scope(config, rel, r110_patterns)
-        if not check_shapes and not check_dtypes:
-            continue
-        for call in summary.get("calls", ()):
-            resolved = graph._resolve_call(fid, call)
-            if resolved is None:
-                continue
-            callee_id, implicit_first = resolved
-            callee = graph.functions[callee_id]
-            callee_name = graph.key_name(callee_id)
-            params = callee.get("params", ())
-            offset = 1 if implicit_first else 0
-            shapes = call.get("args_shapes") or ()
-            dtypes = call.get("args_dtypes") or ()
-            for index, shape in enumerate(shapes):
-                position = index + offset
-                if position >= len(params):
-                    break
-                param = params[position]
-                if check_shapes and shape:
-                    expect_last = callee.get("param_last",
-                                             {}).get(param)
-                    if _literal(expect_last) and _literal(shape[-1]) \
-                            and shape[-1] != expect_last:
-                        violations.append(Violation(
-                            path=rel, line=call["line"],
-                            col=call["col"], rule="R100",
-                            message=(f"argument {param!r} of "
-                                     f"{callee_name}() has shape "
-                                     f"({', '.join(shape)}) but the "
-                                     "callee multiplies it against a "
-                                     f"{expect_last}-row operand "
-                                     "(inner dimensions "
-                                     f"{shape[-1]} vs {expect_last} "
-                                     "conflict across the call)")))
-                    expect_first = callee.get("param_first",
-                                              {}).get(param)
-                    if _literal(expect_first) and _literal(shape[0]) \
-                            and shape[0] != expect_first:
-                        violations.append(Violation(
-                            path=rel, line=call["line"],
-                            col=call["col"], rule="R100",
-                            message=(f"argument {param!r} of "
-                                     f"{callee_name}() has shape "
-                                     f"({', '.join(shape)}) but the "
-                                     "callee multiplies a "
-                                     f"{expect_first}-column operand "
-                                     "into it (inner dimensions "
-                                     f"{expect_first} vs {shape[0]} "
-                                     "conflict across the call)")))
-                if check_dtypes and index < len(dtypes):
-                    dtype = dtypes[index]
-                    expect = callee.get("param_dtype", {}).get(param)
-                    if dtype in float_dtypes \
-                            and expect in float_dtypes \
-                            and dtype != expect:
-                        violations.append(Violation(
-                            path=rel, line=call["line"],
-                            col=call["col"], rule="R110",
-                            message=(f"argument {param!r} of "
-                                     f"{callee_name}() is {dtype} but "
-                                     f"the callee multiplies it with "
-                                     f"{expect} data: a mixed-dtype "
-                                     "GEMM across the call boundary "
-                                     "promotes through a temporary "
-                                     "copy every call")))
-            context = call.get("mm")
-            if not context:
-                continue
-            ret_shape = callee.get("ret_shape")
-            other_shape = context.get("other_shape")
-            if check_shapes and ret_shape and other_shape:
-                if context["side"] == "left":
-                    inner = (ret_shape[-1], other_shape[0])
-                else:
-                    inner = (other_shape[-1], ret_shape[0])
-                if _literal(inner[0]) and _literal(inner[1]) \
-                        and inner[0] != inner[1]:
-                    violations.append(Violation(
-                        path=rel, line=call["line"], col=call["col"],
-                        rule="R100",
-                        message=(f"{callee_name}() returns shape "
-                                 f"({', '.join(ret_shape)}) but it is "
-                                 "multiplied against "
-                                 f"({', '.join(other_shape)}): inner "
-                                 f"dimensions {inner[0]} vs "
-                                 f"{inner[1]} conflict across the "
-                                 "call")))
-            ret_dtype = callee.get("ret_dtype")
-            other_dtype = context.get("other_dtype")
-            if check_dtypes and ret_dtype in float_dtypes \
-                    and other_dtype in float_dtypes \
-                    and ret_dtype != other_dtype:
-                violations.append(Violation(
-                    path=rel, line=call["line"], col=call["col"],
-                    rule="R110",
-                    message=(f"{callee_name}() returns {ret_dtype} "
-                             f"but it is multiplied with a "
-                             f"{other_dtype} operand: a mixed-dtype "
-                             "GEMM across the call boundary promotes "
-                             "through a temporary copy every call")))
     return violations

@@ -15,7 +15,7 @@ from pathlib import Path
 from tools.reprolint.cache import default_cache_path
 from tools.reprolint.config import (ALL_RULE_CODES, ConfigError,
                                     load_config)
-from tools.reprolint.engine import lint_paths, resolve_changed
+from tools.reprolint.engine import lint_paths
 from tools.reprolint.fixes import fix_paths
 from tools.reprolint.registry import CATALOGUE, RULES
 from tools.reprolint.reporters import (render_github, render_json,
@@ -60,16 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print one rule's catalogue entry "
                              "(description, example finding, fix "
                              "guidance) and exit")
-    parser.add_argument("--changed", nargs="?", const="HEAD",
-                        default=None, metavar="REF",
-                        help="lint only files changed vs REF "
-                             "(git diff --name-only; default HEAD) "
-                             "plus their summary-dependent reverse "
-                             "dependencies from the cache; implies "
-                             "--cache")
     parser.add_argument("--fix", action="store_true",
                         help="apply the safe autofixes (R003/R005/"
-                             "R006/R100/R110/R111) before linting")
+                             "R006/R111) before linting")
     parser.add_argument("--check", action="store_true",
                         help="with --fix: report what would change "
                              "without writing; exit 1 if anything "
@@ -120,22 +113,6 @@ def _explain(code: str) -> int:
     return 0
 
 
-def _git_changed(root, ref: str) -> "list | None":
-    """Root-relative paths changed vs ``ref``, or None when git fails."""
-    import subprocess
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            cwd=str(root), capture_output=True, text=True,
-            timeout=30, check=False)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    return [line.strip() for line in proc.stdout.splitlines()
-            if line.strip()]
-
-
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
@@ -174,21 +151,8 @@ def main(argv=None) -> int:
             print("reprolint: tree is fix-clean")
             return 0
     cache = None
-    if args.cache or args.cache_file or args.changed:
+    if args.cache or args.cache_file:
         cache = args.cache_file or default_cache_path(config.root)
-    if args.changed is not None:
-        changed = _git_changed(config.root, args.changed)
-        if changed is None:
-            print(f"reprolint: cannot resolve changed files vs "
-                  f"{args.changed!r} (not a git checkout?)",
-                  file=sys.stderr)
-            return 2
-        paths = resolve_changed(paths, changed, config, select,
-                                cache=cache)
-        if not paths:
-            print("clean: 0 file(s) checked (no lintable changes "
-                  f"vs {args.changed})")
-            return 0
     result = lint_paths(paths, config=config, select=select,
                         cache=cache, jobs=args.jobs)
     print(_RENDERERS[args.format](result))

@@ -46,9 +46,8 @@ from __future__ import annotations
 import ast
 
 from tools.reprolint.dataflow import (
+    GENERATOR_ORIGINS,
     ImportMap,
-    RAW_GENERATOR_ORIGINS,
-    RNG_FACTORY_ORIGINS,
     bound_names,
     iter_scopes,
 )
@@ -390,8 +389,7 @@ class _ModuleFacts:
             return "mutable"
         if isinstance(value, ast.Call):
             origin = imports.resolve(value.func)
-            if origin in RAW_GENERATOR_ORIGINS \
-                    or origin in RNG_FACTORY_ORIGINS:
+            if origin in GENERATOR_ORIGINS:
                 return "generator"
             if origin in _MUTABLE_FACTORIES:
                 return "mutable"

@@ -8,10 +8,6 @@ The table is intentionally small::
     r001-allow = ["src/repro/utils/rng.py"]
     r004-allow = ["src/repro/linalg"]
     r006-exempt = ["src/repro/conftest.py"]
-    r100-scope = ["src/repro/core", "src/repro/linalg"]
-    r101-allow = ["src/repro/utils/rng.py"]
-    r102-exempt = ["src/repro/experiments"]
-    r110-scope = ["src/repro/core", "src/repro/linalg"]
     r111-scope = ["src/repro/serving", "src/repro/linalg/dense.py"]
     r112-scope = []                    # empty scope = everywhere
     r113-scope = []                    # lock/blocking discipline
@@ -41,12 +37,10 @@ __all__ = ["Config", "ConfigError", "find_pyproject", "load_config"]
 
 #: Every rule code reprolint knows about, in catalogue order.
 ALL_RULE_CODES = ("R001", "R002", "R003", "R004", "R005", "R006", "R007",
-                  "R100", "R101", "R102", "R110", "R111", "R112",
-                  "R113", "R120")
+                  "R111", "R112", "R113", "R120")
 
 _LIST_KEYS = ("select", "exclude", "r001_allow", "r004_allow",
-              "r006_exempt", "r100_scope", "r101_allow", "r102_exempt",
-              "r110_scope", "r111_scope", "r112_scope", "r113_scope",
+              "r006_exempt", "r111_scope", "r112_scope", "r113_scope",
               "r120_scope")
 
 
@@ -70,15 +64,6 @@ class Config:
     r004_allow: tuple = ()
     #: Public modules not required to declare ``__all__``.
     r006_exempt: tuple = ()
-    #: Paths where R100 shape-flow runs (empty = everywhere linted).
-    r100_scope: tuple = ()
-    #: Files where raw Generator construction is sanctioned (R101);
-    #: r001_allow entries are honoured implicitly.
-    r101_allow: tuple = ()
-    #: Modules exempt from R102 contract-drift checks.
-    r102_exempt: tuple = ()
-    #: Paths where R110 dtype-flow runs (empty = everywhere linted).
-    r110_scope: tuple = ()
     #: Hot paths where R111 allocation checks run (empty = everywhere).
     r111_scope: tuple = ()
     #: Paths where R112 concurrency checks run (empty = everywhere).

@@ -1,9 +1,9 @@
-"""The intra-module dataflow core, plus R101 (RNG provenance).
+"""The intra-module dataflow core shared by the flow-based rules.
 
-reprolint v1 ran isolated per-node pattern rules; the rule families
-added in v2 (R100 shape-flow, R101 RNG provenance, R102 contract drift)
-need to know *where a value came from*.  This module provides the three
-shared building blocks:
+The per-node pattern rules (R001-R006) need no more than the AST; the
+flow-based families (R111 hot-path allocation, R112 concurrency safety)
+and the effect summaries behind R113/R120 need to know *where a value
+came from*.  This module provides the shared building blocks:
 
 - :class:`ImportMap` — resolves a ``Name``/``Attribute`` expression to
   the dotted origin it was imported from (``np.zeros`` →
@@ -23,47 +23,28 @@ textual order and branch bodies are folded in sequentially
 right for lint — it never misses the straight-line case that dominates
 numerical code, and the rules built on it only flag when both operands
 of a conclusion are positively known.
-
-R101 (:class:`RNGProvenance`) lives here because it *is* the flow rule
-for generators: every ``numpy.random.Generator`` must enter a scope
-through :func:`repro.utils.rng.as_generator` /
-``spawn_generators`` — not be constructed ad hoc, not be re-derived
-from the same seed twice (two generators built from one int seed
-replay identical streams), and not live at module level where every
-caller shares (and races on) one hidden stream.
 """
 
 from __future__ import annotations
 
 import ast
 
-from tools.reprolint.rules import ModuleContext, Rule
-
 __all__ = [
     "ImportMap",
-    "RNGProvenance",
     "Scope",
     "bound_names",
     "flat_statements",
     "iter_scopes",
 ]
 
-#: Blessed constructors: values flowing out of these calls are
-#: disciplined generators (origin dotted names).
-RNG_FACTORY_ORIGINS = frozenset({
+#: Calls whose value is a numpy Generator (origin dotted names): the
+#: project's RNG helpers and the raw numpy constructors.
+GENERATOR_ORIGINS = frozenset({
     "repro.utils.rng.as_generator",
     "repro.utils.rng.spawn_generators",
-})
-
-#: Raw generator constructors R101 forbids outside the RNG module.
-RAW_GENERATOR_ORIGINS = frozenset({
     "numpy.random.default_rng",
     "numpy.random.Generator",
 })
-
-#: Statement types that open a new analysis scope (never descended).
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
 
 class ImportMap:
     """Name → dotted-origin resolution for one module.
@@ -228,110 +209,3 @@ def _calls_in_statement(stmt):
             yield node
         stack.extend(child for child in ast.iter_child_nodes(node)
                      if not isinstance(child, ast.stmt))
-
-
-class RNGProvenance(Rule):
-    """R101: generators flow from ``repro.utils.rng`` — once per seed.
-
-    Three checks, all powered by the import map and scope walk:
-
-    1. **raw construction** — any call resolving to
-       ``numpy.random.default_rng`` or ``numpy.random.Generator``
-       outside the RNG module builds a stream whose provenance no
-       experiment controls (an *unseeded* one is additionally
-       irreproducible);
-    2. **double normalisation** — ``as_generator(seed)`` called twice
-       on the same seed symbol in one scope: when the seed is an int,
-       both generators replay the identical stream, silently
-       correlating draws that the paper's analysis needs independent;
-    3. **module-level generators** — a generator bound at module scope
-       is hidden shared state: every caller advances one stream, so
-       results depend on call order across the whole process (the
-       shared-generator race R001's call-site check cannot see).
-    """
-
-    code = "R101"
-    summary = ("Generator provenance: construct via repro.utils.rng, "
-               "normalise each seed once, no module-level generators")
-
-    def check(self, ctx: ModuleContext):
-        config = ctx.config
-        allow = tuple(getattr(config, "r001_allow", ())) \
-            + tuple(getattr(config, "r101_allow", ()))
-        if config.path_matches(ctx.abspath, allow):
-            return
-        imports = ImportMap(ctx.tree, getattr(ctx, "module_name", None))
-        for scope in iter_scopes(ctx.tree):
-            yield from self._check_scope(ctx, scope, imports)
-
-    def _check_scope(self, ctx, scope, imports):
-        seen_seeds: dict = {}
-        for stmt in scope.statements:
-            for call in _calls_in_statement(stmt):
-                origin = imports.resolve(call.func)
-                if origin in RAW_GENERATOR_ORIGINS:
-                    yield self._raw_construction(ctx, call, origin)
-                elif origin == "repro.utils.rng.as_generator":
-                    yield from self._double_normalisation(
-                        ctx, call, seen_seeds)
-            if scope.is_module:
-                yield from self._module_level_generator(
-                    ctx, stmt, imports)
-
-    def _raw_construction(self, ctx, call, origin):
-        name = origin.rsplit(".", 1)[1]
-        if name == "default_rng" and not call.args \
-                and not call.keywords:
-            return self.violation(
-                ctx, call,
-                "unseeded np.random.default_rng() draws OS entropy — "
-                "the stream is irreproducible and outside every "
-                "experiment's control; accept a seed and normalise it "
-                "through repro.utils.rng.as_generator")
-        return self.violation(
-            ctx, call,
-            f"np.random.{name} constructed outside repro.utils.rng; "
-            "generators must enter through as_generator/"
-            "spawn_generators so seed normalisation stays uniform")
-
-    def _double_normalisation(self, ctx, call, seen_seeds):
-        if len(call.args) != 1 or call.keywords:
-            return
-        argument = call.args[0]
-        if isinstance(argument, ast.Name):
-            key = argument.id
-        elif isinstance(argument, ast.Constant) \
-                and isinstance(argument.value, int) \
-                and not isinstance(argument.value, bool):
-            key = repr(argument.value)
-        else:
-            return
-        first = seen_seeds.setdefault(key, call)
-        if first is not call:
-            yield self.violation(
-                ctx, call,
-                f"seed {key!r} normalised twice in this scope (first "
-                f"at line {first.lineno}): two generators built from "
-                "one int seed replay the same stream; normalise once "
-                "and thread the Generator through")
-
-    def _module_level_generator(self, ctx, stmt, imports):
-        value, targets = None, []
-        if isinstance(stmt, ast.Assign):
-            value, targets = stmt.value, stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            value, targets = stmt.value, [stmt.target]
-        if not isinstance(value, ast.Call) or not targets:
-            return
-        origin = imports.resolve(value.func)
-        if origin not in RNG_FACTORY_ORIGINS \
-                and origin not in RAW_GENERATOR_ORIGINS:
-            return
-        names = sorted(set().union(*map(bound_names, targets)))
-        label = ", ".join(names) if names else "<anonymous>"
-        yield self.violation(
-            ctx, stmt,
-            f"module-level generator {label!r} is shared mutable state: "
-            "every caller advances one hidden stream, so results depend "
-            "on process-wide call order; create generators per call "
-            "from an explicit seed instead")

@@ -2,19 +2,18 @@
 
 v2 turns the per-file pass into a pure function producing a replayable
 :class:`~tools.reprolint.cache.FileRecord` (violations + suppression
-table + import records + contract summary).  The engine then:
+table + import records + effect summaries).  The engine then:
 
 1. discovers target files and computes their content hashes;
 2. replays records for unchanged files from the incremental cache
    (``cache=``) and analyses the rest — serially or across processes
    (``jobs=``);
 3. runs the project-level passes over the *assembled* records every
-   run: R007 import cycles (resolved against the current module set),
-   R102 docs/API.md contract sync, and the interprocedural call-graph
-   checks (R113/R120 plus call-site R100/R110) — which is how a change
-   in one file invalidates conclusions about files that did not change;
-4. dedupes shadowed findings (R101 subsumes R001 on the same line),
-   filters per-line ``# reprolint: disable=Rxxx`` suppressions, and
+   run: R007 import cycles (resolved against the current module set)
+   and the interprocedural call-graph checks (R113/R120) — which is
+   how a change in one file invalidates conclusions about files that
+   did not change;
+4. filters per-line ``# reprolint: disable=Rxxx`` suppressions, and
    reports.
 """
 
@@ -31,11 +30,8 @@ from pathlib import Path
 from tools.reprolint.cache import (FileRecord, content_hash,
                                    engine_fingerprint, load_cache,
                                    store_cache)
-from tools.reprolint.callgraph import (check_interprocedural,
-                                       module_dependencies)
+from tools.reprolint.callgraph import check_interprocedural
 from tools.reprolint.config import Config
-from tools.reprolint.contracts import (check_api_docs, extract_contracts,
-                                       parse_api_doc)
 from tools.reprolint.cycles import (check_cycles, extract_import_records,
                                     module_name_for)
 from tools.reprolint.registry import FILE_RULES
@@ -43,11 +39,11 @@ from tools.reprolint.rules import ModuleContext
 from tools.reprolint.summaries import extract_summaries
 from tools.reprolint.violations import Violation
 
-__all__ = ["LintResult", "Violation", "lint_paths", "resolve_changed"]
+__all__ = ["LintResult", "Violation", "lint_paths"]
 
 #: Rule families that consume the assembled call graph; any of them
 #: being enabled triggers the interprocedural project pass.
-_INTERPROC_RULES = frozenset({"R100", "R110", "R113", "R120"})
+_INTERPROC_RULES = frozenset({"R113", "R120"})
 
 #: ``# reprolint: disable=R001,R004`` (codes optional: bare ``disable``
 #: silences every rule on that line).  Trailing prose is ignored so a
@@ -110,7 +106,7 @@ def _suppression_records(source: str) -> tuple:
 
 
 def _package_roots(files, config: Config) -> dict:
-    """Root package name -> root-relative directory, for R007/R102.
+    """Root package name -> root-relative directory, for R007.
 
     A package root is a directory holding ``__init__.py`` whose parent
     does not; e.g. linting ``src/repro`` yields ``{"repro": "src/repro"}``.
@@ -139,8 +135,7 @@ def _build_record(rel, abspath, source, digest, config, enabled,
             violations=(Violation(path=rel, line=line, col=0,
                                   rule="E999",
                                   message=f"cannot lint file: {error}"),),
-            suppressions=suppressions, imports=(), contracts=None,
-            summaries=None)
+            suppressions=suppressions, imports=(), summaries=None)
     module_name = module_name_for(rel, package_roots)
     ctx = ModuleContext(path=rel, abspath=Path(abspath), tree=tree,
                         config=config, module_name=module_name)
@@ -153,8 +148,6 @@ def _build_record(rel, abspath, source, digest, config, enabled,
         violations=tuple(sorted(violations)),
         suppressions=suppressions,
         imports=tuple(extract_import_records(tree)),
-        contracts=extract_contracts(tree) if ctx.is_public_module
-        else None,
         summaries=extract_summaries(tree, module_name))
 
 
@@ -163,47 +156,6 @@ def _record_task(task, config, enabled, package_roots) -> FileRecord:
     rel, abspath, source, digest = task
     return _build_record(rel, abspath, source, digest, config, enabled,
                          package_roots)
-
-
-def _doc_sync_violations(records, package_roots, config) -> list:
-    """The R102 project half: contracts vs docs/API.md, when present."""
-    api_path = Path(config.root) / "docs" / "API.md"
-    try:
-        api_doc = parse_api_doc(api_path.read_text(encoding="utf-8"))
-    except OSError:
-        return []
-    contracts_by_module, paths_by_module = {}, {}
-    for rel, record in records.items():
-        if record.contracts is None:
-            continue
-        if config.path_matches(Path(config.root) / rel,
-                               config.r102_exempt):
-            continue
-        module = module_name_for(rel, package_roots)
-        if module is None:
-            continue
-        parts = module.split(".")
-        if any(part.startswith("_") for part in parts):
-            continue
-        if parts[0] not in api_doc:
-            continue  # package not covered by the reference at all
-        contracts_by_module[module] = record.contracts
-        paths_by_module[module] = rel
-    return check_api_docs(contracts_by_module, api_doc, paths_by_module)
-
-
-def _dedupe_shadowed(violations) -> list:
-    """Drop R001 findings shadowed by an R101 on the same line.
-
-    Both rules see a raw ``np.random.default_rng`` call; the R101
-    finding carries the provenance story, so it wins and the generic
-    R001 duplicate is suppressed.
-    """
-    shadowing = {(v.path, v.line) for v in violations
-                 if v.rule == "R101"}
-    return [v for v in violations
-            if not (v.rule == "R001"
-                    and (v.path, v.line) in shadowing)]
 
 
 def lint_paths(paths, config: "Config | None" = None, select=None, *,
@@ -245,7 +197,7 @@ def lint_paths(paths, config: "Config | None" = None, select=None, *,
                                       rule="E999",
                                       message=f"cannot lint file: "
                                               f"{error}"),),
-                suppressions=(), imports=(), contracts=None)
+                suppressions=(), imports=())
             continue
         digest = content_hash(data)
         entry = cached.get(rel)
@@ -274,14 +226,10 @@ def lint_paths(paths, config: "Config | None" = None, select=None, *,
         imports_by_path = {rel: list(record.imports)
                            for rel, record in records.items()}
         violations.extend(check_cycles(imports_by_path, package_roots))
-    if "R102" in enabled and records:
-        violations.extend(
-            _doc_sync_violations(records, package_roots, config))
     if enabled & _INTERPROC_RULES and records:
         violations.extend(check_interprocedural(
             records, package_roots, config, enabled))
 
-    violations = _dedupe_shadowed(violations)
     suppressions = {rel: record.suppression_table()
                     for rel, record in records.items()}
     surviving = []
@@ -295,9 +243,10 @@ def lint_paths(paths, config: "Config | None" = None, select=None, *,
 
     if cache is not None:
         # Merge records left over from a previous run (files outside
-        # this run's targets, e.g. under ``--changed``) so a partial
-        # run never evicts the rest of the warm cache; a stale merged
-        # entry is harmless — the hash check rejects it next time.
+        # this run's targets, e.g. a run over one subpackage) so a
+        # partial run never evicts the rest of the warm cache; a stale
+        # merged entry is harmless — the hash check rejects it next
+        # time.
         stored = dict(cached)
         stored.update(records)
         store_cache(cache, fingerprint,
@@ -306,43 +255,3 @@ def lint_paths(paths, config: "Config | None" = None, select=None, *,
     return LintResult(violations=tuple(surviving),
                       files_checked=len(files), cache_hits=hits,
                       cache_misses=len(tasks))
-
-
-def resolve_changed(paths, changed, config: "Config | None" = None,
-                    select=None, *, cache) -> list:
-    """Target files for a ``--changed`` run, as a sorted path list.
-
-    ``changed`` is an iterable of root-relative paths (typically from
-    ``git diff --name-only``).  The returned subset of the discovered
-    targets covers every changed file plus its transitive reverse
-    summary-dependencies — the callers whose interprocedural
-    conclusions a callee edit can flip, resolved from the cached
-    records' call references.  With no usable cache the reverse edges
-    are unknowable, so the full target list comes back (fail open: a
-    too-large run is always correct).
-    """
-    config = config if config is not None else Config()
-    enabled = frozenset(config.select)
-    if select is not None:
-        enabled &= {code.upper() for code in select}
-    files = list(_iter_python_files(paths, config))
-    by_rel = {config.relative(path): path for path in files}
-    changed_rels = {str(Path(entry).as_posix()) for entry in changed}
-    cached = load_cache(cache, engine_fingerprint(config, enabled))
-    if not cached:
-        return sorted(files)
-    package_roots = _package_roots(files, config)
-    dependencies = module_dependencies(cached, package_roots)
-    reverse: dict = {}
-    for source, targets in dependencies.items():
-        for target in targets:
-            reverse.setdefault(target, set()).add(source)
-    affected = set()
-    queue = [rel for rel in changed_rels if rel in by_rel]
-    while queue:
-        rel = queue.pop()
-        if rel in affected:
-            continue
-        affected.add(rel)
-        queue.extend(reverse.get(rel, ()))
-    return sorted(by_rel[rel] for rel in affected)

@@ -10,7 +10,7 @@ only when it is
 - **reviewable** — each fix is a local edit at the finding's site (plus
   at most a guard insertion for R003), never a reflow of the file.
 
-Six rule families qualify:
+Four rule families qualify:
 
 =====  =============================================================
 R003   ``def f(p=[])`` → ``p=None`` default plus an ``if p is None:``
@@ -19,17 +19,9 @@ R003   ``def f(p=[])`` → ``p=None`` default plus an ``if p is None:``
 R005   Bare ``except:`` → ``except Exception:``.  Strictly narrowing
        (releases SystemExit/KeyboardInterrupt); the broad-without-
        re-raise finding may remain and needs a human.
-R100   Axis-less 2-D reductions gain an explicit ``axis=None`` —
-       byte-for-byte the default, so semantics are untouched while
-       the full-reduction intent becomes visible.
 R006   ``__all__`` sync: drop names the module never defines, drop
        duplicates, and declare a missing ``__all__`` from the
        module's public bindings.
-R110   ``np.asarray(x).astype(D)`` → ``np.asarray(x, dtype=D)``:
-       one allocation instead of two.  ``asarray`` promises nothing
-       about identity, so no caller may rely on the chained copy;
-       the identity-relevant ``redundant astype`` finding is *not*
-       autofixed for exactly that reason.
 R111   ``np.load(path)`` → ``np.load(path, mmap_mode="r")`` at
        findings in the configured hot paths.  numpy ignores the
        kwarg for ``.npz`` archives, so the rewrite never changes
@@ -44,19 +36,16 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
 
 from tools.reprolint.cycles import module_name_for
-from tools.reprolint.dtypes import DtypeFlow
 from tools.reprolint.hotpath import HotPathAllocation
 from tools.reprolint.rules import AllConsistency, ModuleContext, \
     MutableDefault
-from tools.reprolint.shapes import ShapeFlow
 
 __all__ = ["Fix", "FixResult", "compute_fixes", "fix_paths"]
 
 #: Rules the fixer knows how to rewrite.
-FIXABLE_RULES = ("R003", "R005", "R006", "R100", "R110", "R111")
+FIXABLE_RULES = ("R003", "R005", "R006", "R111")
 
 _BARE_EXCEPT = re.compile(r"except(\s*):")
 
@@ -115,9 +104,7 @@ def compute_fixes(source: str, ctx: ModuleContext) -> list:
     fixes = []
     fixes += _fix_mutable_defaults(tree, suppressions)
     fixes += _fix_bare_excepts(tree, lines, suppressions)
-    fixes += _fix_missing_axis(ctx, lines, suppressions)
     fixes += _fix_dunder_all(ctx, tree, lines, suppressions)
-    fixes += _fix_astype_chains(ctx, lines, suppressions)
     fixes += _fix_np_load_mmap(ctx, lines, suppressions)
     fixes.sort(key=lambda fix: (fix.start, fix.end))
     return _drop_overlaps(fixes)
@@ -224,28 +211,7 @@ def _fix_bare_excepts(tree, lines, suppressions) -> list:
     return fixes
 
 
-# ----------------------------------------------------------------- R100
-
-def _fix_missing_axis(ctx, lines, suppressions) -> list:
-    fixes = []
-    for violation in ShapeFlow().check(ctx):
-        if "pass axis= explicitly" not in violation.message:
-            continue  # matmul conflicts need a human
-        if _line_suppresses(suppressions, violation.line, "R100"):
-            continue
-        call = _call_at(ctx.tree, violation.line, violation.col)
-        if call is None:
-            continue  # pragma: no cover - defensive
-        end_line, end_col = call.end_lineno, call.end_col_offset
-        if lines[end_line - 1][end_col - 1] != ")":
-            continue  # pragma: no cover - defensive
-        text = ", axis=None" if (call.args or call.keywords) \
-            else "axis=None"
-        fixes.append(Fix(
-            "R100", (end_line, end_col - 1), (end_line, end_col - 1),
-            text, "make the full reduction explicit with axis=None"))
-    return fixes
-
+# ----------------------------------------------------------------- R111
 
 def _call_at(tree, line, col):
     for node in ast.walk(tree):
@@ -254,65 +220,6 @@ def _call_at(tree, line, col):
             return node
     return None
 
-
-# ----------------------------------------------------------------- R110
-
-def _fix_astype_chains(ctx, lines, suppressions) -> list:
-    """``constructor(x).astype(D)`` → ``constructor(x, dtype=D)``."""
-    fixes = []
-    for violation in DtypeFlow().check(ctx):
-        if "fold the cast into the constructor" not in violation.message:
-            continue  # other R110 findings change semantics; human
-        if _line_suppresses(suppressions, violation.line, "R110"):
-            continue
-        call = _astype_call_at(ctx.tree, violation.line, violation.col)
-        if call is None:
-            continue  # pragma: no cover - defensive
-        inner = call.func.value
-        dtype_text = _source_span(lines, call.args[0])
-        if dtype_text is None:
-            continue  # multi-line dtype expression: leave to a human
-        end_line, end_col = inner.end_lineno, inner.end_col_offset
-        if lines[end_line - 1][end_col - 1] != ")":
-            continue  # pragma: no cover - defensive
-        separator = ", " if (inner.args or inner.keywords) else ""
-        fixes.append(Fix(
-            "R110", (end_line, end_col - 1), (end_line, end_col - 1),
-            f"{separator}dtype={dtype_text}",
-            "fold the chained .astype() into the constructor's "
-            "dtype= kwarg"))
-        fixes.append(Fix(
-            "R110", (end_line, end_col),
-            (call.end_lineno, call.end_col_offset), "",
-            "drop the now-redundant .astype() call"))
-    return fixes
-
-
-def _astype_call_at(tree, line, col):
-    """The ``X.astype(...)`` call anchored at (line, col), if any.
-
-    The outer chain call and its inner constructor share a start
-    position, so the generic :func:`_call_at` is ambiguous here.
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and node.lineno == line \
-                and node.col_offset == col \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "astype" \
-                and isinstance(node.func.value, ast.Call) \
-                and len(node.args) == 1 and not node.keywords:
-            return node
-    return None
-
-
-def _source_span(lines, node) -> "str | None":
-    """The source text of a single-line expression node."""
-    if node.lineno != node.end_lineno:
-        return None
-    return lines[node.lineno - 1][node.col_offset:node.end_col_offset]
-
-
-# ----------------------------------------------------------------- R111
 
 def _fix_np_load_mmap(ctx, lines, suppressions) -> list:
     """``np.load(path)`` → ``np.load(path, mmap_mode="r")``."""

@@ -1,28 +1,23 @@
-"""The assembled v2 rule registry.
+"""The assembled rule registry.
 
-The dataflow-backed rule families (R100 shape-flow, R101 RNG
-provenance, R102 contract drift) live in their own modules and import
-the :class:`~tools.reprolint.rules.Rule` base — so the combined
-catalogue cannot live in :mod:`tools.reprolint.rules` without a cycle.
-This module is the single place the engine and CLI look up "every
-per-file rule" and "every rule summary".
+The dataflow-backed rule families (R111 hot-path allocation, R112
+concurrency safety) live in their own modules and import the
+:class:`~tools.reprolint.rules.Rule` base — so the combined catalogue
+cannot live in :mod:`tools.reprolint.rules` without a cycle.  This
+module is the single place the engine and CLI look up "every per-file
+rule" and "every rule summary".
 """
 
 from __future__ import annotations
 
 from tools.reprolint.concurrency import ConcurrencySafety
-from tools.reprolint.contracts import ContractDrift
-from tools.reprolint.dataflow import RNGProvenance
-from tools.reprolint.dtypes import DtypeFlow
 from tools.reprolint.hotpath import HotPathAllocation
 from tools.reprolint.rules import FILE_RULES as _BASE_FILE_RULES
-from tools.reprolint.shapes import ShapeFlow
 
 __all__ = ["CATALOGUE", "FILE_RULES", "RULES"]
 
 #: Every per-file rule instance, in catalogue order.
-FILE_RULES = (*_BASE_FILE_RULES, ShapeFlow(), RNGProvenance(),
-              ContractDrift(), DtypeFlow(), HotPathAllocation(),
+FILE_RULES = (*_BASE_FILE_RULES, HotPathAllocation(),
               ConcurrencySafety())
 
 #: code -> one-line summary for ``--list-rules``.  R007 is the
@@ -117,56 +112,6 @@ CATALOGUE = {
         "fix": ("Break the cycle — move the shared piece into a leaf "
                 "module or defer one import into the function that "
                 "needs it."),
-    },
-    "R100": {
-        "description": (
-            "Symbolic shape flow within a function, and (via the call "
-            "graph) across calls: incompatible matmul inner "
-            "dimensions, axis-less reductions on matrices, and "
-            "arguments whose known shape violates the callee "
-            "summary's parameter constraint."),
-        "example": ("src/repro/serving/engine.py:74:19: R100 argument "
-                    "'basis' of project() has shape (9, 4) but the "
-                    "callee multiplies it against a 3-row operand "
-                    "(inner dimensions 9 vs 3 conflict across the "
-                    "call)"),
-        "fix": ("Transpose or reshape so inner dimensions agree; if "
-                "the analyser misread a shape, annotate the "
-                "construction site it inferred from."),
-    },
-    "R101": {
-        "description": (
-            "Generator provenance: np.random.Generator values must "
-            "originate from repro.utils.rng helpers, not raw "
-            "default_rng construction, so seeds stay centralised."),
-        "example": ("src/repro/experiments/run.py:22:10: R101 "
-                    "Generator constructed outside repro.utils.rng"),
-        "fix": ("Obtain the Generator from repro.utils.rng (or thread "
-                "one through parameters); sanction via r101-allow."),
-    },
-    "R102": {
-        "description": (
-            "Contract drift: Google-style docstring Args vs the "
-            "signature per file, and a project pass keeping public "
-            "contracts in sync with docs/API.md."),
-        "example": ("src/repro/lsi.py:130:4: R102 docstring documents "
-                    "parameter 'k' which is not in the signature"),
-        "fix": ("Update the docstring (or docs/API.md) to match the "
-                "code — regenerate via python -m tools.gen_api_docs."),
-    },
-    "R110": {
-        "description": (
-            "Dtype flow within a function, and (via the call graph) "
-            "across calls: mixed-dtype GEMMs, silent float64 upcasts, "
-            "and call-site arguments or returns whose dtype conflicts "
-            "with the callee summary."),
-        "example": ("src/repro/serving/sharded.py:210:15: R110 "
-                    "project() returns float32 but it is multiplied "
-                    "with a float64 operand: a mixed-dtype GEMM "
-                    "across the call boundary promotes through a "
-                    "temporary copy every call"),
-        "fix": ("Align dtypes at the boundary (astype once at load "
-                "time), not inside the hot loop."),
     },
     "R111": {
         "description": (

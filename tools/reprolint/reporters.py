@@ -13,9 +13,8 @@ __all__ = ["render_github", "render_json", "render_sarif",
 _SARIF_LEVELS = {
     "R001": "error", "R002": "warning", "R003": "warning",
     "R004": "error", "R005": "warning", "R006": "warning",
-    "R007": "error", "R100": "error", "R101": "error",
-    "R102": "warning", "R110": "error", "R111": "warning",
-    "R112": "error", "R113": "error", "R120": "warning",
+    "R007": "error", "R111": "warning", "R112": "error",
+    "R113": "error", "R120": "warning",
     "E999": "error",
 }
 

@@ -3,7 +3,7 @@ analysis.
 
 Every rule family before this one stopped at function boundaries.  The
 interprocedural layer splits cross-function reasoning the same way the
-cycle and contract checks do: a **pure per-file extraction** (this
+import-cycle check does: a **pure per-file extraction** (this
 module) producing a JSON-able summary the incremental cache persists,
 and a **project resolution pass** (:mod:`tools.reprolint.callgraph`)
 that recomputes from the assembled summaries every run — which is what
@@ -28,17 +28,12 @@ the summary records what the project pass needs:
 - **raises** — directly raised exception references plus the parsed
   Google-style ``Raises:`` docstring entries, and per-``try`` records
   (caught types, body calls/raises) for the unreachable-``except``
-  check;
-- **shapes/dtypes** — the function's consistent return shape/dtype
-  under the R100/R110 lattices, per-call-site argument shapes/dtypes,
-  matmul contexts around call results, and parameter constraints
-  derived from matmuls against known operands (``param @ (4, 6)``
-  pins ``param``'s last dimension to 4).
+  check.
 
 Summaries are plain dicts of str/int/list/dict so they pickle across
 the ``--jobs`` process fan-out and serialize into the cache untouched;
 :func:`summary_hash` gives the per-function content hash the
-invalidation tests and ``--changed`` mode key on.
+invalidation tests key on.
 """
 
 from __future__ import annotations
@@ -46,17 +41,14 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import re
 
-from tools.reprolint.contracts import parse_docstring_raises
-from tools.reprolint.dataflow import (ImportMap, Scope, bound_names,
+from tools.reprolint.dataflow import (ImportMap, bound_names,
                                       _calls_in_statement,
                                       flat_statements)
-# The flow analyses are reused verbatim: with rule=None they never
-# report, so driving them statement-by-statement yields pure inference.
-from tools.reprolint.dtypes import _DtypeAnalysis
-from tools.reprolint.shapes import _ScopeAnalysis
 
-__all__ = ["extract_summaries", "function_hashes", "summary_hash"]
+__all__ = ["extract_summaries", "function_hashes",
+           "parse_docstring_raises", "summary_hash"]
 
 #: Lock constructors whose values become R113 lock tokens.  Condition/
 #: Semaphore are deliberately excluded: ``cond.wait()`` inside ``with
@@ -116,6 +108,57 @@ _BUILTIN_CALLS = frozenset({
     "setattr", "slice", "sorted", "str", "sum", "tuple", "type",
     "vars", "zip",
 })
+
+
+#: Google-style docstring section headers; each one ends the block
+#: before it.
+_SECTION = re.compile(
+    r"^(Args|Arguments|Returns|Yields|Raises|Attributes|Example"
+    r"s?|Notes?|Warns|See Also)\s*:\s*$")
+
+#: One documented exception: ``Name:`` / ``pkg.Name:`` /
+#: ``:class:`~pkg.Name`:`` — anything up to the entry's colon.
+_RAISE_ENTRY = re.compile(r"^(?P<ref>[~`:\w.]+)\s*:")
+
+
+def parse_docstring_raises(docstring: "str | None") -> tuple:
+    """``(has_section, names)`` from a Google-style ``Raises:`` section.
+
+    ``names`` keeps the bare class name of each documented entry
+    (``repro.errors.ShapeError`` and ``:class:`~...ShapeError``` both
+    yield ``ShapeError``), deduplicated in order of appearance —
+    exactly what the R120 exception-contract pass compares transitive
+    raise sets against.
+    """
+    if not docstring:
+        return False, []
+    has_section = False
+    names: list = []
+    in_raises = False
+    entry_indent = None
+    for line in docstring.splitlines():
+        stripped = line.strip()
+        if _SECTION.match(stripped):
+            in_raises = stripped.split(":")[0] == "Raises"
+            has_section = has_section or in_raises
+            entry_indent = None
+            continue
+        if not in_raises or not stripped:
+            continue
+        indent = len(line) - len(line.lstrip())
+        if entry_indent is None:
+            entry_indent = indent
+        if indent > entry_indent:
+            continue  # continuation line of the previous entry
+        if indent < entry_indent:
+            in_raises = False
+            continue
+        match = _RAISE_ENTRY.match(stripped)
+        if match:
+            name = re.sub(r"\W", "", match["ref"].split(".")[-1])
+            if name and name not in names:
+                names.append(name)
+    return has_section, names
 
 
 def summary_hash(payload) -> str:
@@ -504,160 +547,23 @@ class _EffectWalker:
 
 
 # ----------------------------------------------------------------------
-# Per-function flow pass (shapes, dtypes, call args, param constraints)
-# ----------------------------------------------------------------------
-
-def _is_literal_dim(dim) -> bool:
-    return isinstance(dim, str) and dim.isdigit()
-
-
-class _FlowPass:
-    """Linear shape+dtype flow over one function, annotating calls."""
-
-    def __init__(self, imports: ImportMap, params: list):
-        self.shapes = _ScopeAnalysis(None, None, imports)
-        self.dtypes = _DtypeAnalysis(None, None, imports)
-        self.params = list(params)
-        self.rebound: set = set()
-        self.call_flow: dict = {}
-        self.ret_shapes: list = []
-        self.ret_dtypes: list = []
-        self.param_first: dict = {}
-        self.param_last: dict = {}
-        self.param_dtype: dict = {}
-
-    def run(self, node) -> None:
-        for stmt in Scope(node, is_module=False).statements:
-            self._scan(stmt)
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign,
-                                 ast.AugAssign)):
-                targets = stmt.targets \
-                    if isinstance(stmt, ast.Assign) else [stmt.target]
-                for target in targets:
-                    self.rebound |= bound_names(target)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self.rebound |= bound_names(stmt.target)
-            # Silence the analyses' reporting (rule=None) and advance
-            # both environments past this statement.
-            self.shapes._violations = []
-            self.shapes._visit_statement(stmt)
-            self.dtypes._violations = []
-            self.dtypes._visit_statement(stmt)
-
-    def _scan(self, stmt) -> None:
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            self.ret_shapes.append(self.shapes._infer(stmt.value))
-            self.ret_dtypes.append(self.dtypes._infer(stmt.value))
-        for call in _calls_in_statement(stmt):
-            self._annotate_call(call)
-        for expr in ast.walk(stmt):
-            if isinstance(expr, ast.BinOp) \
-                    and isinstance(expr.op, ast.MatMult):
-                self._matmul_context(expr)
-
-    def _annotate_call(self, call: ast.Call) -> None:
-        if any(isinstance(arg, ast.Starred) for arg in call.args):
-            return
-        shapes = [self.shapes._infer(arg) for arg in call.args]
-        dtypes = [self.dtypes._infer(arg) for arg in call.args]
-        if not any(shape is not None for shape in shapes) \
-                and not any(dtype is not None for dtype in dtypes):
-            return
-        entry = self.call_flow.setdefault(
-            (call.lineno, call.col_offset), {})
-        entry["args_shapes"] = [list(s) if s is not None else None
-                                for s in shapes]
-        entry["args_dtypes"] = list(dtypes)
-
-    def _matmul_context(self, node: ast.BinOp) -> None:
-        for side, child, other in (("left", node.left, node.right),
-                                   ("right", node.right, node.left)):
-            other_shape = self.shapes._infer(other)
-            other_dtype = self.dtypes._infer(other)
-            if isinstance(child, ast.Call) \
-                    and (other_shape is not None
-                         or other_dtype is not None):
-                entry = self.call_flow.setdefault(
-                    (child.lineno, child.col_offset), {})
-                entry["mm"] = {
-                    "side": side,
-                    "other_shape": list(other_shape)
-                    if other_shape is not None else None,
-                    "other_dtype": other_dtype,
-                }
-            elif isinstance(child, ast.Name) \
-                    and child.id in self.params \
-                    and child.id not in self.rebound \
-                    and self.shapes.env.names.get(child.id) is None:
-                # An unreassigned parameter used as a matmul operand
-                # against a known partner constrains the caller.
-                if other_shape:
-                    if side == "left":
-                        self.param_last.setdefault(child.id,
-                                                   other_shape[0])
-                    else:
-                        self.param_first.setdefault(child.id,
-                                                    other_shape[-1])
-                if other_dtype is not None:
-                    self.param_dtype.setdefault(child.id, other_dtype)
-
-    def consistent_return(self) -> tuple:
-        """``(shape-or-None, dtype-or-None)`` across every return."""
-        shape = None
-        if self.ret_shapes \
-                and all(s is not None for s in self.ret_shapes) \
-                and len({tuple(s) for s in self.ret_shapes}) == 1:
-            shape = list(self.ret_shapes[0])
-        dtype = None
-        if self.ret_dtypes \
-                and all(d is not None for d in self.ret_dtypes) \
-                and len(set(self.ret_dtypes)) == 1:
-            dtype = self.ret_dtypes[0]
-        return shape, dtype
-
-
-# ----------------------------------------------------------------------
 # Assembly
 # ----------------------------------------------------------------------
 
-def _positional_params(args: ast.arguments) -> list:
-    return [a.arg for a in args.posonlyargs] \
-        + [a.arg for a in args.args]
-
-
-def _decorator_flags(node) -> tuple:
-    names = {d.id if isinstance(d, ast.Name)
-             else getattr(d, "attr", None)
-             for d in node.decorator_list}
-    return "classmethod" in names, "staticmethod" in names
-
-
 def _function_summary(node, qualname, cls, class_record, imports,
                       module_locks) -> dict:
-    params = _positional_params(node.args)
     walker = _EffectWalker(imports, qualname, cls, class_record,
                            module_locks)
     walker.walk(node.body, ())
-    flow = _FlowPass(imports, params)
-    flow.run(node)
-    for record in walker.calls:
-        extra = flow.call_flow.get((record["line"], record["col"]))
-        if extra:
-            record.update(extra)
     docstring = ast.get_docstring(node)
     has_raises, doc_raises = parse_docstring_raises(docstring)
-    is_classmethod, is_staticmethod = _decorator_flags(node)
-    ret_shape, ret_dtype = flow.consistent_return()
     summary = {
         "name": qualname,
         "line": node.lineno,
         "col": node.col_offset,
         "cls": cls,
-        "params": params,
         "public": all(not part.startswith("_")
                       for part in qualname.split(".")),
-        "classmethod": is_classmethod,
-        "staticmethod": is_staticmethod,
         "doc": docstring is not None,
         "doc_raises_section": has_raises,
         "doc_raises": doc_raises,
@@ -668,11 +574,6 @@ def _function_summary(node, qualname, cls, class_record, imports,
         "lock_pairs": sorted(list(pair) for pair in walker.lock_pairs),
         "submits": walker.submits,
         "trys": walker.trys,
-        "ret_shape": ret_shape,
-        "ret_dtype": ret_dtype,
-        "param_first": flow.param_first,
-        "param_last": flow.param_last,
-        "param_dtype": flow.param_dtype,
     }
     # Empty collections and false flags carry no information; pruning
     # them keeps the cache (one record per file, every function) small.
