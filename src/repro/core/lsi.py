@@ -15,6 +15,8 @@ swap the two engines.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.errors import NotFittedError, ValidationError
@@ -41,7 +43,6 @@ class LSIModel:
         if not isinstance(svd, SVDResult):
             raise ValidationError("LSIModel wraps an SVDResult")
         self.svd = svd
-        self._doc_vectors = svd.document_vectors()  # (k, m)
 
     @classmethod
     def fit(cls, matrix, rank, *, engine: str = "lanczos",
@@ -134,6 +135,15 @@ class LSIModel:
     # ------------------------------------------------------------------
     # Representation
     # ------------------------------------------------------------------
+
+    @cached_property
+    def _doc_vectors(self) -> np.ndarray:
+        """``Σ·Vt``, ``(k, m)``, computed the first time it is needed.
+
+        Not in the constructor: a model over memory-mapped factors
+        would otherwise read every page of ``Vt`` on load.
+        """
+        return self.svd.document_vectors()
 
     @property
     def rank(self) -> int:

@@ -1,6 +1,6 @@
 """Versioned on-disk persistence for LSI indexes.
 
-A schema-3 bundle is a directory of flat ``.npy`` files plus a
+A bundle (schema 3) is a directory of flat ``.npy`` files plus a
 manifest:
 
 - one ``.npy`` per array — the truncated SVD factors (``u``,
@@ -24,23 +24,24 @@ arrays stay on disk until a query's GEMM first touches their pages —
 and skips checksum verification, since hashing every byte would defeat
 the point; eager reads always verify.
 
+``write_bundle`` never truncates a file in place.  It writes each file
+under a temporary name and renames it over the old one, the manifest
+last, so a process that still maps the old file keeps reading the old
+bytes.
+
 Loading is strict: a missing or unparsable manifest, a foreign
-``format`` marker, an unsupported ``schema_version``, a checksum
+``format`` marker, a ``schema_version`` other than 3, a checksum
 mismatch, or shape disagreement between manifest and arrays all raise
-:class:`~repro.errors.PersistenceError`.  Older bundles still load:
-schema 1 (factors-only ``arrays.npz``, no serving state) and schema 2
-(``arrays.npz`` with serving state) fall back to the eager npz path
-with pre-normalised factors recomputed on the fly — the
-backward-compatibility contract for bundles written before this
-layout.
+:class:`~repro.errors.PersistenceError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
-import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,7 +54,6 @@ from repro.linalg.svd import SVDResult
 from repro.serving.stats import ServingStats
 
 __all__ = [
-    "ARRAYS_NAME",
     "BUNDLE_FORMAT",
     "BUNDLE_SCHEMA_VERSION",
     "ChecksumMismatch",
@@ -69,24 +69,20 @@ __all__ = [
 #: Marker distinguishing our bundles from arbitrary array+json directories.
 BUNDLE_FORMAT = "repro-lsi-index"
 
-#: Current manifest schema version
-#: (1 = factors-only npz, 2 = npz + serving state, 3 = flat mmap-able npy).
+#: The only manifest schema version written and read (flat mmap-able
+#: npy).
 BUNDLE_SCHEMA_VERSION = 3
 
-#: File names inside a bundle directory.
+#: File name of the manifest inside a bundle directory.
 MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"
 
-#: Arrays every schema version must provide.
-_REQUIRED_ARRAYS = ("u", "singular_values", "vt", "frobenius_norm_sq")
+#: Arrays a bundle stores, one ``<name>.npy`` file each.
+_ARRAYS = ("u", "singular_values", "vt", "frobenius_norm_sq",
+           "doc_vectors", "doc_unit", "doc_norms", "tombstones")
 
-#: Arrays a schema-3 bundle stores, one ``<name>.npy`` file each.
-_V3_ARRAYS = ("u", "singular_values", "vt", "frobenius_norm_sq",
-              "doc_vectors", "doc_unit", "doc_norms", "tombstones")
-
-#: Schema-3 arrays worth memory-mapping (the O(n·k)/O(k·m) payloads);
-#: the rest are O(k)/O(m) vectors loaded eagerly even under ``mmap``.
-_V3_LARGE_ARRAYS = ("u", "vt", "doc_vectors", "doc_unit")
+#: Arrays worth memory-mapping (the O(n·k)/O(k·m) payloads); the rest
+#: are O(k)/O(m) vectors loaded eagerly even under ``mmap``.
+_LARGE_ARRAYS = ("u", "vt", "doc_vectors", "doc_unit")
 
 
 def environment_fingerprint() -> dict:
@@ -160,15 +156,11 @@ class IndexBundle:
         vocabulary: optional term strings (position = term id).
         doc_unit: ``(k, m_total)`` unit-normalised document store, the
             precomputed cosine denominator (``None`` until written or
-            read from a schema-3 bundle).
+            read).
         doc_norms: length-``m_total`` original column norms paired with
             ``doc_unit``.
         compute_dtype: precision the index was served at when saved
             (``"float64"`` or ``"float32"``); loads default to it.
-        mmapped: whether this image's large arrays are read-only
-            memory maps (set by ``read_bundle(mmap=True)``).
-        schema_version: manifest schema the bundle was read from /
-            will be written with.
         index_version: content hash of the array payload (filled on
             write/read; empty for bundles never persisted).
         created_at: ISO-8601 UTC write timestamp (filled on write).
@@ -186,8 +178,6 @@ class IndexBundle:
     doc_unit: "np.ndarray | None" = None
     doc_norms: "np.ndarray | None" = None
     compute_dtype: str = "float64"
-    mmapped: bool = False
-    schema_version: int = BUNDLE_SCHEMA_VERSION
     index_version: str = ""
     created_at: str = ""
     env: dict = field(default_factory=dict)
@@ -230,26 +220,6 @@ class IndexBundle:
                 f"compute_dtype must be 'float64' or 'float32', got "
                 f"{self.compute_dtype!r}")
 
-    @classmethod
-    def from_model(cls, model, *, vocabulary=None,
-                   drift_threshold: "float | None" = 0.1) -> "IndexBundle":
-        """Snapshot a plain fitted :class:`~repro.core.lsi.LSIModel`."""
-        terms = None
-        if vocabulary is not None:
-            terms = tuple(getattr(vocabulary, "terms", vocabulary))
-        return cls(svd=model.svd,
-                   doc_vectors=model.document_vectors(),
-                   n_original=model.n_documents,
-                   drift_threshold=drift_threshold,
-                   vocabulary=terms,
-                   env=environment_fingerprint())
-
-    def to_model(self):
-        """The bundled SVD as a fresh :class:`~repro.core.lsi.LSIModel`."""
-        from repro.core.lsi import LSIModel
-
-        return LSIModel(self.svd)
-
     @property
     def n_documents(self) -> int:
         """Total stored documents (fitted + folded, incl. tombstoned)."""
@@ -259,7 +229,7 @@ class IndexBundle:
         """The JSON-ready manifest describing this bundle."""
         return {
             "format": BUNDLE_FORMAT,
-            "schema_version": self.schema_version,
+            "schema_version": BUNDLE_SCHEMA_VERSION,
             "created_at": self.created_at,
             "index_version": self.index_version,
             "rank": self.svd.rank,
@@ -279,16 +249,37 @@ class IndexBundle:
         }
 
 
+@contextmanager
+def _replacing(target: Path):
+    """An open binary handle whose bytes replace ``target`` on exit.
+
+    The bytes go to a temporary name beside ``target``, which is then
+    renamed over it: a process that maps the old file keeps its old
+    bytes, and an error leaves ``target`` untouched.  Callers write
+    through the handle because ``np.save`` appends ``.npy`` to any
+    other name.
+    """
+    staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(staging, "wb") as handle:
+            yield handle
+        os.replace(staging, target)
+    finally:
+        staging.unlink(missing_ok=True)
+
+
 def write_bundle(path, bundle: IndexBundle) -> Path:
     """Persist ``bundle`` to directory ``path`` (created if needed).
 
-    Always writes the current schema (one ``.npy`` per array).  The
-    pre-normalised serving factors are computed here in float64 when
-    the bundle does not carry them, so every bundle on disk is
-    mmap-servable with rankings bit-identical to an eager load.
+    Writes one ``.npy`` per array.  The pre-normalised serving factors
+    are computed here in float64 when the bundle does not carry them,
+    so every bundle on disk is mmap-servable with rankings
+    bit-identical to an eager load.
 
     Returns the bundle directory.  Overwrites an existing bundle at the
-    same path; refuses to write into a path occupied by a file.
+    same path by renaming each new file over the old one, the manifest
+    last, so a reader that maps the old files is never truncated under;
+    refuses to write into a path occupied by a file.
 
     Raises:
         PersistenceError: if ``path`` exists and is not a directory.
@@ -318,17 +309,11 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
                                  dtype=np.int64),
     }
     checksums = {}
-    for name in _V3_ARRAYS:
+    for name in _ARRAYS:
         array_path = directory / f"{name}.npy"
-        np.save(array_path, np.asarray(arrays[name]),
-                allow_pickle=False)
+        with _replacing(array_path) as handle:
+            np.save(handle, np.asarray(arrays[name]), allow_pickle=False)
         checksums[f"{name}.npy"] = sha256_file(array_path)
-    # A superseded v1/v2 payload in the same directory would shadow
-    # nothing (readers dispatch on schema_version) but waste space and
-    # confuse checksum audits; drop it.
-    legacy = directory / ARRAYS_NAME
-    if legacy.exists():
-        legacy.unlink()
 
     version_digest = hashlib.sha256(
         "".join(checksums[key] for key in sorted(checksums))
@@ -336,15 +321,14 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
     stamped = replace(bundle,
                       doc_unit=doc_unit,
                       doc_norms=doc_norms,
-                      schema_version=BUNDLE_SCHEMA_VERSION,
                       index_version=version_digest[:16],
                       created_at=datetime.now(timezone.utc).isoformat(),
                       env=bundle.env or environment_fingerprint())
     manifest = stamped.manifest()
     manifest["checksums"] = checksums
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with _replacing(directory / MANIFEST_NAME) as handle:
+        handle.write((json.dumps(manifest, indent=2, sort_keys=True)
+                      + "\n").encode("utf-8"))
     return directory
 
 
@@ -357,8 +341,8 @@ def read_manifest(path, *, verify_arrays: bool = False) -> dict:
 
     Raises:
         PersistenceError: missing/unparsable manifest, foreign format,
-            unsupported schema version, or (with ``verify_arrays``) a
-            checksum mismatch.
+            a schema version other than 3, or (with ``verify_arrays``)
+            a checksum mismatch.
     """
     directory = Path(path)
     manifest_path = directory / MANIFEST_NAME
@@ -381,10 +365,11 @@ def read_manifest(path, *, verify_arrays: bool = False) -> dict:
             f"is {manifest.get('format')!r}); refusing to load a foreign "
             "bundle")
     version = manifest.get("schema_version")
-    if version not in (1, 2, BUNDLE_SCHEMA_VERSION):
+    if version != BUNDLE_SCHEMA_VERSION:
         raise PersistenceError(
             f"unsupported bundle schema_version {version!r}; this "
-            f"reader handles 1..{BUNDLE_SCHEMA_VERSION}")
+            f"reader handles {BUNDLE_SCHEMA_VERSION} only (re-save the "
+            "bundle from a checkout that still reads it)")
     if verify_arrays:
         _verify_checksums(directory, manifest)
     return manifest
@@ -408,12 +393,8 @@ def checksum_failures(directory, manifest: dict
     """
     directory = Path(directory)
     recorded = manifest.get("checksums") or {}
-    if manifest.get("schema_version") in (1, 2):
-        names = [ARRAYS_NAME]
-    else:
-        names = [f"{name}.npy" for name in _V3_ARRAYS]
     failures = []
-    for name in names:
+    for name in (f"{array}.npy" for array in _ARRAYS):
         array_path = directory / name
         expected = recorded.get(name)
         if not array_path.is_file():
@@ -439,34 +420,20 @@ def _verify_checksums(directory: Path, manifest: dict) -> None:
             f"{len(failures)} file(s): {details}")
 
 
-def _load_npz_arrays(directory: Path) -> dict:
-    """Eagerly load a legacy (schema 1/2) ``arrays.npz`` payload."""
-    arrays_path = directory / ARRAYS_NAME
-    try:
-        # npz members cannot be memory-mapped (np.load silently copies
-        # them), so the legacy path is eager by necessity.
-        with np.load(arrays_path,  # reprolint: disable=R111
-                     allow_pickle=False) as payload:
-            return {name: payload[name] for name in payload.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as error:
-        raise PersistenceError(
-            f"unreadable bundle arrays {arrays_path}: {error}") from error
-
-
 def _load_npy_arrays(directory: Path, *, mmap: bool) -> dict:
-    """Load a schema-3 payload, optionally mapping the large arrays.
+    """Load a bundle's payload, optionally mapping the large arrays.
 
-    Under ``mmap`` the :data:`_V3_LARGE_ARRAYS` come back as read-only
+    Under ``mmap`` the :data:`_LARGE_ARRAYS` come back as read-only
     ``np.memmap`` views — O(page table) now, real I/O deferred to first
     touch — while the small per-column vectors load eagerly.
     """
     arrays = {}
-    for name in _V3_ARRAYS:
+    for name in _ARRAYS:
         array_path = directory / f"{name}.npy"
         if not array_path.is_file():
             raise PersistenceError(
-                f"bundle {directory} (schema 3) is missing {name}.npy")
-        mode = "r" if mmap and name in _V3_LARGE_ARRAYS else None
+                f"bundle {directory} is missing {name}.npy")
+        mode = "r" if mmap and name in _LARGE_ARRAYS else None
         try:
             arrays[name] = np.load(array_path, allow_pickle=False,
                                    mmap_mode=mode)
@@ -482,11 +449,10 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
 
     Args:
         path: the bundle directory.
-        mmap: map the large arrays read-only instead of loading them
-            (schema 3 only; legacy npz bundles fall back to an eager
-            load).  The mmap path is the O(manifest) cold start: it
-            skips checksum verification — hashing the payload would
-            read every byte and defeat the deferral — so corruption
+        mmap: map the large arrays read-only instead of loading them.
+            The mmap path is the O(manifest) cold start: it skips
+            checksum verification — hashing the payload would read
+            every byte and defeat the deferral — so corruption
             surfaces as wrong scores, not a load-time error.  Eager
             loads always verify.
 
@@ -496,19 +462,9 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
     """
     directory = Path(path)
     manifest = read_manifest(directory)
-    version = int(manifest["schema_version"])
-    use_mmap = bool(mmap) and version >= 3
-    if not use_mmap:
+    if not mmap:
         _verify_checksums(directory, manifest)
-    if version >= 3:
-        arrays = _load_npy_arrays(directory, mmap=use_mmap)
-    else:
-        arrays = _load_npz_arrays(directory)
-
-    missing = [name for name in _REQUIRED_ARRAYS if name not in arrays]
-    if missing:
-        raise PersistenceError(
-            f"bundle {directory} is missing arrays {missing}")
+    arrays = _load_npy_arrays(directory, mmap=mmap)
     try:
         svd = SVDResult(arrays["u"], arrays["singular_values"],
                         arrays["vt"],
@@ -518,32 +474,7 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
             f"bundle {directory} holds an inconsistent SVD: {error}"
         ) from error
 
-    doc_unit = doc_norms = None
-    if version == 1:
-        doc_vectors = svd.document_vectors()
-        n_original = doc_vectors.shape[1]
-        tombstones: tuple = ()
-        stats = ServingStats()
-        unabsorbed = 0.0
-        threshold: "float | None" = 0.1
-    else:
-        if "doc_vectors" not in arrays:
-            raise PersistenceError(
-                f"bundle {directory} (schema {version}) is missing "
-                "doc_vectors")
-        doc_vectors = arrays["doc_vectors"]
-        n_original = int(manifest.get("n_original",
-                                      doc_vectors.shape[1]))
-        tombstones = tuple(
-            int(d) for d in arrays.get("tombstones",
-                                       np.empty(0, dtype=np.int64)))
-        stats = ServingStats.from_dict(manifest.get("stats") or {})
-        unabsorbed = float(manifest.get("unabsorbed_energy", 0.0))
-        threshold = manifest.get("drift_threshold")
-        if version >= 3:
-            doc_unit = arrays["doc_unit"]
-            doc_norms = arrays["doc_norms"]
-
+    doc_vectors = arrays["doc_vectors"]
     expected = {"rank": svd.rank, "n_terms": int(svd.u.shape[0]),
                 "n_documents": int(doc_vectors.shape[1])}
     for key, actual in expected.items():
@@ -558,17 +489,17 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
         return IndexBundle(
             svd=svd,
             doc_vectors=doc_vectors,
-            n_original=n_original,
-            tombstones=tombstones,
-            unabsorbed_energy=unabsorbed,
-            drift_threshold=threshold,
-            stats=stats,
+            n_original=int(manifest.get("n_original",
+                                        doc_vectors.shape[1])),
+            tombstones=tuple(int(d) for d in arrays["tombstones"]),
+            unabsorbed_energy=float(manifest.get("unabsorbed_energy",
+                                                 0.0)),
+            drift_threshold=manifest.get("drift_threshold"),
+            stats=ServingStats.from_dict(manifest.get("stats") or {}),
             vocabulary=tuple(vocabulary) if vocabulary else None,
-            doc_unit=doc_unit,
-            doc_norms=doc_norms,
+            doc_unit=arrays["doc_unit"],
+            doc_norms=arrays["doc_norms"],
             compute_dtype=str(manifest.get("compute_dtype", "float64")),
-            mmapped=use_mmap,
-            schema_version=version,
             index_version=str(manifest.get("index_version", "")),
             created_at=str(manifest.get("created_at", "")),
             env=dict(manifest.get("env") or {}))

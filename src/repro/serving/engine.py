@@ -361,13 +361,13 @@ class BatchQueryEngine:
                          ) -> "BatchQueryEngine":
         """Build from already-normalised document factors.
 
-        This is the zero-copy construction path for memory-mapped
-        bundles: ``doc_unit``/``doc_norms`` come straight from the
-        bundle files (read-only is fine) and are *not* re-normalised,
-        so no page of the document store is touched until the first
-        query's GEMM reads it.  With ``dtype="float64"`` the arrays are
-        used as-is; ``"float32"`` casts (and therefore materialises)
-        them once.
+        This is the float64 construction path for loaded bundles,
+        zero-copy when they are memory-mapped: ``doc_unit``/``doc_norms``
+        come straight from the bundle files (read-only is fine) and are
+        *not* re-normalised, so no page of the document store is
+        touched until the first query's GEMM reads it.  With
+        ``dtype="float64"`` the arrays are used as-is; ``"float32"``
+        casts (and therefore materialises) them once.
 
         Args:
             term_basis: the ``(n, k)`` LSI basis ``Uₖ``.

@@ -20,6 +20,13 @@ unchanged, and adds what production traffic needs:
   micro-batching dispatcher;
 - ``stats`` — the :class:`~repro.serving.stats.ServingStats` counters
   behind ``repro serve-stats``.
+
+Whether built, fitted, or loaded (mapped or not), an index holds one
+state: its :class:`~repro.serving.writer.IndexWriter`.  A load hands
+the bundle's arrays to the writer as they are, so a mapped index keeps
+serving and mutating over read-only maps and nothing is copied; saves
+publish new files by rename, so they never truncate a file a reader
+maps.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.lsi import LSIModel
-from repro.linalg.svd import SVDResult
 from repro.serving.bundle import IndexBundle, read_bundle, write_bundle
 from repro.serving.config import ServingConfig
 from repro.serving.engine import BatchQueryEngine, LRUResultCache, \
@@ -75,25 +81,25 @@ class ServedIndex:
         writer = IndexWriter(model, drift_threshold=config.drift_threshold)
         self._init_state(config, writer, vocabulary=vocabulary)
 
-    def _init_state(self, config: ServingConfig,
-                    writer: "IndexWriter | None", *,
-                    bundle: "IndexBundle | None" = None,
-                    vocabulary=None, saved_dtype: str = "float64",
+    def _init_state(self, config: ServingConfig, writer: IndexWriter,
+                    *, vocabulary=None, saved_unit=None,
+                    saved_dtype: str = "float64",
                     base_version: str = "unsaved",
                     base_stats: "ServingStats | None" = None) -> None:
         """Assign every attribute; shared by all construction paths.
 
-        Exactly one of ``writer`` (an in-memory index) and ``bundle``
-        (a not-yet-materialised mmap load) backs the index.
-        ``saved_dtype`` is the precision used when ``config.dtype`` is
-        ``None``; ``base_version`` and ``base_stats`` carry a loaded
-        bundle's identity and counters forward.
+        ``saved_unit`` is a loaded bundle's ``(doc_unit, doc_norms)``,
+        which a float64 generation 0 is served from; ``saved_dtype`` is the
+        precision used when ``config.dtype`` is ``None``;
+        ``base_version`` and ``base_stats`` carry a loaded bundle's
+        identity and cumulative counters forward (:meth:`stats` reads
+        only the cumulative fields of ``base_stats``).
         """
         self._config = config
         self._dtype = _check_compute_dtype(
             config.dtype or saved_dtype).name
-        self._writer: "IndexWriter | None" = writer
-        self._bundle: "IndexBundle | None" = bundle
+        self._writer = writer
+        self._saved_unit = saved_unit
         self._cache = LRUResultCache(config.cache_capacity)
         self._vocabulary = (tuple(getattr(vocabulary, "terms",
                                           vocabulary))
@@ -213,45 +219,30 @@ class ServedIndex:
     def model(self) -> LSIModel:
         """The LSI model currently backing the index.
 
-        On an mmap-loaded index this materialises the writer (see
-        :meth:`load`).
+        On an mmap-loaded index its factors are the bundle's read-only
+        maps until a refit replaces them.
         """
-        return self._ensure_writer().model
-
-    def _lazy_bundle(self) -> IndexBundle:
-        """The backing bundle of a not-yet-materialised mmap load."""
-        bundle = self._bundle
-        assert bundle is not None, "index has neither writer nor bundle"
-        return bundle
+        return self._writer.model
 
     @property
     def rank(self) -> int:
         """The LSI dimension ``k``."""
-        if self._writer is not None:
-            return self._writer.model.rank
-        return self._lazy_bundle().svd.rank
+        return self._writer.model.rank
 
     @property
     def n_terms(self) -> int:
         """Term-space dimensionality queries must have."""
-        if self._writer is not None:
-            return self._writer.model.n_terms
-        return int(self._lazy_bundle().svd.u.shape[0])
+        return self._writer.model.n_terms
 
     @property
     def n_documents(self) -> int:
         """Total stored documents (scores are indexed ``0..m-1``)."""
-        if self._writer is not None:
-            return self._writer.n_documents
-        return self._lazy_bundle().n_documents
+        return self._writer.n_documents
 
     @property
     def n_active(self) -> int:
         """Documents eligible to appear in rankings."""
-        if self._writer is not None:
-            return self._writer.n_active
-        bundle = self._lazy_bundle()
-        return bundle.n_documents - len(bundle.tombstones)
+        return self._writer.n_active
 
     @property
     def dtype(self) -> str:
@@ -270,16 +261,18 @@ class ServedIndex:
 
     @property
     def mmapped(self) -> bool:
-        """Whether the index still serves from read-only mapped arrays."""
-        return self._writer is None
+        """Whether the index still serves from a bundle's mapped files.
+
+        True from a load with ``config.mmap=True`` until the first
+        mutation, which rebuilds the engine from the writer's store.
+        """
+        return self._saved_unit is not None \
+            and isinstance(self._saved_unit[0], np.memmap)
 
     @property
     def tombstones(self) -> tuple:
-        """Deleted document ids, ascending (cheap on mmap loads)."""
-        if self._writer is not None:
-            return self._writer.tombstones
-        return tuple(sorted(int(d)
-                            for d in self._lazy_bundle().tombstones))
+        """Deleted document ids, ascending."""
+        return self._writer.tombstones
 
     @property
     def vocabulary(self) -> "tuple | None":
@@ -294,37 +287,16 @@ class ServedIndex:
     @property
     def drift(self) -> float:
         """Current fold-in drift (see :mod:`repro.serving.writer`)."""
-        if self._writer is not None:
-            return self._writer.drift
-        bundle = self._lazy_bundle()
-        unabsorbed = bundle.unabsorbed_energy
-        denominator = unabsorbed + bundle.svd.captured_energy()
-        if denominator <= 0:
-            return 0.0
-        return unabsorbed / denominator
+        return self._writer.drift
 
     @property
     def needs_refit(self) -> bool:
         """Whether drift has crossed the configured threshold."""
-        if self._writer is not None:
-            return self._writer.needs_refit
-        threshold = self._lazy_bundle().drift_threshold
-        return threshold is not None and self.drift >= threshold
+        return self._writer.needs_refit
 
     def drift_report(self) -> DriftReport:
         """The frozen drift accounting (cheap even on mmap loads)."""
-        if self._writer is not None:
-            return self._writer.drift_report()
-        bundle = self._lazy_bundle()
-        return DriftReport(
-            drift=self.drift,
-            threshold=bundle.drift_threshold,
-            needs_refit=self.needs_refit,
-            unabsorbed_energy=bundle.unabsorbed_energy,
-            captured_energy=bundle.svd.captured_energy(),
-            baseline_residual_energy=bundle.svd.residual_energy(),
-            fold_ins_since_refit=bundle.stats.fold_ins_since_refit,
-            deletes_since_refit=bundle.stats.deletes_since_refit)
+        return self._writer.drift_report()
 
     # ------------------------------------------------------------------
     # Serving
@@ -333,23 +305,23 @@ class ServedIndex:
     def _engine(self) -> BatchQueryEngine:
         """The query engine for the current generation (lazily built).
 
-        On an mmap-loaded index the engine is built zero-copy from the
-        bundle's pre-normalised factors — no document page is read
-        until a GEMM touches it.
+        Generation 0 of a loaded float64 index, mapped or eager, is
+        built from the bundle's saved pre-normalised factors —
+        zero-copy when mapped, so no document page is read until a
+        GEMM touches it.  float32 normalises the store in float32
+        instead, as the index that was saved did: casting the float64
+        unit vectors differs in the last bits and swaps near-ties.
         """
         if self._engine_generation != self._generation:
-            if self._writer is None:
-                bundle = self._lazy_bundle()
+            writer = self._writer
+            if self._saved_unit is not None and self._dtype == "float64":
                 self._engine_cache = BatchQueryEngine.from_precomputed(
-                    bundle.svd.u, bundle.doc_unit, bundle.doc_norms,
-                    tombstones=bundle.tombstones,
-                    dtype=self._dtype)
+                    writer.model.term_basis, *self._saved_unit,
+                    tombstones=writer.tombstones, dtype=self._dtype)
             else:
                 self._engine_cache = BatchQueryEngine(
-                    self._writer.model.term_basis,
-                    self._writer.document_vectors(),
-                    tombstones=self._writer.tombstones,
-                    dtype=self._dtype)
+                    writer.model.term_basis, writer.document_vectors(),
+                    tombstones=writer.tombstones, dtype=self._dtype)
             self._engine_generation = self._generation
         assert self._engine_cache is not None
         return self._engine_cache
@@ -456,56 +428,23 @@ class ServedIndex:
     # Updates
     # ------------------------------------------------------------------
 
-    def _ensure_writer(self) -> IndexWriter:
-        """Materialise the mutable writer from a lazily-loaded bundle.
-
-        Mutation (and :attr:`model` access) needs real, writable
-        arrays; this copies the mapped factors into memory exactly
-        once and detaches the index from the bundle files entirely —
-        required so a later :meth:`save` over the *same* directory
-        never writes a file it is concurrently mapping.
-        """
-        writer = self._writer
-        if writer is None:
-            bundle = self._lazy_bundle()
-            svd = SVDResult(np.array(bundle.svd.u),
-                            np.array(bundle.svd.singular_values),
-                            np.array(bundle.svd.vt),
-                            bundle.svd.frobenius_norm_sq)
-            writer = IndexWriter.from_state(
-                LSIModel(svd),
-                np.array(bundle.doc_vectors, dtype=np.float64),
-                n_original=bundle.n_original,
-                tombstones=bundle.tombstones,
-                unabsorbed_energy=bundle.unabsorbed_energy,
-                drift_threshold=bundle.drift_threshold,
-                fold_ins=bundle.stats.fold_ins_since_refit,
-                deletes=bundle.stats.deletes_since_refit,
-                copy=False)
-            self._writer = writer
-            self._bundle = None
-            self._engine_cache = None
-            self._engine_generation = -1
-        return writer
-
     def add_documents(self, columns) -> np.ndarray:
         """Fold new documents in; returns their assigned ids.
 
         Bumps the index generation, so cached rankings for the previous
         corpus can never be served against the new one.
         """
-        ids = self._ensure_writer().add_documents(columns)
+        ids = self._writer.add_documents(columns)
         self._bump()
         return ids
 
     def remove_documents(self, doc_ids) -> None:
         """Tombstone documents; they stop appearing in rankings."""
-        self._ensure_writer().remove_documents(doc_ids)
+        self._writer.remove_documents(doc_ids)
         self._bump()
 
-    def refit(self, matrix=None, *, full: bool = False, rank=None,
-              engine: str = "lanczos", seed=None,
-              **engine_kwargs) -> LSIModel:
+    def refit(self, matrix=None, *, rank=None, engine: str = "lanczos",
+              seed=None, **engine_kwargs) -> LSIModel:
         """Absorb accumulated updates into the factors.
 
         ``refit()`` with no matrix merges the buffered fold-in block
@@ -516,28 +455,32 @@ class ServedIndex:
         :meth:`repro.serving.writer.IndexWriter.refit`.
 
         Raises:
-            ValidationError: when ``full=True`` without a matrix, the
-                incremental fold buffer is unavailable (e.g. after a
-                bundle load), the matrix's term space mismatches, or
-                fit parameters are invalid.
+            ValidationError: on an option the engine does not take,
+                when the incremental fold buffer is unavailable (e.g.
+                after a bundle load), the matrix's term space
+                mismatches, or fit parameters are invalid.
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """
-        if matrix is None and not full:
+        if matrix is None:
             engine_kwargs.setdefault(
                 "block_size", self._config.stream_block_size)
             engine_kwargs.setdefault(
                 "oversample", self._config.stream_oversample)
-        model = self._ensure_writer().refit(
-            matrix, full=full, rank=rank, engine=engine, seed=seed,
+        model = self._writer.refit(
+            matrix, rank=rank, engine=engine, seed=seed,
             **engine_kwargs)
         self._bump()
         return model
 
     def _bump(self) -> None:
-        """Advance the generation and drop stale cache entries."""
+        """Advance the generation and drop stale cache entries.
+
+        The saved factors describe generation 0 only, so they go too.
+        """
         self._generation += 1
         self._cache.clear()
+        self._saved_unit = None
 
     # ------------------------------------------------------------------
     # Stats
@@ -550,15 +493,7 @@ class ServedIndex:
         its persisted totals as the new baseline.
         """
         base = self._base_stats
-        if self._writer is not None:
-            fold_ins = self._writer.fold_ins_since_refit
-            deletes = self._writer.deletes_since_refit
-            refits = base.refits + self._writer.refits
-        else:
-            saved = self._lazy_bundle().stats
-            fold_ins = saved.fold_ins_since_refit
-            deletes = saved.deletes_since_refit
-            refits = base.refits
+        writer = self._writer
         return ServingStats(
             queries_served=base.queries_served + self._queries_served,
             batches_served=base.batches_served + self._batches_served,
@@ -566,9 +501,9 @@ class ServedIndex:
             cache_misses=base.cache_misses + self._cache.misses,
             cache_evictions=base.cache_evictions
             + self._cache.evictions,
-            fold_ins_since_refit=fold_ins,
-            deletes_since_refit=deletes,
-            refits=refits,
+            fold_ins_since_refit=writer.fold_ins_since_refit,
+            deletes_since_refit=writer.deletes_since_refit,
+            refits=base.refits + writer.refits,
             drift=self.drift,
             refit_recommended=self.needs_refit,
             dtype=self._dtype)
@@ -580,11 +515,11 @@ class ServedIndex:
     def save(self, path) -> Path:
         """Persist the index as a bundle directory; returns the path.
 
-        Saving an mmap-loaded index materialises it first (see
-        :meth:`_ensure_writer`) so the write never races its own
-        source mapping.
+        Saving over a bundle that this index or another one maps is
+        safe: :func:`~repro.serving.bundle.write_bundle` renames new
+        files over the old ones, and the maps keep the old bytes.
         """
-        writer = self._ensure_writer()
+        writer = self._writer
         bundle = IndexBundle(
             svd=writer.model.svd,
             doc_vectors=writer.document_vectors(),
@@ -600,53 +535,43 @@ class ServedIndex:
     @classmethod
     def load(cls, path, *, config: "ServingConfig | None" = None
              ) -> "ServedIndex":
-        """Load a bundle saved by :meth:`save` (or any older schema).
+        """Load a bundle saved by :meth:`save`.
 
         The restored index reproduces the saved index's rankings
         exactly and continues its counters and drift accounting.
+        Nothing is copied or computed on load; a float64 generation 0
+        is served from the bundle's saved pre-normalised factors.
 
         Args:
             path: the bundle directory.
             config: serving policy for the loaded index.
                 ``config.mmap=True`` maps the large arrays read-only
                 instead of loading them — the O(manifest) cold start:
-                serving works directly off the mapped, pre-normalised
-                factors; the first mutation (or :attr:`model` access,
-                or :meth:`save`) materialises the index in memory;
-                legacy (schema ≤ 2) bundles fall back to eager
-                loading.  ``config.dtype=None`` (default) keeps the
-                precision the bundle was saved with
+                the index serves, mutates, and saves over the maps
+                without copying them.  ``config.dtype=None`` (default)
+                keeps the precision the bundle was saved with
                 (``compute_dtype`` in the manifest); the bundle's
                 persisted ``drift_threshold`` always wins over the
                 config's.
         """
         config = config if config is not None else ServingConfig()
         bundle = read_bundle(path, mmap=config.mmap)
-        writer = None
-        if not (bundle.mmapped and bundle.doc_unit is not None):
-            writer = IndexWriter.from_state(
-                LSIModel(bundle.svd), bundle.doc_vectors,
-                n_original=bundle.n_original,
-                tombstones=bundle.tombstones,
-                unabsorbed_energy=bundle.unabsorbed_energy,
-                drift_threshold=bundle.drift_threshold,
-                fold_ins=bundle.stats.fold_ins_since_refit,
-                deletes=bundle.stats.deletes_since_refit,
-                copy=False)
+        writer = IndexWriter.from_state(
+            LSIModel(bundle.svd), bundle.doc_vectors,
+            n_original=bundle.n_original,
+            tombstones=bundle.tombstones,
+            unabsorbed_energy=bundle.unabsorbed_energy,
+            drift_threshold=bundle.drift_threshold,
+            fold_ins=bundle.stats.fold_ins_since_refit,
+            deletes=bundle.stats.deletes_since_refit)
         index = cls.__new__(cls)
         index._init_state(
             config, writer,
-            bundle=bundle if writer is None else None,
+            saved_unit=(bundle.doc_unit, bundle.doc_norms),
             vocabulary=bundle.vocabulary,
             saved_dtype=bundle.compute_dtype,
             base_version=bundle.index_version or "unsaved",
-            base_stats=ServingStats(
-                queries_served=bundle.stats.queries_served,
-                batches_served=bundle.stats.batches_served,
-                cache_hits=bundle.stats.cache_hits,
-                cache_misses=bundle.stats.cache_misses,
-                cache_evictions=bundle.stats.cache_evictions,
-                refits=bundle.stats.refits))
+            base_stats=bundle.stats)
         return index
 
     def __repr__(self) -> str:

@@ -47,6 +47,8 @@ construction.
 from __future__ import annotations
 
 import json
+import re
+import shutil
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -91,6 +93,10 @@ SHARDED_MANIFEST_NAME = "manifest.json"
 
 #: File recording the global ids retired with removed shards.
 _RETIRED_NAME = "retired_ids.npy"
+
+#: Names :meth:`ShardedIndex.save` writes per shard: a bundle directory
+#: and its global-id file.
+_SHARD_NAME = re.compile(r"shard-\d+(\.ids\.npy)?")
 
 
 def shard_document_ids(n_documents: int, n_shards: int,
@@ -399,7 +405,7 @@ class ShardedIndex:
         config = config if config is not None else ServingConfig()
         check_positive_int(n_shards, "n_shards")
         if isinstance(source, ServedIndex):
-            writer = source._ensure_writer()
+            writer = source._writer
             model = writer.model
             doc_vectors = writer.document_vectors()
             tombstones = np.asarray(writer.tombstones, dtype=np.int64)
@@ -421,8 +427,7 @@ class ShardedIndex:
                 model, doc_vectors[:, ids],
                 n_original=int(ids.size),
                 tombstones=tuple(int(t) for t in local_tombs),
-                drift_threshold=config.drift_threshold,
-                copy=False)
+                drift_threshold=config.drift_threshold)
             shards.append(ServedIndex.from_writer(
                 shard_writer, vocabulary=vocabulary, config=config))
         return cls(shards, parts, assignment=assignment,
@@ -778,8 +783,7 @@ class ShardedIndex:
         writer = IndexWriter.from_state(
             model, np.empty((self.rank, 0)),
             n_original=0,
-            drift_threshold=self._config.drift_threshold,
-            copy=False)
+            drift_threshold=self._config.drift_threshold)
         self._shards.append(ServedIndex.from_writer(
             writer, config=self._config))
         self._global_ids.append(np.empty(0, dtype=np.int64))
@@ -825,10 +829,9 @@ class ShardedIndex:
         Layout: ``manifest.json`` (format marker, assignment, cursor,
         shard table with per-shard id-file checksums) + one ordinary
         bundle directory and one ``shard-XXX.ids.npy`` global-id file
-        per shard + ``retired_ids.npy``.  Shrinking an index and
-        re-saving over the same directory leaves stale ``shard-*``
-        directories behind; loaders only read what the manifest
-        records.
+        per shard + ``retired_ids.npy``.  Once the manifest is
+        written, the ``shard-XXX`` directories and id files it does
+        not list (left by an earlier save of more shards) are deleted.
 
         Raises:
             PersistenceError: if ``path`` (or a shard bundle path
@@ -875,6 +878,15 @@ class ShardedIndex:
                   encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
+        listed = {name for entry in entries
+                  for name in (entry["bundle"], entry["ids_file"])}
+        for stale in directory.iterdir():
+            if _SHARD_NAME.fullmatch(stale.name) \
+                    and stale.name not in listed:
+                if stale.is_dir():
+                    shutil.rmtree(stale)
+                else:
+                    stale.unlink()
         return directory
 
     @classmethod

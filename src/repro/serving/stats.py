@@ -68,8 +68,8 @@ class ServingStats:
         """Rebuild a snapshot from :meth:`as_dict` output.
 
         Unknown keys are ignored so newer manifests load under older
-        readers; missing keys fall back to the zero defaults so legacy
-        (schema v1) bundles load too.
+        readers; missing keys fall back to the zero defaults so
+        manifests written before a counter existed load too.
         """
         fields = {name: payload[name]
                   for name in cls.__dataclass_fields__

@@ -26,11 +26,15 @@ is *not* a from-scratch decomposition: the writer buffers the folded
 term-space columns and, on ``refit()``, merges their block SVDs into
 the current factors — cost proportional to the fold-in block, not the
 corpus.  A from-scratch decomposition is still available as
-``refit(matrix)`` / ``refit(matrix, full=True)`` and remains the only
-way to *purge* tombstoned mass from the basis (an incremental merge
-can add subspace directions but never subtracts the deleted columns'
-contribution, so deleted energy stays in the drift numerator until a
-full refit).
+``refit(matrix)`` and remains the only way to *purge* tombstoned mass
+from the basis (an incremental merge can add subspace directions but
+never subtracts the deleted columns' contribution, so deleted energy
+stays in the drift numerator until a full refit).
+
+The writer never edits its arrays in place: updates concatenate onto
+the document store and refits replace the model and store outright.
+That is what lets :meth:`IndexWriter.from_state` adopt a bundle's
+read-only memory maps as they are.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.errors import ValidationError
 from repro.linalg.incremental import PartialSVD, iter_column_blocks, \
     merge
 from repro.linalg.sparse import CSRMatrix
+from repro.linalg.svd import _check_engine_kwargs
 from repro.utils.validation import check_fraction
 
 __all__ = ["DriftReport", "IndexWriter"]
@@ -107,12 +112,19 @@ class IndexWriter:
                  drift_threshold: "float | None" = 0.1):
         if not isinstance(model, LSIModel):
             raise ValidationError("IndexWriter wraps an LSIModel")
+        self._init_state(model, model.document_vectors(),
+                         drift_threshold)
+
+    def _init_state(self, model: LSIModel, doc_vectors: np.ndarray,
+                    drift_threshold: "float | None") -> None:
+        """Assign every attribute; shared by ``__init__`` and
+        :meth:`from_state`."""
         if drift_threshold is not None:
             drift_threshold = check_fraction(drift_threshold,
                                              "drift_threshold")
         self._model = model
-        self._doc_vectors = model.document_vectors()   # (k, m0)
-        self._n_original = model.n_documents
+        self._doc_vectors = doc_vectors   # (k, m0)
+        self._n_original = int(doc_vectors.shape[1])
         self._tombstones: "set[int]" = set()
         # Drift numerator, split so an incremental refit can clear
         # exactly the mass it absorbs: fold-in (out-of-subspace) energy
@@ -324,7 +336,7 @@ class IndexWriter:
     # Refit
     # ------------------------------------------------------------------
 
-    def refit(self, matrix=None, *, full: bool = False, rank=None,
+    def refit(self, matrix=None, *, rank=None,
               engine: str = "lanczos", seed=None,
               block_size: "int | None" = None, oversample: int = 8,
               **engine_kwargs) -> LSIModel:
@@ -340,17 +352,15 @@ class IndexWriter:
           tombstones (and their deleted energy) survive, because a
           merge can only *add* subspace mass — purging deletions
           needs the full mode.
-        - **Full** — ``refit(matrix)`` (or ``full=True`` with a
-          matrix) re-runs the SVD on an authoritative corpus matrix:
-          the writer replaces its model and document store, clears
-          tombstones, and resets all drift accounting, exactly as
-          before the incremental subsystem existed.
+        - **Full** — ``refit(matrix)`` re-runs the SVD on an
+          authoritative corpus matrix: the writer replaces its model
+          and document store, clears tombstones, and resets all drift
+          accounting, exactly as before the incremental subsystem
+          existed.
 
         Args:
             matrix: the ``n_terms × m_new`` corpus for a full refit;
                 ``None`` selects the incremental merge.
-            full: explicitly request the full mode (requires
-                ``matrix``); passing a matrix implies it.
             rank: LSI rank (defaults to the current model's rank).
             engine: SVD engine for the full fit, or the per-block
                 engine of the incremental merge.
@@ -360,29 +370,28 @@ class IndexWriter:
                 buffered).
             oversample: incremental mode only — working-rank headroom
                 carried through the merges.
-            **engine_kwargs: engine tuning, validated like
-                :func:`~repro.linalg.svd.truncated_svd`.
+            **engine_kwargs: the tuning options ``engine`` takes (see
+                :func:`~repro.linalg.svd.engine_options`), checked
+                before either mode runs — an incremental refit with no
+                buffered block would otherwise drop them unread.
 
         Returns:
             The refreshed model (also installed in the writer).
 
         Raises:
-            ValidationError: when ``full=True`` without a matrix;
-                when the incremental mode's fold buffer does not
-                cover the folded documents (bundle loads drop the
-                buffer — supply the matrix instead); when the refit
-                matrix's term space does not match the served one;
-                or on invalid fit parameters.
+            ValidationError: on an option ``engine`` does not take;
+                when the incremental mode's fold buffer does not cover
+                the folded documents (bundle loads drop the buffer —
+                supply the matrix instead); when the refit matrix's
+                term space does not match the served one; or on
+                invalid fit parameters.
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """
+        _check_engine_kwargs(engine, engine_kwargs)
         if matrix is not None:
             return self._refit_full(matrix, rank=rank, engine=engine,
                                     seed=seed, **engine_kwargs)
-        if full:
-            raise ValidationError(
-                "refit(full=True) needs the corpus matrix; pass "
-                "refit(matrix) to re-decompose from scratch")
         return self._refit_incremental(
             rank=rank, engine=engine, seed=seed,
             block_size=block_size, oversample=oversample,
@@ -455,14 +464,13 @@ class IndexWriter:
                    unabsorbed_energy: float = 0.0,
                    drift_threshold: "float | None" = 0.1,
                    fold_ins: int = 0, deletes: int = 0,
-                   refits: int = 0, copy: bool = True) -> "IndexWriter":
+                   refits: int = 0) -> "IndexWriter":
         """Rebuild a writer from persisted bundle state.
 
-        ``copy=False`` adopts ``doc_vectors`` without duplicating it —
-        the bundle loader passes freshly-read float64 arrays that
-        nothing else aliases, and copying them would double the load's
-        peak RSS.  Callers keeping a reference must not pass
-        ``copy=False``.
+        The writer adopts ``model`` and ``doc_vectors`` as they are —
+        nothing is copied or computed, so restoring from a bundle's
+        read-only memory maps touches no page of them.  That is safe
+        because the writer never edits its arrays in place.
 
         Bundles do not persist the term-space fold buffer, so the
         restored ``unabsorbed_energy`` lands in the non-fold bucket
@@ -474,15 +482,14 @@ class IndexWriter:
             ValidationError: when ``doc_vectors`` is not a
                 ``(rank, m)`` block matching the model's rank.
         """
-        writer = cls(model, drift_threshold=drift_threshold)
         doc_vectors = np.asarray(doc_vectors, dtype=np.float64)
         if doc_vectors.ndim != 2 \
                 or doc_vectors.shape[0] != model.rank:
             raise ValidationError(
                 f"doc_vectors must be (rank, m); got "
                 f"{doc_vectors.shape} for rank {model.rank}")
-        writer._doc_vectors = doc_vectors.copy() if copy \
-            else doc_vectors
+        writer = cls.__new__(cls)
+        writer._init_state(model, doc_vectors, drift_threshold)
         writer._n_original = min(int(n_original),
                                  doc_vectors.shape[1])
         writer._tombstones = {int(d) for d in tombstones}

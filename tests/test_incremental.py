@@ -526,9 +526,13 @@ class TestIncrementalRefit:
         assert writer.unabsorbed_energy == 0.0
         assert writer.pending_columns == 0
 
-    def test_full_true_without_matrix_raises(self, writer):
-        with pytest.raises(ValidationError, match="full=True"):
-            writer.refit(full=True)
+    def test_full_keyword_is_rejected(self, writer):
+        # refit(matrix) selects the full mode; a stray keyword is not
+        # dropped even when an incremental refit has nothing to merge.
+        for target in (writer, ServedIndex.from_writer(writer)):
+            with pytest.raises(ValidationError,
+                               match=r"unknown option\(s\) \['full'\]"):
+                target.refit(full=True)
 
     def test_refit_after_discarded_buffer_raises(self, writer, rng):
         writer.add_documents(rng.random((50, 3)))

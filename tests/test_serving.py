@@ -15,7 +15,6 @@ from repro.ir.retriever import Retriever
 from repro.serving import (
     BUNDLE_FORMAT,
     BatchQueryEngine,
-    IndexBundle,
     IndexWriter,
     LRUResultCache,
     QueryBatch,
@@ -26,9 +25,8 @@ from repro.serving import (
     read_bundle,
     read_manifest,
     stable_top_k,
-    write_bundle,
 )
-from repro.serving.bundle import ARRAYS_NAME, MANIFEST_NAME
+from repro.serving.bundle import MANIFEST_NAME, sha256_file
 from repro.utils.validation import check_top_k
 
 ENGINES = ("lanczos", "subspace", "randomized", "exact")
@@ -418,33 +416,32 @@ class TestBundleRejection:
         with pytest.raises(PersistenceError, match="mismatch"):
             read_bundle(path)
 
-    def test_legacy_v1_bundle_loads_with_defaults(self, model,
-                                                  tmp_path):
-        bundle = IndexBundle.from_model(model)
-        path = write_bundle(tmp_path / "b", bundle)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_schema_refused(self, served, version, tmp_path,
+                                   capsys):
+        from repro.cli import main
+
+        # Schemas 1 and 2 kept their arrays in one arrays.npz (v1 the
+        # factors only); neither is read any more, mapped or eager.
+        path = served.save(tmp_path / "b")
+        names = ("u", "singular_values", "vt", "frobenius_norm_sq")
+        if version == 2:
+            names += ("doc_vectors", "tombstones")
+        arrays = {name: np.load(path / f"{name}.npy") for name in names}
+        for npy in path.glob("*.npy"):
+            npy.unlink()
+        np.savez(path / "arrays.npz", **arrays)
         manifest = json.loads((path / MANIFEST_NAME).read_text())
-        manifest["schema_version"] = 1
-        for key in ("n_original", "n_tombstoned", "stats",
-                    "unabsorbed_energy", "drift_threshold"):
-            manifest.pop(key, None)
+        manifest["schema_version"] = version
+        manifest["checksums"] = {
+            "arrays.npz": sha256_file(path / "arrays.npz")}
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        # v1 bundles carried only the factors, in a single npz.
-        v1 = {name: np.load(path / f"{name}.npy")
-              for name in ("u", "singular_values", "vt",
-                           "frobenius_norm_sq")}
-        for stale in path.glob("*.npy"):
-            stale.unlink()
-        with open(path / ARRAYS_NAME, "wb") as handle:
-            np.savez(handle, **v1)
-        checksum = manifest["checksums"] = {
-            ARRAYS_NAME: "sha256:" + __import__("hashlib").sha256(
-                (path / ARRAYS_NAME).read_bytes()).hexdigest()}
-        assert checksum
-        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        loaded = ServedIndex.load(path)
-        assert loaded.n_documents == model.n_documents
-        assert loaded.drift == 0.0
-        assert loaded.stats() == ServingStats()
+        for mmap in (False, True):
+            with pytest.raises(PersistenceError,
+                               match=f"schema_version {version}.*re-save"):
+                ServedIndex.load(path, config=ServingConfig(mmap=mmap))
+        assert main(["serve-stats", str(path)]) == 2
+        assert f"schema_version {version}" in capsys.readouterr().err
 
 
 class TestServedIndex:

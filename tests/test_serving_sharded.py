@@ -453,6 +453,24 @@ class TestShardedPersistence:
             assert np.array_equal(loaded.rank_batch(queries),
                                   expected)
 
+    def test_resave_after_shrinking_removes_stale_shards(
+            self, served, queries, tmp_path):
+        with ShardedIndex.shard(served, 4) as sharded:
+            path = sharded.save(tmp_path / "cluster")
+            sharded.remove_shard(3)
+            sharded.remove_shard(2)
+            expected = sharded.rank_batch(queries, top_k=4)
+            sharded.save(path)
+        manifest = read_sharded_manifest(path)
+        listed = {SHARDED_MANIFEST_NAME, manifest["retired_file"]}
+        for entry in manifest["shards"]:
+            listed |= {entry["bundle"], entry["ids_file"]}
+        assert {f.name for f in path.iterdir()} == listed
+        assert not (path / "shard-002").exists()
+        with ShardedIndex.load(path) as loaded:
+            assert np.array_equal(loaded.rank_batch(queries, top_k=4),
+                                  expected)
+
     def test_corrupt_id_file_fails_load(self, served, tmp_path):
         with ShardedIndex.shard(served, 2) as sharded:
             path = sharded.save(tmp_path / "cluster")

@@ -5,8 +5,9 @@ contract this file pins down:
 
 - float32 compute is *measured* against float64 (top-k agreement,
   bounded score delta), never assumed equivalent;
-- mmap-loaded indexes rank bit-identically to eager loads, and a
-  mutation transparently materialises the writer;
+- mmap-loaded indexes rank bit-identically to eager loads, mutate
+  over the maps without copying them, and keep their rankings when
+  another index saves over the bundle they map;
 - the bundle remembers its compute dtype (sticky across load).
 """
 
@@ -247,8 +248,8 @@ class TestMmapLoad:
     def test_materialised_index_saves_over_own_bundle(self, model,
                                                       rng, tmp_path):
         # Saving over the same directory the mmap reads from must not
-        # corrupt anything: _ensure_writer detaches from the mapped
-        # files before the writer truncates them.
+        # corrupt anything: write_bundle renames new files over the
+        # mapped ones instead of truncating them.
         path = ServedIndex(model).save(tmp_path / "b")
         lazy = ServedIndex.load(path,
                                 config=ServingConfig(mmap=True))
@@ -270,43 +271,77 @@ class TestMmapLoad:
         assert np.array_equal(ranked,
                               eager32.rank_batch(queries, top_k=5))
 
-    def test_mmap_on_legacy_npz_falls_back_to_eager(self, model,
-                                                    tmp_path):
-        # npz members cannot be memory-mapped; a v1/v2 bundle loads
-        # eagerly even when mmap was requested.
-        import hashlib
+    def test_float32_reloads_rank_like_the_saved_index(
+            self, model, queries, tmp_path):
+        # float32 normalises the store in float32.  A reload must do
+        # the same rather than cast the saved float64 unit vectors:
+        # those differ in the last bits, so every score differs and
+        # near-tied documents can swap.
+        saved = ServedIndex(model, config=ServingConfig(dtype="float32"))
+        path = saved.save(tmp_path / "b")
+        for mmap in (False, True):
+            loaded = ServedIndex.load(path,
+                                      config=ServingConfig(mmap=mmap))
+            assert loaded.dtype == "float32"
+            assert np.array_equal(loaded.score(queries[:, 0]),
+                                  saved.score(queries[:, 0]))
+            assert np.array_equal(loaded.rank_batch(queries),
+                                  saved.rank_batch(queries))
 
-        from repro.serving.bundle import ARRAYS_NAME
-
+    def test_mutation_keeps_the_mapped_factors(self, model, rng,
+                                               tmp_path):
+        # The writer adopts the bundle's maps as they are; a fold-in
+        # concatenates onto the store and copies nothing.
         path = ServedIndex(model).save(tmp_path / "b")
-        arrays = {}
-        for npy in path.glob("*.npy"):
-            arrays[npy.stem] = np.load(npy, allow_pickle=False)
-            npy.unlink()
-        legacy = {name: arrays[name]
-                  for name in ("u", "singular_values", "vt",
-                               "frobenius_norm_sq", "doc_vectors",
-                               "tombstones")}
-        np.savez(path / ARRAYS_NAME, **legacy)
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["schema_version"] = 2
-        manifest["checksums"] = {ARRAYS_NAME: "sha256:" + hashlib.sha256(
-            (path / ARRAYS_NAME).read_bytes()).hexdigest()}
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = ServedIndex.load(path,
-                                config=ServingConfig(mmap=True))
-        assert not loaded.mmapped
-        assert loaded.n_documents == model.n_documents
+        mapped = ServedIndex.load(path,
+                                  config=ServingConfig(mmap=True))
+        mapped.add_documents(rng.random((model.n_terms, 3)))
+        assert isinstance(mapped.model.term_basis, np.memmap)
+        assert not mapped.model.term_basis.flags.writeable
+
+    def test_save_by_another_index_keeps_mapped_rankings(
+            self, model, rng, queries, tmp_path):
+        # A second index loads the same bundle, writes into it, and
+        # saves over it; the first keeps the bytes it mapped.
+        path = ServedIndex(model).save(tmp_path / "b")
+        uncached = ServingConfig(mmap=True, cache_capacity=0)
+        mapped = ServedIndex.load(path, config=uncached)
+        before = mapped.rank_batch(queries, top_k=10)
+        other = ServedIndex.load(path, config=ServingConfig(mmap=True))
+        other.add_documents(rng.random((model.n_terms, 25)))
+        other.refit()
+        other.save(path)
+        assert ServedIndex.load(path).n_documents \
+            == model.n_documents + 25
+        assert np.array_equal(mapped.rank_batch(queries, top_k=10),
+                              before)
+
+    def test_save_publishes_every_file_by_rename(self, model,
+                                                 tmp_path):
+        path = ServedIndex(model).save(tmp_path / "b")
+        inodes = {f.name: f.stat().st_ino for f in path.iterdir()}
+        ServedIndex.load(path).save(path)
+        # Renamed, not rewritten in place: every file is a new inode,
+        # and no staging file is left beside the nine bundle files.
+        names = sorted(f.name for f in path.iterdir())
+        assert names == sorted([*read_manifest(path)["checksums"],
+                                "manifest.json"])
+        assert len(names) == 9
+        assert all(f.stat().st_ino != inodes[f.name]
+                   for f in path.iterdir())
 
 
 class TestColdStartRss:
     def test_mmap_peak_rss_well_below_eager(self, tmp_path):
         # Regression guard for the O(manifest) cold start: on a
-        # moderate bundle (~37 MB of arrays) the mmap child's peak RSS
-        # must stay under half the eager child's.  The scale bench
-        # gates the real < 25% claim; half is the looser, noise-proof
-        # floor a unit test can assert.  Fresh subprocesses because
+        # moderate bundle (~37 MB of arrays) the growth of the mmap
+        # child's peak RSS during the load must stay under a quarter
+        # of the eager child's, the scale bench's own claim.  Growth,
+        # not the whole peak: the interpreter and numpy alone hold
+        # ~36 MB, about what an eager load adds, so whole peaks sit
+        # near a ratio of 0.5 whatever the mmap load does.  A mapped
+        # load grows the peak by ~1 MB against ~38 MB eager, so a
+        # quarter is still noise-proof.  Fresh subprocesses because
         # peak RSS is a process-lifetime high-water mark, and VmHWM
         # (not ru_maxrss) because the rusage counter survives
         # fork+exec and would report the parent's peak.
@@ -337,18 +372,19 @@ def peak_rss_kb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+before = peak_rss_kb()
 index = ServedIndex.load(
     sys.argv[1], config=ServingConfig(mmap=(sys.argv[2] == "mmap")))
-print(peak_rss_kb())
+print(peak_rss_kb() - before)
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
             + env.get("PYTHONPATH", "")
-        rss = {}
+        growth = {}
         for mode in ("eager", "mmap"):
             proc = subprocess.run(
                 [sys.executable, "-c", child, str(path), mode],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            rss[mode] = int(proc.stdout.strip())
-        assert rss["mmap"] < 0.5 * rss["eager"], rss
+            growth[mode] = int(proc.stdout.strip())
+        assert growth["mmap"] < 0.25 * growth["eager"], growth
