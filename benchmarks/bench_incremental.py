@@ -222,8 +222,7 @@ if mode == "eager":
     model = LSIModel.fit(full, rank, engine="lanczos", seed=seed)
     del full
 else:
-    model = LSIModel.fit_streamed(blocks(), rank, engine="lanczos",
-                                  seed=seed,
+    model = LSIModel.fit_streamed(blocks(), rank, seed=seed,
                                   oversample=params["oversample"])
 fit_seconds = time.perf_counter() - begin
 

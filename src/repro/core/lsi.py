@@ -67,14 +67,14 @@ class LSIModel:
         return cls(svd)
 
     @classmethod
-    def fit_streamed(cls, blocks, rank, *, engine: str = "lanczos",
+    def fit_streamed(cls, blocks, rank, *, engine: "str | None" = None,
                      seed=None, block_size: "int | None" = None,
                      oversample: int = 8, polish_iterations: int = 0,
                      **engine_kwargs) -> "LSIModel":
         """Fit rank-``rank`` LSI from a stream of column blocks.
 
         The out-of-core fitting path: blocks are factored one at a
-        time by a direct engine and folded together with the
+        time and folded together with the
         :mod:`repro.linalg.incremental` merge, so peak memory is one
         block plus the ``(n + m) × k`` factors — the full
         term–document matrix is never materialised.
@@ -86,7 +86,10 @@ class LSIModel:
                 single in-memory matrix to be chunked via
                 :func:`~repro.linalg.incremental.iter_column_blocks`.
             rank: the LSI dimension ``k``.
-            engine: per-block SVD engine (any direct engine).
+            engine: per-block engine: ``None`` (default) for the
+                direct Gram/Rayleigh–Ritz kernel of
+                :mod:`repro.linalg.incremental`, or any non-incremental
+                engine name.
             seed: RNG seed for iterative engines.
             block_size: chunk width for a matrix input, and the
                 re-chunk width for oversized stream blocks (``None``

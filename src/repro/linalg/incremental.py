@@ -6,9 +6,19 @@ only obtain that structure by holding the whole term–document matrix in
 RAM.  This module removes that constraint with the one-pass merge
 algorithm popularised by gensim's LSI: decompose fixed-width *column
 blocks* independently (each small enough to fit in memory), then fold
-the per-block factors together with an orthogonal merge whose cost
-depends only on the retained rank — never on the number of documents
-already absorbed.
+the per-block factors together with an orthogonal merge.  A merge's
+factorisation costs ``O(n·w² + w³)`` at working rank ``w`` whatever
+the documents absorbed; carrying the right factor ``vt`` adds an
+``O(w²·m)`` rotation over the ``m`` columns absorbed so far.
+
+Blocks are factored directly by default (``engine=None``): for a
+block ``B`` (``n × b``) at working rank ``w``, the top-``w``
+eigenvectors ``V`` of its Gram matrix ``BᵀB`` give one Rayleigh–Ritz
+step, ``Q = qr(B·V)`` and a small SVD of ``QᵀB``.  The result
+``U·S·Vᵀ = QQᵀB`` is an orthogonal projection of ``B``, so its
+Pythagorean residual is a valid error bound, and a thin block needs no
+iterative solver.  Blocks wider than :data:`DIRECT_SPLIT_WIDTH` are
+split into pieces that wide and merged.
 
 The merge of ``A₁ ≈ U₁·S₁·V₁ᵀ`` and ``A₂ ≈ U₂·S₂·V₂ᵀ`` for the column
 concatenation ``[A₁ A₂]`` is exact on the inputs' approximants:
@@ -31,7 +41,8 @@ triangle-inequality error bound (:attr:`PartialSVD.error_bound`).
 
 :class:`PartialSVD` is the mergeable value type, :func:`merge` the
 pairwise combiner, :func:`block_updates` the streaming driver (blocks
-are decomposed by the existing ``lanczos``/``randomized`` engines), and
+are factored directly, or by a named
+:func:`~repro.linalg.svd.truncated_svd` engine), and
 :func:`incremental_svd` the in-memory front-end behind
 ``truncated_svd(engine="incremental")``.  :func:`polish` optionally
 runs power iterations against a re-readable matrix, which both improves
@@ -41,6 +52,7 @@ Pythagorean residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -55,13 +67,21 @@ from repro.utils.validation import check_non_negative_int, \
     check_positive_int
 
 __all__ = [
+    "DIRECT_SPLIT_WIDTH",
     "PartialSVD",
     "block_updates",
+    "concat_columns",
     "incremental_svd",
     "iter_column_blocks",
     "merge",
     "polish",
 ]
+
+#: Widest block the direct kernel factors in one piece.  Wider blocks
+#: are split into pieces this wide and merged: split-and-merge beat
+#: one larger factorisation at every width measured
+#: (``docs/INCREMENTAL.md``), and the Gram matrix stays 512 KiB.
+DIRECT_SPLIT_WIDTH = 256
 
 
 def iter_column_blocks(matrix, block_size: int):
@@ -108,6 +128,87 @@ def _iter_csr_blocks(matrix: CSRMatrix, block_size: int):
         yield CSRMatrix.from_triplets(
             n_terms, stop - start, rows, cols,
             transposed.data[lo:hi])
+
+
+def concat_columns(blocks):
+    """Concatenate column blocks over one term space into one block.
+
+    Args:
+        blocks: non-empty sequence of dense ``(n, bᵢ)`` arrays and
+            :class:`~repro.linalg.sparse.CSRMatrix` blocks.
+
+    Returns:
+        The ``(n, Σbᵢ)`` block: a :class:`~repro.linalg.sparse.CSRMatrix`
+        when every input is one (never densified), otherwise a dense
+        array.  A single block is returned as it is.
+
+    Raises:
+        ValidationError: on no blocks or differing row counts.
+    """
+    blocks = list(blocks)
+    rows = {int(block.shape[0]) for block in blocks}
+    if len(rows) != 1:
+        raise ValidationError(
+            f"concat_columns needs blocks over one term space; got "
+            f"row counts {sorted(rows)}")
+    if len(blocks) == 1:
+        return blocks[0]
+    if not all(isinstance(block, CSRMatrix) for block in blocks):
+        return np.hstack([
+            block.to_dense() if isinstance(block, CSRMatrix)
+            else np.asarray(block, dtype=np.float64)
+            for block in blocks])
+    offsets = np.cumsum([0] + [block.shape[1] for block in blocks])
+    return CSRMatrix.from_triplets(
+        blocks[0].shape[0], int(offsets[-1]),
+        np.concatenate([np.repeat(np.arange(block.shape[0]),
+                                  np.diff(block.indptr))
+                        for block in blocks]),
+        np.concatenate([block.indices + offset
+                        for block, offset in zip(blocks, offsets)]),
+        np.concatenate([block.data for block in blocks]))
+
+
+def _direct_svd(op, rank: int):
+    """Factor one block by its Gram matrix and a Rayleigh–Ritz step.
+
+    The top-``rank`` eigenvectors ``V`` of ``BᵀB`` span (to rounding)
+    the block's leading right singular subspace; ``Q = qr(B·V)`` is an
+    orthonormal basis for its image, and the small SVD of ``QᵀB``
+    gives ``U·S·Vᵀ = QQᵀB``.  Whatever the rounding in ``V``, that is
+    an orthogonal projection of ``B``, so the returned result's
+    Pythagorean residual is its true residual.
+    """
+    from repro.linalg.svd import SVDResult
+
+    rank = min(rank, *op.shape)
+    _, vectors = np.linalg.eigh(op.gram())          # ascending
+    basis = np.linalg.qr(op.matmat(vectors[:, ::-1][:, :rank]))[0]
+    u_small, s, vt = np.linalg.svd(op.rmatmat(basis).T,
+                                   full_matrices=False)
+    return SVDResult(basis @ u_small, s, vt, op.frobenius_norm() ** 2)
+
+
+def _check_block_engine(engine: "str | None", engine_kwargs) -> None:
+    """Reject a per-block engine, or options, a block cannot take.
+
+    ``None`` is the direct kernel, which takes no options.
+    """
+    from repro.linalg.svd import _check_engine_kwargs
+
+    if engine is None:
+        if engine_kwargs:
+            raise ValidationError(
+                f"unknown option(s) {sorted(engine_kwargs)} for the "
+                f"direct block kernel (engine=None); valid options: "
+                f"(none)")
+        return
+    if engine == "incremental":
+        raise ValidationError(
+            "from_block cannot recurse into the incremental "
+            "engine; pick None (the direct kernel), lanczos, "
+            "randomized, subspace or exact")
+    _check_engine_kwargs(engine, engine_kwargs)
 
 
 @dataclass(frozen=True)
@@ -177,7 +278,8 @@ class PartialSVD:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_block(cls, block, rank: int, *, engine: str = "lanczos",
+    def from_block(cls, block, rank: int, *,
+                   engine: "str | None" = None,
                    seed: SeedLike = None, keep_vt: bool = True,
                    **engine_kwargs) -> "PartialSVD":
         """Factor one column block into a mergeable partial SVD.
@@ -187,7 +289,9 @@ class PartialSVD:
                 :class:`~repro.linalg.sparse.CSRMatrix` column block.
             rank: triplets to retain, clamped to ``min(n, b)`` so
                 ragged final blocks never over-ask.
-            engine: any non-incremental
+            engine: ``None`` (default) for the direct kernel of the
+                module docstring, which takes no options and no seed;
+                or any non-incremental
                 :func:`~repro.linalg.svd.truncated_svd` engine.
             seed: RNG seed forwarded to iterative engines.
             keep_vt: retain the block's right factor so the merged
@@ -197,32 +301,46 @@ class PartialSVD:
 
         Returns:
             A :class:`PartialSVD` over the block's columns whose
-            ``error_bound`` is the block fit's Pythagorean residual.
-            Blocks whose numerical rank is below the (oversampled)
-            working rank make iterative engines break down; those
-            blocks silently fall back to the ``exact`` engine, which
-            is cheap precisely because the block is small.
+            ``error_bound`` is the block fit's Pythagorean residual,
+            plus, for a direct block wider than
+            :data:`DIRECT_SPLIT_WIDTH`, what the merges of its pieces
+            truncate.  Blocks whose numerical rank is below the
+            (oversampled) working rank make iterative engines break
+            down; those blocks silently fall back to the ``exact``
+            engine, which is cheap precisely because the block is
+            small.
+
+        Raises:
+            ValidationError: on an empty block, the ``incremental``
+                engine, or an option the engine does not take.
         """
         from repro.linalg.svd import truncated_svd
 
-        if engine == "incremental":
-            raise ValidationError(
-                "from_block cannot recurse into the incremental "
-                "engine; pick a direct engine (lanczos, randomized, "
-                "subspace, exact)")
+        _check_block_engine(engine, engine_kwargs)
         op = as_operator(block)
+        if min(op.shape) == 0:
+            raise ValidationError(
+                f"cannot factor an empty block of shape {op.shape}")
         rank = min(check_positive_int(rank, "rank"), min(op.shape))
-        try:
-            result = truncated_svd(op, rank, engine=engine, seed=seed,
-                                   **engine_kwargs)
-        except ConvergenceError:
-            result = truncated_svd(op, rank, engine="exact")
-        return cls(u=result.u,
-                   singular_values=result.singular_values,
-                   vt=result.vt if keep_vt else None,
-                   n_columns=int(op.shape[1]),
-                   frobenius_norm_sq=result.frobenius_norm_sq,
-                   error_bound=result.residual_norm())
+        if engine is None and op.shape[1] > DIRECT_SPLIT_WIDTH:
+            source = block if isinstance(block, CSRMatrix) \
+                else op.to_dense()
+            pieces = (cls.from_svd_result(
+                _direct_svd(as_operator(piece), rank), keep_vt=keep_vt)
+                for piece in iter_column_blocks(source,
+                                                DIRECT_SPLIT_WIDTH))
+            return functools.reduce(
+                lambda left, right: merge(left, right, rank=rank),
+                pieces)
+        if engine is None:
+            result = _direct_svd(op, rank)
+        else:
+            try:
+                result = truncated_svd(op, rank, engine=engine,
+                                       seed=seed, **engine_kwargs)
+            except ConvergenceError:
+                result = truncated_svd(op, rank, engine="exact")
+        return cls.from_svd_result(result, keep_vt=keep_vt)
 
     @classmethod
     def from_svd_result(cls, result, *,
@@ -402,7 +520,7 @@ def merge(a: PartialSVD, b: PartialSVD, *,
 
 def block_updates(stream, rank: int, *,
                   block_size: "int | None" = None,
-                  engine: str = "lanczos",
+                  engine: "str | None" = None,
                   oversample: int = 8,
                   seed: SeedLike = None,
                   keep_vt: bool = True,
@@ -410,8 +528,8 @@ def block_updates(stream, rank: int, *,
     """Consume a stream of column blocks into one partial SVD.
 
     Each block is factored at the working rank ``rank + oversample``
-    by a direct engine and merged left-to-right; the final result is
-    truncated to ``rank``.  Peak memory is one block plus the factors —
+    and merged left-to-right; the final result is truncated to
+    ``rank``.  Peak memory is one block plus the factors —
     the stream is never concatenated.
 
     Args:
@@ -423,8 +541,9 @@ def block_updates(stream, rank: int, *,
         block_size: when given, re-chunk oversized incoming blocks to
             this width via :func:`iter_column_blocks` before factoring
             (narrow blocks are processed as-is).
-        engine: per-block SVD engine (``lanczos``, ``randomized``,
-            ``subspace``, ``exact``).
+        engine: per-block engine: ``None`` (default) for the direct
+            kernel, or ``lanczos``, ``randomized``, ``subspace``,
+            ``exact``.
         oversample: extra working-rank headroom carried through the
             merges; more headroom means less truncation error.
         seed: RNG seed forwarded to each block's engine.
@@ -529,7 +648,7 @@ def incremental_svd(matrix, rank: int, *,
                     block_size: int = 256,
                     oversample: int = 8,
                     polish_iterations: int = 0,
-                    inner_engine: str = "lanczos",
+                    inner_engine: "str | None" = None,
                     seed: SeedLike = None,
                     **engine_kwargs):
     """Blocked incremental SVD of an in-memory matrix.
@@ -550,7 +669,8 @@ def incremental_svd(matrix, rank: int, *,
         oversample: working-rank headroom carried through merges.
         polish_iterations: power-iteration rounds after the merge
             (0 disables polishing entirely).
-        inner_engine: per-block engine.
+        inner_engine: per-block engine (``None``: the direct
+            kernel).
         seed: RNG seed forwarded to per-block engines.
         **engine_kwargs: per-block engine tuning.
 

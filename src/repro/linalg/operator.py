@@ -3,8 +3,9 @@
 The SVD engines accept either a dense :class:`numpy.ndarray` or the
 library's own :class:`~repro.linalg.sparse.CSRMatrix` and only ever touch
 the matrix through products, so sparse inputs are never densified.
-:class:`MatrixOperator` normalises the two cases behind four methods:
-``matvec``, ``rmatvec``, ``matmat``, ``rmatmat``.
+:class:`MatrixOperator` normalises the two cases behind four products,
+``matvec``, ``rmatvec``, ``matmat`` and ``rmatmat``, plus the Gram
+matrix ``gram``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ class MatrixOperator:
         if self._sparse is not None:
             return self._sparse.rmatmat(block)
         return self._dense.T @ np.asarray(block, dtype=np.float64)
+
+    def gram(self) -> np.ndarray:
+        """``AᵀA``, dense ``(m, m)``; a sparse ``A`` stays sparse."""
+        if self._sparse is not None:
+            return self._sparse.gram()
+        return self._dense.T @ self._dense
 
     def frobenius_norm(self) -> float:
         """``‖A‖_F``."""

@@ -142,7 +142,8 @@ class ServedIndex:
         return cls(model, vocabulary=vocabulary, config=config)
 
     @classmethod
-    def fit_streamed(cls, blocks, rank, *, engine: str = "lanczos",
+    def fit_streamed(cls, blocks, rank, *,
+                     engine: "str | None" = None,
                      seed=None, vocabulary=None,
                      config: "ServingConfig | None" = None,
                      **engine_kwargs) -> "ServedIndex":
@@ -161,7 +162,7 @@ class ServedIndex:
                 :func:`~repro.corpus.io.corpus_column_blocks`) or a
                 single in-memory matrix to chunk.
             rank: the LSI dimension ``k``.
-            engine: per-block SVD engine.
+            engine: per-block engine (``None``: the direct kernel).
             seed: RNG seed for iterative engines.
             vocabulary: optional term strings persisted with the
                 index.
@@ -443,15 +444,17 @@ class ServedIndex:
         self._writer.remove_documents(doc_ids)
         self._bump()
 
-    def refit(self, matrix=None, *, rank=None, engine: str = "lanczos",
-              seed=None, **engine_kwargs) -> LSIModel:
+    def refit(self, matrix=None, *, rank=None,
+              engine: "str | None" = None, seed=None,
+              **engine_kwargs) -> LSIModel:
         """Absorb accumulated updates into the factors.
 
         ``refit()`` with no matrix merges the buffered fold-in block
         into the basis incrementally (no from-scratch SVD; the
         config's ``stream_block_size``/``stream_oversample`` steer the
-        merge); ``refit(matrix)`` re-decomposes from scratch and also
-        purges tombstoned mass — see
+        merge, and ``engine=None`` factors its blocks directly);
+        ``refit(matrix)`` re-decomposes from scratch (``engine=None``
+        means Lanczos) and also purges tombstoned mass — see
         :meth:`repro.serving.writer.IndexWriter.refit`.
 
         Raises:

@@ -23,9 +23,10 @@ arrivals barely perturb the basis).  Crossing ``drift_threshold`` flips
 :meth:`IndexWriter.refit` absorbs the accumulated updates.  Since the
 incremental-SVD subsystem (:mod:`repro.linalg.incremental`) the default
 is *not* a from-scratch decomposition: the writer buffers the folded
-term-space columns and, on ``refit()``, merges their block SVDs into
-the current factors — cost proportional to the fold-in block, not the
-corpus.  A from-scratch decomposition is still available as
+term-space columns and, on ``refit()``, concatenates them, factors the
+result in fixed-width blocks and merges those into the current factors
+— cost proportional to the fold-in block, not the corpus.  A
+from-scratch decomposition is still available as
 ``refit(matrix)`` and remains the only way to *purge* tombstoned mass
 from the basis (an incremental merge can add subspace directions but
 never subtracts the deleted columns' contribution, so deleted energy
@@ -45,8 +46,8 @@ import numpy as np
 
 from repro.core.lsi import LSIModel
 from repro.errors import ValidationError
-from repro.linalg.incremental import PartialSVD, iter_column_blocks, \
-    merge
+from repro.linalg.incremental import PartialSVD, _check_block_engine, \
+    concat_columns, iter_column_blocks, merge
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import _check_engine_kwargs
 from repro.utils.validation import check_fraction
@@ -337,7 +338,7 @@ class IndexWriter:
     # ------------------------------------------------------------------
 
     def refit(self, matrix=None, *, rank=None,
-              engine: str = "lanczos", seed=None,
+              engine: "str | None" = None, seed=None,
               block_size: "int | None" = None, oversample: int = 8,
               **engine_kwargs) -> LSIModel:
         """Absorb the accumulated updates into the factors.
@@ -345,9 +346,13 @@ class IndexWriter:
         Two modes:
 
         - **Incremental (default)** — ``refit()`` with no matrix
-          merges the buffered fold-in columns' block SVDs into the
-          current factors via :func:`repro.linalg.incremental.merge`.
-          No from-scratch decomposition runs; cost scales with the
+          concatenates the buffered fold-in columns into one block,
+          factors it ``block_size`` columns at a time and merges each
+          factorisation into the current factors via
+          :func:`repro.linalg.incremental.merge`, so the refit merges
+          ``⌈pending / block_size⌉`` times however many
+          :meth:`add_documents` calls filled the buffer.  No
+          from-scratch decomposition runs; cost scales with the
           fold block, not the corpus.  Fold-in drift is absorbed;
           tombstones (and their deleted energy) survive, because a
           merge can only *add* subspace mass — purging deletions
@@ -362,12 +367,14 @@ class IndexWriter:
             matrix: the ``n_terms × m_new`` corpus for a full refit;
                 ``None`` selects the incremental merge.
             rank: LSI rank (defaults to the current model's rank).
-            engine: SVD engine for the full fit, or the per-block
-                engine of the incremental merge.
+            engine: SVD engine for the full fit (``None``:
+                ``lanczos``), or the per-block engine of the
+                incremental merge (``None``: the direct kernel of
+                :mod:`repro.linalg.incremental`).
             seed: RNG seed for iterative engines.
-            block_size: incremental mode only — re-chunk width for
-                buffered fold blocks (``None`` merges them as
-                buffered).
+            block_size: incremental mode only — width of the blocks
+                the concatenated fold buffer is factored in (``None``
+                factors it as one block).
             oversample: incremental mode only — working-rank headroom
                 carried through the merges.
             **engine_kwargs: the tuning options ``engine`` takes (see
@@ -388,10 +395,12 @@ class IndexWriter:
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """
-        _check_engine_kwargs(engine, engine_kwargs)
         if matrix is not None:
+            engine = "lanczos" if engine is None else engine
+            _check_engine_kwargs(engine, engine_kwargs)
             return self._refit_full(matrix, rank=rank, engine=engine,
                                     seed=seed, **engine_kwargs)
+        _check_block_engine(engine, engine_kwargs)
         return self._refit_incremental(
             rank=rank, engine=engine, seed=seed,
             block_size=block_size, oversample=oversample,
@@ -421,7 +430,8 @@ class IndexWriter:
 
     def _refit_incremental(self, *, rank, engine, seed, block_size,
                            oversample, **engine_kwargs) -> LSIModel:
-        """Merge the buffered fold block into the current factors."""
+        """Merge the concatenated fold buffer into the current
+        factors, ``block_size`` columns at a time."""
         if not self.can_refit_incrementally:
             raise ValidationError(
                 f"incremental refit needs the term-space fold "
@@ -432,10 +442,11 @@ class IndexWriter:
         rank = self._model.rank if rank is None else int(rank)
         work_rank = max(rank, self._model.rank) + int(oversample)
         partial = PartialSVD.from_svd_result(self._model.svd)
-        for buffered in self._fold_buffer:
-            blocks = [buffered] if block_size is None else \
-                iter_column_blocks(buffered, block_size)
-            for block in blocks:
+        if self._fold_buffer:
+            pending = concat_columns(self._fold_buffer)
+            width = pending.shape[1] if block_size is None \
+                else block_size
+            for block in iter_column_blocks(pending, width):
                 part = PartialSVD.from_block(
                     block, work_rank, engine=engine, seed=seed,
                     keep_vt=True, **engine_kwargs)

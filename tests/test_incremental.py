@@ -10,6 +10,7 @@ that the streamed path actually stays out-of-core.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,8 +26,10 @@ from repro.core.lsi import LSIModel
 from repro.errors import EmptyCorpusError, ValidationError
 from repro.linalg import sin_theta_distance, truncated_svd
 from repro.linalg.incremental import (
+    DIRECT_SPLIT_WIDTH,
     PartialSVD,
     block_updates,
+    concat_columns,
     incremental_svd,
     iter_column_blocks,
     merge,
@@ -50,6 +53,14 @@ def score_batch(model, queries):
     """Score a ``(n_terms, q)`` query block: ``(n_docs, q)`` cosines."""
     return np.stack([model.score(queries[:, j])
                      for j in range(queries.shape[1])], axis=1)
+
+
+def assert_models_close(a, b, atol=1e-10):
+    """Two LSI models have the same factors within ``atol``."""
+    for left, right in ((a.svd.u, b.svd.u),
+                        (a.svd.singular_values, b.svd.singular_values),
+                        (a.svd.vt, b.svd.vt)):
+        np.testing.assert_allclose(left, right, rtol=0, atol=atol)
 
 
 def top_k_overlap(a_scores, b_scores, k):
@@ -272,6 +283,97 @@ class TestMergeProperties:
         # Energy conservation: frobenius bookkeeping is exact.
         assert accumulated.frobenius_norm_sq == pytest.approx(
             float(np.sum(full * full)), rel=1e-9)
+
+
+@st.composite
+def direct_blocks(draw, wide=False):
+    """A block, its working rank and its storage for the direct kernel.
+
+    ``structure`` plants the rank-deficient cases: repeated columns,
+    zeroed columns and an all-zero block.  Wide blocks are wider than
+    ``DIRECT_SPLIT_WIDTH`` and exactly rank ``≤ rank``, so splitting
+    and merging them truncates nothing and ``exact`` is the reference.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    rank = draw(st.integers(1, 12))
+    if wide:
+        n = draw(st.integers(2, 30))
+        b = draw(st.integers(DIRECT_SPLIT_WIDTH + 1,
+                             DIRECT_SPLIT_WIDTH + 80))
+        inner = draw(st.integers(1, rank))
+        block = rng.standard_normal((n, inner)) \
+            @ rng.standard_normal((inner, b))
+    else:
+        n = draw(st.integers(1, 40))
+        b = draw(st.integers(1, 30))
+        block = rng.standard_normal((n, b))
+        structure = draw(st.sampled_from(
+            ["generic", "duplicate", "zero_columns", "all_zero"]))
+        if structure == "duplicate":
+            block = block[:, rng.integers(0, max(1, b // 2), b)]
+        elif structure == "zero_columns":
+            block[:, rng.random(b) < 0.5] = 0.0
+        elif structure == "all_zero":
+            block[:] = 0.0
+    if draw(st.booleans()):
+        return CSRMatrix.from_dense(block), block, rank
+    return block, block, rank
+
+
+class TestDirectKernelProperties:
+    """``engine=None`` (Gram + Rayleigh–Ritz) against ``exact``."""
+
+    @staticmethod
+    def _check_matches_exact(block, dense, rank):
+        direct = PartialSVD.from_block(block, rank)
+        exact = PartialSVD.from_block(dense, rank, engine="exact")
+        top = max(float(exact.singular_values[0]), 1e-300)
+        k = min(direct.rank, exact.rank)
+        assert np.all(np.abs(direct.singular_values[:k]
+                             - exact.singular_values[:k])
+                      <= 1e-10 * top)
+        # Any triplets only one side kept are numerically zero.
+        assert np.all(direct.singular_values[k:] <= 1e-10 * top)
+        assert np.all(exact.singular_values[k:] <= 1e-10 * top)
+        gram = direct.u.T @ direct.u
+        assert np.abs(gram - np.eye(direct.rank)).max() <= 1e-12
+        approx = (direct.u * direct.singular_values) @ direct.vt
+        actual = float(np.linalg.norm(dense - approx))
+        # ‖B‖² − Σσ² cancels to about sqrt(eps)·‖B‖ when the residual
+        # is tiny; beyond that the Pythagorean bound is exact.
+        norm = float(np.linalg.norm(dense))
+        assert direct.error_bound >= actual - 1e-8 * max(norm, 1.0)
+        assert direct.n_columns == dense.shape[1]
+        assert direct.frobenius_norm_sq == pytest.approx(
+            norm * norm, rel=1e-12, abs=1e-300)
+        return direct, exact
+
+    @given(direct_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_exact(self, case):
+        block, dense, rank = case
+        direct, exact = self._check_matches_exact(block, dense, rank)
+        # Narrow blocks (b < w included) keep min(n, b, rank) triplets.
+        assert direct.rank == exact.rank == min(rank, *dense.shape)
+        assert direct.merges == 0
+
+    @given(direct_blocks(wide=True))
+    @settings(max_examples=15, deadline=None)
+    def test_wide_blocks_split_and_merge(self, case):
+        block, dense, rank = case
+        direct, _ = self._check_matches_exact(block, dense, rank)
+        assert direct.merges == 1   # two pieces of ≤ 256 + 80 columns
+
+    def test_direct_takes_no_options(self, rng):
+        with pytest.raises(ValidationError,
+                           match=r"unknown option\(s\) \['tol'\]"):
+            PartialSVD.from_block(rng.standard_normal((6, 4)), 2,
+                                  tol=1e-3)
+
+    def test_empty_block_raises(self):
+        with pytest.raises(ValidationError, match="empty block"):
+            PartialSVD.from_block(np.zeros((5, 0)), 2)
 
 
 class TestMergeValidation:
@@ -567,6 +669,82 @@ class TestIncrementalRefit:
         assert model.n_documents == writer.n_documents
         assert writer.refits == 1
 
+    def test_refit_merges_once_per_block_of_the_buffer(
+            self, writer, rng, monkeypatch):
+        folds = [low_rank_matrix(rng, 50, 7, 6) for _ in range(10)]
+        once = IndexWriter(writer.model)
+        once.add_documents(np.hstack(folds))
+        for fold in folds:
+            writer.add_documents(fold)
+        merges = []
+
+        def counting_merge(*args, **kwargs):
+            merges.append(1)
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serving.writer.merge", counting_merge)
+        pending = writer.pending_columns
+        split = writer.refit(block_size=16)
+        assert len(merges) == math.ceil(pending / 16) == 5
+        assert_models_close(split, once.refit(block_size=16))
+
+    def test_mixed_dense_and_csr_buffer_refits(self, writer, rng):
+        folds = [low_rank_matrix(rng, 50, 9, 6) for _ in range(3)]
+        dense = IndexWriter(writer.model)
+        dense.add_documents(np.hstack(folds))
+        writer.add_documents(folds[0])
+        writer.add_documents(CSRMatrix.from_dense(folds[1]))
+        writer.add_documents(folds[2])
+        assert writer.pending_columns == 27
+        assert_models_close(writer.refit(), dense.refit())
+
+
+class TestNoDensify:
+    """CSR input stays sparse through the default streamed paths."""
+
+    @pytest.fixture
+    def refuse_to_dense(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("CSRMatrix.to_dense was called")
+
+        monkeypatch.setattr(CSRMatrix, "to_dense", refuse)
+
+    @staticmethod
+    def _sparse_low_rank(rng, n, m):
+        """Exactly rank 6, with half its rows empty."""
+        matrix = low_rank_matrix(rng, n, m, 6, noise=0.0)
+        matrix[rng.random(n) < 0.5] = 0.0
+        return matrix
+
+    @pytest.mark.parametrize("block_size", [None, 600])
+    def test_fit_streamed_on_csr(self, rng, refuse_to_dense,
+                                 block_size):
+        # 600-column blocks also split inside the direct kernel.
+        dense = self._sparse_low_rank(rng, 60, 700)
+        model = LSIModel.fit_streamed(CSRMatrix.from_dense(dense), 6,
+                                      block_size=block_size)
+        exact = truncated_svd(dense, 6, engine="exact")
+        assert np.allclose(model.svd.singular_values,
+                           exact.singular_values, rtol=1e-10)
+
+    def test_incremental_refit_of_csr_folds(self, rng, refuse_to_dense):
+        dense = self._sparse_low_rank(rng, 60, 400)
+        writer = IndexWriter(LSIModel.fit(dense[:, :200], 6,
+                                          engine="exact"))
+        for start in range(200, 400, 50):
+            writer.add_documents(
+                CSRMatrix.from_dense(dense[:, start:start + 50]))
+        model = writer.refit(block_size=64)
+        exact = truncated_svd(dense, 6, engine="exact")
+        assert np.allclose(model.svd.singular_values,
+                           exact.singular_values, rtol=1e-10)
+
+    def test_concat_columns_keeps_csr_sparse(self, rng,
+                                             refuse_to_dense):
+        dense = [self._sparse_low_rank(rng, 9, w) for w in (3, 1, 5)]
+        joined = concat_columns([CSRMatrix.from_dense(d) for d in dense])
+        assert joined == CSRMatrix.from_dense(np.hstack(dense))
+
 
 # ---------------------------------------------------------------------------
 # serve-stats writer state
@@ -660,8 +838,7 @@ if sys.argv[1] == "eager":
     full = np.hstack(list(blocks()))
     LSIModel.fit(full, RANK, engine="lanczos", seed=0)
 else:
-    LSIModel.fit_streamed(blocks(), RANK, engine="lanczos", seed=0,
-                          oversample=8)
+    LSIModel.fit_streamed(blocks(), RANK, seed=0, oversample=8)
 print(peak_rss_kb())
 """
         env = dict(os.environ)

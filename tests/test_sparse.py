@@ -116,6 +116,37 @@ class TestProducts:
         assert np.allclose(small_sparse.gram(),
                            small_dense.T @ small_dense)
 
+    @pytest.mark.parametrize("panel", [1, 16, 45, 1 << 16])
+    def test_gram_over_row_panels(self, rng, monkeypatch, panel):
+        # Panels of 1, 1, 3 and all 20 rows of 15 columns, empty rows
+        # included, against the per-row outer-product sum.
+        dense = rng.standard_normal((20, 15))
+        dense[dense < 0.5] = 0.0
+        dense[[3, 4, 11]] = 0.0
+        sparse = CSRMatrix.from_dense(dense)
+        reference = np.zeros((15, 15))
+        for i in range(20):
+            lo, hi = sparse.indptr[i], sparse.indptr[i + 1]
+            cols, vals = sparse.indices[lo:hi], sparse.data[lo:hi]
+            reference[np.ix_(cols, cols)] += np.outer(vals, vals)
+        monkeypatch.setattr("repro.linalg.sparse.GRAM_PANEL_ELEMENTS",
+                            panel)
+        gram = sparse.gram()
+        # Summation order differs: float64 rounding, not an algorithm.
+        assert np.allclose(gram, reference, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(gram, gram.T)
+
+    def test_matmat_bits_match_scaling_before_the_gather(
+            self, small_sparse, rng):
+        block = rng.standard_normal((small_sparse.shape[1], 4))
+        products = small_sparse.data[:, None] \
+            * block[small_sparse.indices]
+        nonempty = np.flatnonzero(np.diff(small_sparse.indptr) > 0)
+        expected = np.zeros((small_sparse.shape[0], 4))
+        expected[nonempty] = np.add.reduceat(
+            products, small_sparse.indptr[:-1][nonempty], axis=0)
+        assert np.array_equal(small_sparse.matmat(block), expected)
+
     def test_cogram_matches_dense(self, small_dense, small_sparse):
         assert np.allclose(small_sparse.cogram(),
                            small_dense @ small_dense.T)
