@@ -1,6 +1,6 @@
-"""Benches S1–S5, S7 and S8: the serving layer.
+"""Benches S1–S5 and S8: the serving layer.
 
-Seven families:
+Six families:
 
 - ``serving_batched_queries`` — the tentpole perf claim: ranking a
   query block through :class:`~repro.serving.engine.BatchQueryEngine`'s
@@ -18,14 +18,6 @@ Seven families:
 - ``serving_foldin_drift`` — fold document batches into an index fitted
   on a subset and check the drift metric is monotone non-decreasing and
   crosses a low refit threshold;
-- ``serving_sharded_throughput`` — the sharded fan-out claim: ranking
-  the same query block through a :class:`~repro.serving.sharded.
-  ShardedIndex` at 1/2/4 shards, recording queries/sec plus single-query
-  p50/p99 latency per shard count against one uncached index, and
-  gating *merge exactness* — the sharded ranking bit-equal to the
-  single-index one — as a measured 0/1 claim (column-subset GEMMs can
-  round ±1 ULP, so exactness is verified on the actual corpus, never
-  assumed);
 - ``serving_microbatch_dispatch`` — the micro-batching dispatcher:
   single-query submissions coalesced into batches under
   ``max_batch``/``max_wait_ms``, recording throughput, mean flush
@@ -50,7 +42,7 @@ from harness.fixtures import separable_matrix, synthetic_index_factors
 
 from repro.core.lsi import LSIModel
 from repro.serving import BatchQueryEngine, MicroBatchDispatcher, \
-    ServedIndex, ServingConfig, ShardedIndex, ranking_overlap
+    ServedIndex, ServingConfig, ranking_overlap
 from repro.utils.rng import as_generator
 from repro.utils.timing import measure
 
@@ -369,85 +361,6 @@ def bench_serving_foldin_drift(params, seed):
         "refit_recommended": bool(index.needs_refit),
         "n_folded": index.n_documents - n_fit,
     }
-
-
-def _latency_percentiles(index, queries, *, top_k, probes):
-    """p50/p99 single-query latency (ms) over ``probes`` calls."""
-    latencies = []
-    for i in range(probes):
-        column = queries[:, i % queries.shape[1]]
-        start = time.perf_counter()
-        index.rank_documents(column, top_k=top_k)
-        latencies.append(time.perf_counter() - start)
-    samples = np.asarray(latencies) * 1e3
-    return (float(np.percentile(samples, 50)),
-            float(np.percentile(samples, 99)))
-
-
-@benchmark(name="serving_sharded_throughput",
-           tags=("serving", "perf"),
-           sizes={"smoke": {"n_terms": 400, "n_topics": 8,
-                            "n_documents": 400, "rank": 8,
-                            "n_queries": 64, "latency_probes": 12},
-                  "full": {"n_terms": 1500, "n_topics": 12,
-                           "n_documents": 1200, "rank": 12,
-                           "n_queries": 256, "latency_probes": 24},
-                  "scale": {"n_terms": 4096, "rank": 96,
-                            "n_documents": 100_000, "n_queries": 256,
-                            "chunk": 128, "synthetic": True,
-                            "latency_probes": 32, "repeats": 2}},
-           time_metrics=("qps_1shard", "qps_2shard", "qps_4shard",
-                         "p50_ms_1shard", "p99_ms_1shard",
-                         "p50_ms_2shard", "p99_ms_2shard",
-                         "p50_ms_4shard", "p99_ms_4shard",
-                         "single_seconds", "sharded_speedup_4shard"))
-def bench_serving_sharded_throughput(params, seed):
-    """S7: sharded fan-out throughput + gated merge exactness.
-
-    The exactness booleans are the claim the docs lean on: per-shard
-    GEMMs may round a score ±1 ULP relative to the single GEMM, so
-    "sharded ranking == single-index ranking" is measured on the
-    actual corpus at every shard count and gated against the committed
-    baseline, never assumed from the merge algebra alone.
-
-    Every arm, the single-index reference included, runs with the
-    result cache off: with it on, every timed repeat after the warmup
-    would replay rankings from the cache instead of computing them.
-    """
-    model = _serving_model(params, seed)
-    config = ServingConfig(cache_capacity=0)
-    single = ServedIndex(model, config=config)
-    queries = _query_block(params["n_terms"], params["n_queries"],
-                           seed + 1)
-    top_k = 10
-    chunk = params.get("chunk", queries.shape[1])
-    repeats = params.get("repeats", 3)
-    probes = params["latency_probes"]
-
-    def rank_all(index):
-        return _rank_chunked(index, queries, top_k=top_k, chunk=chunk)
-
-    reference = measure(lambda: rank_all(single), warmup=1,
-                        repeats=repeats)
-    metrics = {"single_seconds": reference.mean_seconds,
-               "n_queries": queries.shape[1]}
-    for n_shards in (1, 2, 4):
-        sharded = ShardedIndex.shard(model, n_shards, config=config)
-        timed = measure(lambda: rank_all(sharded), warmup=1,
-                        repeats=repeats)
-        p50, p99 = _latency_percentiles(sharded, queries,
-                                        top_k=top_k, probes=probes)
-        label = f"{n_shards}shard"
-        metrics[f"qps_{label}"] = queries.shape[1] \
-            / max(timed.mean_seconds, 1e-12)
-        metrics[f"p50_ms_{label}"] = p50
-        metrics[f"p99_ms_{label}"] = p99
-        metrics[f"merge_exact_{label}"] = \
-            bool(np.array_equal(reference.result, timed.result))
-        sharded.close()
-    metrics["sharded_speedup_4shard"] = reference.mean_seconds \
-        / max(queries.shape[1] / metrics["qps_4shard"], 1e-12)
-    return metrics
 
 
 @benchmark(name="serving_microbatch_dispatch", tags=("serving",),

@@ -211,50 +211,6 @@ def _command_lint(lint_argv) -> int:
     return reprolint_cli.main(list(lint_argv))
 
 
-def _sharded_file_failures(directory, manifest) -> list:
-    """Per-file checksum failures across a sharded-index directory.
-
-    Covers every shard bundle's arrays (via
-    :func:`repro.serving.bundle.checksum_failures`) plus the sharded
-    layer's own id files; failure names are prefixed with their shard
-    so the report pinpoints the damaged file.
-    """
-    from pathlib import Path
-
-    from repro.errors import PersistenceError
-    from repro.serving.bundle import checksum_failures, read_manifest, \
-        sha256_file
-
-    directory = Path(directory)
-    failures = []
-    extras = [(str(entry.get("ids_file", "")),
-               entry.get("ids_sha256"))
-              for entry in manifest.get("shards", [])]
-    extras.append((str(manifest.get("retired_file",
-                                    "retired_ids.npy")),
-                   manifest.get("retired_sha256")))
-    for name, expected in extras:
-        path = directory / name
-        if not path.is_file():
-            failures.append(f"{name}: missing (expected {expected})")
-        elif expected is not None:
-            actual = sha256_file(path)
-            if actual != expected:
-                failures.append(f"{name}: expected {expected}, "
-                                f"actual {actual}")
-    for entry in manifest.get("shards", []):
-        bundle_dir = directory / str(entry.get("bundle", ""))
-        try:
-            shard_manifest = read_manifest(bundle_dir)
-        except PersistenceError as error:
-            failures.append(f"{entry.get('bundle')}: {error}")
-            continue
-        for mismatch in checksum_failures(bundle_dir, shard_manifest):
-            failures.append(
-                f"{entry.get('bundle')}/{mismatch.describe()}")
-    return failures
-
-
 def _print_serving_counters(stats, threshold) -> None:
     """The shared counter block of the ``serve-stats`` text report."""
     print(f"drift             {stats.drift:.6f} "
@@ -314,127 +270,18 @@ def _print_writer_state(manifest, stats) -> None:
               "would be a no-op)")
 
 
-def _report_verification(failures, n_checked: int) -> int:
-    """Print the ``--verify`` outcome; returns the exit code."""
-    if failures:
-        print(f"checksum          FAILED ({len(failures)} file(s))")
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 2
-    print(f"checksum          verified ({n_checked} file(s))")
-    return 0
-
-
-def _command_serve_stats_sharded(args) -> int:
-    """``serve-stats`` for a sharded-index directory: per-shard rows."""
-    import json
-    from pathlib import Path
-
-    from repro.errors import PersistenceError
-    from repro.serving.bundle import read_manifest
-    from repro.serving.sharded import read_sharded_manifest
-    from repro.serving.stats import ServingStats
-
-    directory = Path(args.bundle)
-    try:
-        manifest = read_sharded_manifest(directory)
-        shard_manifests = []
-        for entry in manifest.get("shards", []):
-            shard_manifests.append(
-                (str(entry.get("bundle", "")),
-                 read_manifest(directory / str(entry.get("bundle",
-                                                         "")))))
-    except PersistenceError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.format == "json":
-        payload = dict(manifest)
-        payload["shard_manifests"] = {name: m
-                                      for name, m in shard_manifests}
-        if args.verify:
-            failures = _sharded_file_failures(directory, manifest)
-            payload["verification"] = {"ok": not failures,
-                                       "failures": failures}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 2 if args.verify and failures else 0
-
-    print(f"sharded index     {args.bundle}")
-    print(f"format            {manifest.get('format')} "
-          f"(schema v{manifest.get('schema_version')})")
-    print(f"created           {manifest.get('created_at') or '-'}")
-    print(f"layout            "
-          f"assignment={manifest.get('assignment')} "
-          f"shards={manifest.get('n_shards')} "
-          f"cursor={manifest.get('cursor')}")
-    print(f"documents         total={manifest.get('n_documents')} "
-          f"active={manifest.get('n_active')} "
-          f"retired={manifest.get('n_retired', 0)}")
-    totals = ServingStats()
-    rows = []
-    for name, shard_manifest in shard_manifests:
-        stats = ServingStats.from_dict(shard_manifest.get("stats")
-                                       or {})
-        rows.append((name, shard_manifest, stats))
-        totals = ServingStats(
-            queries_served=totals.queries_served
-            + stats.queries_served,
-            batches_served=totals.batches_served
-            + stats.batches_served,
-            cache_hits=totals.cache_hits + stats.cache_hits,
-            cache_misses=totals.cache_misses + stats.cache_misses,
-            cache_evictions=totals.cache_evictions
-            + stats.cache_evictions,
-            fold_ins_since_refit=totals.fold_ins_since_refit
-            + stats.fold_ins_since_refit,
-            deletes_since_refit=totals.deletes_since_refit
-            + stats.deletes_since_refit,
-            refits=totals.refits + stats.refits,
-            dtype=stats.dtype)
-    print(f"compute dtype     {totals.dtype}")
-    print(f"queries served    {totals.queries_served} "
-          f"in {totals.batches_served} batches (all shards)")
-    print(f"result cache      hits={totals.cache_hits} "
-          f"misses={totals.cache_misses} "
-          f"evictions={totals.cache_evictions}")
-    print(f"updates           "
-          f"fold-ins={totals.fold_ins_since_refit} "
-          f"deletes={totals.deletes_since_refit} "
-          f"refits={totals.refits}")
-    print("per-shard breakdown:")
-    for name, shard_manifest, stats in rows:
-        print(f"  {name}  "
-              f"documents={shard_manifest.get('n_documents')} "
-              f"(tombstoned={shard_manifest.get('n_tombstoned', 0)}) "
-              f"queries={stats.queries_served} "
-              f"hit rate={stats.cache_hit_rate:.3f} "
-              f"drift={stats.drift:.6f}")
-    if args.verify:
-        failures = _sharded_file_failures(directory, manifest)
-        n_checked = sum(len((m.get("checksums") or {}))
-                        for _, m in shard_manifests) \
-            + len(manifest.get("shards", [])) + 1
-        return _report_verification(failures, n_checked)
-    return 0
-
-
 def _command_serve_stats(args) -> int:
     """Render a saved index's manifest summary and serving counters.
 
-    Dispatches on the directory's format marker: sharded-index
-    directories get a per-shard breakdown, plain bundles the classic
-    single-index report.  With ``--verify``, checksum failures are
-    reported per file (name plus expected/actual digest) and the
-    command exits 2.
+    A directory that is not a schema-3 bundle exits 2 with the reason.
+    With ``--verify``, checksum failures are reported per file (name
+    plus expected/actual digest) and the command exits 2.
     """
     import json
 
     from repro.errors import PersistenceError
     from repro.serving.bundle import checksum_failures, read_manifest
-    from repro.serving.sharded import is_sharded_bundle
     from repro.serving.stats import ServingStats
-
-    if is_sharded_bundle(args.bundle):
-        return _command_serve_stats_sharded(args)
 
     try:
         manifest = read_manifest(args.bundle)
@@ -469,9 +316,14 @@ def _command_serve_stats(args) -> int:
     threshold = manifest.get("drift_threshold")
     _print_serving_counters(stats, threshold)
     _print_writer_state(manifest, stats)
+    if failures:
+        print(f"checksum          FAILED ({len(failures)} file(s))")
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 2
     if args.verify:
-        n_checked = len(manifest.get("checksums") or {})
-        return _report_verification(failures, n_checked)
+        print(f"checksum          verified "
+              f"({len(manifest.get('checksums') or {})} file(s))")
     return 0
 
 
@@ -545,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-stats",
         help="inspect a saved index bundle's manifest and counters")
     stats_parser.add_argument("bundle",
-                              help="path to a saved index bundle or "
-                                   "sharded-index directory")
+                              help="path to a saved index bundle")
     stats_parser.add_argument("--json", dest="format",
                               action="store_const", const="json",
                               default="text",

@@ -40,12 +40,13 @@ class Retriever(Protocol):
     :class:`~repro.ir.vsm.VectorSpaceModel`,
     :class:`~repro.ir.bm25.BM25Model`,
     :class:`~repro.core.folding.FoldingIndex`,
-    :class:`~repro.core.two_step.TwoStepLSI`,
-    :class:`~repro.serving.index.ServedIndex`, and
-    :class:`~repro.serving.sharded.ShardedIndex`.  ``isinstance(obj,
-    Retriever)`` performs a structural (duck-typed) check; prefer
-    checking fitted instances, since unfitted models may raise from
-    their ``n_documents`` property.
+    :class:`~repro.core.two_step.TwoStepLSI`, and
+    :class:`~repro.serving.index.ServedIndex` (which may be queried
+    from several threads at once, as by a micro-batching dispatcher's
+    flusher and its callers).  ``isinstance(obj, Retriever)`` performs
+    a structural (duck-typed) check; prefer checking fitted instances,
+    since unfitted models may raise from their ``n_documents``
+    property.
     """
 
     @property

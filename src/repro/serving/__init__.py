@@ -20,10 +20,13 @@ retrieval service needs:
 - :mod:`repro.serving.index` — :class:`ServedIndex`, the facade tying
   the pieces together behind the shared
   :class:`~repro.ir.retriever.Retriever` protocol;
-- :mod:`repro.serving.sharded` — :class:`ShardedIndex`, N shards of
-  one corpus with exact top-``k`` merging over a thread-pool fan-out;
 - :mod:`repro.serving.dispatch` — :class:`MicroBatchDispatcher`, the
   latency-bounded queue coalescing single queries into batches.
+
+One index serves several threads at once: the dispatcher's flusher
+ranks through the same :class:`ServedIndex` that caller threads query
+directly, which is why :class:`LRUResultCache` holds a lock and
+:class:`BatchQueryEngine` keeps its scratch buffers per thread.
 """
 
 from repro.serving.bundle import (
@@ -50,21 +53,10 @@ from repro.serving.engine import (
     stable_top_k,
 )
 from repro.serving.index import ServedIndex
-from repro.serving.sharded import (
-    ASSIGNMENTS,
-    SHARDED_FORMAT,
-    SHARDED_SCHEMA_VERSION,
-    ShardedIndex,
-    ShardManifest,
-    is_sharded_bundle,
-    read_sharded_manifest,
-    shard_document_ids,
-)
 from repro.serving.stats import ServingStats
 from repro.serving.writer import DriftReport, IndexWriter
 
 __all__ = [
-    "ASSIGNMENTS",
     "BUNDLE_FORMAT",
     "BUNDLE_SCHEMA_VERSION",
     "BatchQueryEngine",
@@ -78,22 +70,15 @@ __all__ = [
     "LRUResultCache",
     "MicroBatchDispatcher",
     "QueryBatch",
-    "SHARDED_FORMAT",
-    "SHARDED_SCHEMA_VERSION",
     "ServedIndex",
     "ServingConfig",
     "ServingStats",
-    "ShardManifest",
-    "ShardedIndex",
     "checksum_failures",
     "environment_fingerprint",
-    "is_sharded_bundle",
     "ranking_overlap",
     "read_bundle",
     "read_manifest",
-    "read_sharded_manifest",
     "sha256_file",
-    "shard_document_ids",
     "stable_top_k",
     "write_bundle",
 ]

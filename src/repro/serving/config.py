@@ -2,16 +2,16 @@
 
 The serving layer grew its knobs one at a time: ``ServedIndex`` took
 ``cache_capacity=...``, then ``dtype=...``; ``load`` added
-``mmap=...`` on top.  Every new layer (the sharded index, the
-micro-batching dispatcher) would have had to re-thread that kwarg
-sprawl.  :class:`ServingConfig` collapses it into a single frozen
-dataclass accepted by :class:`~repro.serving.index.ServedIndex`,
-:class:`~repro.serving.sharded.ShardedIndex`, and
+``mmap=...`` on top.  The micro-batching dispatcher would have had to
+re-thread that kwarg sprawl.  :class:`ServingConfig` collapses it into
+a single frozen dataclass accepted by
+:class:`~repro.serving.index.ServedIndex` and
 :class:`~repro.serving.dispatch.MicroBatchDispatcher`:
 
 - one object describes precision, caching, cold-start,
-  micro-batching, and streaming-fit policy, so a config built for a
-  single index drops unchanged onto a sharded one;
+  micro-batching, and streaming-fit policy; a dispatcher built without
+  one inherits its index's, because its flusher thread ranks through
+  the same index the caller threads query;
 - ``config=`` is the only way in: the entry points take no per-field
   kwargs, so a stray ``cache_capacity=4`` is a :class:`TypeError`
   rather than a silently ignored setting;
@@ -50,8 +50,8 @@ class ServingConfig:
         mmap: load bundles by memory-mapping the large arrays
             read-only (the O(manifest) cold start) instead of reading
             them eagerly.  Ignored for indexes built in memory.
-        cache_capacity: LRU result-cache size per index/shard
-            (0 disables caching).
+        cache_capacity: LRU result-cache size per index (0 disables
+            caching).
         drift_threshold: fold-in drift past which a refit is
             recommended (``None`` disables the recommendation).
             Loading a bundle keeps the bundle's persisted threshold.

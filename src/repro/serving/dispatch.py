@@ -7,9 +7,11 @@ query at a time.  :class:`MicroBatchDispatcher` closes that gap: each
 :class:`concurrent.futures.Future`; a background flusher coalesces the
 queue into :class:`~repro.serving.engine.QueryBatch` blocks and ranks
 them through the underlying index (a
-:class:`~repro.serving.index.ServedIndex` or
-:class:`~repro.serving.sharded.ShardedIndex` — anything with
-``rank_batch`` and a ``generation``).
+:class:`~repro.serving.index.ServedIndex`, or anything with
+``rank_batch`` and a ``generation``).  Callers may keep querying that
+index directly while the flusher ranks through it, so the index's
+result cache takes a lock and its engine keeps per-thread scratch
+buffers.
 
 Two knobs bound the trade (both live on
 :class:`~repro.serving.config.ServingConfig`):
@@ -96,9 +98,8 @@ class MicroBatchDispatcher:
     Args:
         index: the index to rank against — any object with
             ``rank_batch(queries, top_k=...)``, ``generation``,
-            ``n_terms``, and ``n_documents`` (both
-            :class:`~repro.serving.index.ServedIndex` and
-            :class:`~repro.serving.sharded.ShardedIndex` qualify).
+            ``n_terms``, and ``n_documents``, such as
+            :class:`~repro.serving.index.ServedIndex`.
         config: the :class:`~repro.serving.config.ServingConfig`
             supplying ``max_batch`` and ``max_wait_ms`` (``None`` =
             the index's own config when it has one, else defaults).

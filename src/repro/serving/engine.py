@@ -189,20 +189,22 @@ class CacheKey(NamedTuple):
     Every serving layer used to re-derive the ad-hoc
     ``(generation, sha256(query), top_k)`` tuple by hand;
     :class:`CacheKey` is that tuple promoted to a named, shared type so
-    :class:`~repro.serving.index.ServedIndex`, the per-shard caches of
-    :class:`~repro.serving.sharded.ShardedIndex`, and the
-    micro-batching dispatcher all key one implementation.
+    the result cache of :class:`~repro.serving.index.ServedIndex` and
+    the micro-batching dispatcher's coalescing key one implementation.
+    The dispatcher's flusher thread and the caller threads rank through
+    one index, so both kinds of key are built against the same
+    generation counter.
 
     Attributes:
-        generation: the index (or shard) generation the entry was
-            computed against — mutations bump it, so stale rankings
-            are unreachable by construction.
+        generation: the index generation the entry was computed
+            against — mutations bump it, so stale rankings are
+            unreachable by construction.
         query_hash: SHA-256 of the query column's bytes
             (:meth:`QueryBatch.query_hash`).
         top_k: the effective cutoff the ranking was computed at.
-        kind: result flavour — ``"rank"`` for plain id rankings,
-            ``"scored"`` for ``(ids, scores)`` pairs — so the two
-            never alias.
+        kind: who built the key — ``"rank"`` for the result cache,
+            ``"dispatch"`` for the dispatcher's in-flush coalescing —
+            so the two never alias.
     """
 
     generation: int
@@ -222,21 +224,21 @@ class LRUResultCache:
     """A bounded least-recently-used cache of ranking results.
 
     Keys are :class:`CacheKey` values (build them with
-    :meth:`key_for`); values are ranked-id arrays or tuples of arrays
-    (e.g. ``(ids, scores)``), copied on the way in and out.
+    :meth:`key_for`); values are ranked-id arrays, copied on the way
+    in and out.
     ``capacity=0`` disables caching (every lookup misses, nothing is
     stored).
 
     The cache is thread-safe: ``get``/``put``/``clear`` hold one lock,
     because an LRU lookup is read-*and-reorder* (``move_to_end``) and
     a put is insert-and-evict — neither is atomic on a plain
-    OrderedDict, and the sharded serving layer shares one cache across
-    worker threads.
+    OrderedDict, and a micro-batching dispatcher's flusher thread and
+    the caller threads share one index and so one cache.
     """
 
     def __init__(self, capacity: int = 256):
         self.capacity = check_non_negative_int(capacity, "capacity")
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
         #: Lookups answered from the cache.
         self.hits = 0
@@ -248,13 +250,6 @@ class LRUResultCache:
     #: The shared cache-key constructor (see :class:`CacheKey`).
     key_for = staticmethod(CacheKey.for_query)
 
-    @staticmethod
-    def _copy_entry(entry):
-        """Defensive copy of a cached value (array or array tuple)."""
-        if isinstance(entry, tuple):
-            return tuple(np.asarray(part).copy() for part in entry)
-        return np.asarray(entry).copy()
-
     def get(self, key):
         """The cached result for ``key`` (a copy), or ``None``."""
         with self._lock:
@@ -264,13 +259,13 @@ class LRUResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return self._copy_entry(entry)
+            return entry.copy()
 
     def put(self, key, ranking) -> None:
         """Store a result, evicting the least-recently-used overflow."""
         if self.capacity == 0:
             return
-        entry = self._copy_entry(ranking)
+        entry = np.array(ranking)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -309,8 +304,9 @@ class _BatchScratch(threading.local):
     One engine serves one immutable index generation, so the only
     thing that varies call to call is the batch width ``q``; buffers
     are rebuilt when ``q`` changes and reused otherwise.  Thread-local
-    because the sharded serving layer scores through one engine from
-    several worker threads, and a shared similarity buffer would race.
+    because a micro-batching dispatcher's flusher thread and the caller
+    threads score through one index's engine at once, and a shared
+    similarity buffer would race.
     """
 
     n_queries = -1
@@ -528,28 +524,6 @@ class BatchQueryEngine:
         for row in range(batch.n_queries):
             out[row] = stable_top_k(scores[row], top_k)
         return out
-
-    def rank_batch_scored(self, queries, *, top_k=None
-                          ) -> "tuple[np.ndarray, np.ndarray]":
-        """Ranked ids *and their scores* per query.
-
-        Same semantics as :meth:`rank_batch`, plus the cosine score of
-        every returned id as a second ``(q, top_k_eff)`` array in the
-        engine's compute dtype.  This is the shard fan-out primitive:
-        merging per-shard top-k into a global ranking needs the scores
-        to re-run the ``stable_top_k`` tie policy across shards.
-        """
-        batch = self._as_batch(queries)
-        top_k = min(check_top_k(top_k, self._n_docs), self.n_active)
-        sims = self._score_into(batch)
-        if self._tombstones:
-            sims[:, self._dead] = -np.inf
-        ids = np.empty((batch.n_queries, top_k), dtype=np.int64)
-        scores = np.empty((batch.n_queries, top_k), dtype=self._dtype)
-        for row in range(batch.n_queries):
-            ids[row] = stable_top_k(sims[row], top_k)
-            scores[row] = sims[row, ids[row]]
-        return ids, scores
 
     def rank_documents(self, query_vector, *, top_k=None) -> np.ndarray:
         """Ranked ids for one query (the batched kernel, q = 1)."""

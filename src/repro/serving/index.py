@@ -16,8 +16,10 @@ unchanged, and adds what production traffic needs:
   factors read-only and defers all real I/O to the first query;
 - one :class:`~repro.serving.config.ServingConfig` carrying every
   serving-time policy — compute precision, cache sizing, mmap
-  loading — shared verbatim with the sharded index and the
-  micro-batching dispatcher;
+  loading — shared verbatim with the micro-batching dispatcher, whose
+  flusher thread ranks through the index while caller threads query
+  it directly (hence the locked result cache and the engine's
+  per-thread scratch);
 - ``stats`` — the :class:`~repro.serving.stats.ServingStats` counters
   behind ``repro serve-stats``.
 
@@ -51,10 +53,6 @@ if TYPE_CHECKING:
     from repro.ir.bm25 import BM25Model
     from repro.ir.retriever import Retriever
     from repro.ir.vsm import VectorSpaceModel
-    # Type-only: no runtime cycle with the sharded module.
-    from repro.serving.sharded import (  # reprolint: disable=R007
-        ShardedIndex,
-    )
 
 __all__ = ["ServedIndex"]
 
@@ -105,8 +103,9 @@ class ServedIndex:
                                           vocabulary))
                             if vocabulary is not None else None)
         self._generation = 0
-        self._engine_cache: "BatchQueryEngine | None" = None
-        self._engine_generation = -1
+        # (generation, engine) in one attribute, so a thread never
+        # pairs one generation with another generation's engine.
+        self._engine_state: "tuple[int, BatchQueryEngine] | None" = None
         self._base_version = base_version
         self._queries_served = 0
         self._batches_served = 0
@@ -186,31 +185,6 @@ class ServedIndex:
             polish_iterations=config.stream_polish,
             **engine_kwargs)
         return cls(model, vocabulary=vocabulary, config=config)
-
-    @classmethod
-    def from_writer(cls, writer: IndexWriter, *, vocabulary=None,
-                    config: "ServingConfig | None" = None
-                    ) -> "ServedIndex":
-        """Serve an existing :class:`~repro.serving.writer.IndexWriter`.
-
-        This is the shard construction path: the sharded index builds
-        one writer per document partition (same model, a column subset
-        of the store) and wraps each in a full ``ServedIndex`` so every
-        shard gets the engine, cache, and drift machinery for free.
-        The writer is adopted, not copied — the caller must hand over
-        ownership.
-
-        Args:
-            writer: the writer to serve (its ``drift_threshold`` wins
-                over ``config.drift_threshold``).
-            vocabulary: optional term strings persisted with the index.
-            config: serving policy (see the constructor).
-        """
-        index = cls.__new__(cls)
-        index._init_state(
-            config if config is not None else ServingConfig(), writer,
-            vocabulary=vocabulary)
-        return index
 
     # ------------------------------------------------------------------
     # Inspection
@@ -312,20 +286,28 @@ class ServedIndex:
         GEMM touches it.  float32 normalises the store in float32
         instead, as the index that was saved did: casting the float64
         unit vectors differs in the last bits and swaps near-ties.
+
+        The generation and the saved factors are read before the store:
+        a write that lands during the build then leaves the engine
+        tagged with the older generation, so the next call rebuilds
+        instead of serving the old store as the new generation.
         """
-        if self._engine_generation != self._generation:
-            writer = self._writer
-            if self._saved_unit is not None and self._dtype == "float64":
-                self._engine_cache = BatchQueryEngine.from_precomputed(
-                    writer.model.term_basis, *self._saved_unit,
-                    tombstones=writer.tombstones, dtype=self._dtype)
-            else:
-                self._engine_cache = BatchQueryEngine(
-                    writer.model.term_basis, writer.document_vectors(),
-                    tombstones=writer.tombstones, dtype=self._dtype)
-            self._engine_generation = self._generation
-        assert self._engine_cache is not None
-        return self._engine_cache
+        generation = self._generation
+        state = self._engine_state
+        if state is not None and state[0] == generation:
+            return state[1]
+        saved_unit = self._saved_unit
+        writer = self._writer
+        if saved_unit is not None and self._dtype == "float64":
+            engine = BatchQueryEngine.from_precomputed(
+                writer.model.term_basis, *saved_unit,
+                tombstones=writer.tombstones, dtype=self._dtype)
+        else:
+            engine = BatchQueryEngine(
+                writer.model.term_basis, writer.document_vectors(),
+                tombstones=writer.tombstones, dtype=self._dtype)
+        self._engine_state = (generation, engine)
+        return engine
 
     def score(self, query_vector) -> np.ndarray:
         """Cosine scores of every stored document (tombstoned → 0)."""
@@ -355,10 +337,13 @@ class ServedIndex:
             top_k: shared cutoff policy (``None`` = all), clamped to
                 the number of active documents.
         """
+        # Read before the engine, so no key names a generation newer
+        # than the store its ranking came from.
+        generation = self._generation
         engine = self._engine()
         batch = engine._as_batch(queries)
-        top_k = min(check_top_k(top_k, self.n_documents),
-                    self.n_active)
+        top_k = min(check_top_k(top_k, engine.n_documents),
+                    engine.n_active)
         self._batches_served += 1
         self._queries_served += batch.n_queries
 
@@ -366,8 +351,7 @@ class ServedIndex:
         missing = []
         keys = []
         for i in range(batch.n_queries):
-            key = self._cache.key_for(self._generation, batch, i,
-                                      top_k)
+            key = self._cache.key_for(generation, batch, i, top_k)
             keys.append(key)
             cached = self._cache.get(key)
             if cached is None:
@@ -381,49 +365,6 @@ class ServedIndex:
                 out[i] = computed[row]
                 self._cache.put(keys[i], computed[row])
         return out
-
-    def rank_batch_scored(self, queries, *, top_k=None
-                          ) -> "tuple[np.ndarray, np.ndarray]":
-        """Ranked ids and their scores for a query block.
-
-        The shard fan-out entry point: identical ranking semantics to
-        :meth:`rank_batch`, plus each returned id's cosine score (in
-        the compute dtype) so a sharded merge can re-run the global
-        tie policy.  Results are cached per query under a
-        ``kind="scored"`` :class:`~repro.serving.engine.CacheKey`, so
-        repeated fan-outs on an unchanged shard skip BLAS entirely.
-        """
-        engine = self._engine()
-        batch = engine._as_batch(queries)
-        top_k = min(check_top_k(top_k, self.n_documents),
-                    self.n_active)
-        self._batches_served += 1
-        self._queries_served += batch.n_queries
-
-        ids = np.empty((batch.n_queries, top_k), dtype=np.int64)
-        scores = np.empty((batch.n_queries, top_k),
-                          dtype=self._dtype)
-        missing = []
-        keys = []
-        for i in range(batch.n_queries):
-            key = self._cache.key_for(self._generation, batch, i,
-                                      top_k, kind="scored")
-            keys.append(key)
-            cached = self._cache.get(key)
-            if cached is None:
-                missing.append(i)
-            else:
-                ids[i], scores[i] = cached
-        if missing:
-            sub = QueryBatch(batch.matrix[:, missing])
-            sub_ids, sub_scores = engine.rank_batch_scored(
-                sub, top_k=top_k)
-            for row, i in enumerate(missing):
-                ids[i] = sub_ids[row]
-                scores[i] = sub_scores[row]
-                self._cache.put(keys[i], (sub_ids[row],
-                                          sub_scores[row]))
-        return ids, scores
 
     # ------------------------------------------------------------------
     # Updates
@@ -591,7 +532,6 @@ def _retriever_conformance(
         folding: "FoldingIndex",
         two_step: "TwoStepLSI",
         served: "ServedIndex",
-        sharded: "ShardedIndex",
 ) -> "tuple[Retriever, ...]":
     """Static proof that every engine satisfies ``Retriever``.
 
@@ -600,4 +540,4 @@ def _retriever_conformance(
     here (not in :mod:`repro.ir.retriever`) because the serving layer
     already imports every backend, keeping the import graph acyclic.
     """
-    return (lsi, vsm, bm25, folding, two_step, served, sharded)
+    return (lsi, vsm, bm25, folding, two_step, served)

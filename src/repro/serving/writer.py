@@ -50,7 +50,7 @@ from repro.linalg.incremental import PartialSVD, _check_block_engine, \
     concat_columns, iter_column_blocks, merge
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import _check_engine_kwargs
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_fraction, check_non_negative_int
 
 __all__ = ["DriftReport", "IndexWriter"]
 
@@ -237,17 +237,26 @@ class IndexWriter:
         exists.
 
         Raises:
-            ValidationError: on an out-of-range or already-deleted id.
+            ValidationError: before any state changes, on an id that
+                is not a non-negative integer (a float or bool), out
+                of range, already deleted, or repeated in the call.
         """
-        ids = [int(d) for d in np.atleast_1d(np.asarray(doc_ids))]
+        if np.ndim(doc_ids) == 0:
+            doc_ids = [doc_ids]
+        ids = [check_non_negative_int(d, "document id") for d in doc_ids]
+        seen: "set[int]" = set()
         for doc_id in ids:
-            if not 0 <= doc_id < self.n_documents:
+            if doc_id >= self.n_documents:
                 raise ValidationError(
                     f"document id {doc_id} out of range for "
                     f"{self.n_documents} documents")
             if doc_id in self._tombstones:
                 raise ValidationError(
                     f"document {doc_id} is already deleted")
+            if doc_id in seen:
+                raise ValidationError(
+                    f"document {doc_id} is repeated in one call")
+            seen.add(doc_id)
         for doc_id in ids:
             vector = self._doc_vectors[:, doc_id]
             self._deleted_energy += float(vector @ vector)

@@ -631,7 +631,7 @@ class TestIncrementalRefit:
     def test_full_keyword_is_rejected(self, writer):
         # refit(matrix) selects the full mode; a stray keyword is not
         # dropped even when an incremental refit has nothing to merge.
-        for target in (writer, ServedIndex.from_writer(writer)):
+        for target in (writer, ServedIndex(writer.model)):
             with pytest.raises(ValidationError,
                                match=r"unknown option\(s\) \['full'\]"):
                 target.refit(full=True)
@@ -645,7 +645,7 @@ class TestIncrementalRefit:
 
     def test_refit_after_bundle_reload_raises(self, writer, matrix,
                                               rng, tmp_path):
-        index = ServedIndex.from_writer(writer)
+        index = ServedIndex(writer.model)
         index.add_documents(rng.random((50, 3)))
         loaded = ServedIndex.load(index.save(tmp_path / "b"))
         # The fold buffer is not persisted: a loaded bundle with

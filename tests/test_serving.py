@@ -443,6 +443,38 @@ class TestBundleRejection:
         assert main(["serve-stats", str(path)]) == 2
         assert f"schema_version {version}" in capsys.readouterr().err
 
+    def test_sharded_directory_refused(self, served, queries, tmp_path,
+                                       capsys):
+        from repro.cli import main
+
+        # The sharded layout is no longer read: its top-level manifest
+        # is refused by name, and each shard-NNN/ inside it stays a
+        # schema-3 bundle that loads on its own, with its global ids in
+        # shard-NNN.ids.npy.
+        expected = served.rank_batch(queries, top_k=10)
+        path = tmp_path / "cluster"
+        served.save(path / "shard-000")
+        np.save(path / "shard-000.ids.npy",
+                np.arange(served.n_documents))
+        marker = "repro-lsi-sharded-index"
+        shard = {"bundle": "shard-000", "ids_file": "shard-000.ids.npy",
+                 "n_documents": served.n_documents,
+                 "n_active": served.n_active}
+        (path / MANIFEST_NAME).write_text(json.dumps({
+            "format": marker, "schema_version": 1,
+            "assignment": "contiguous", "cursor": 0, "n_shards": 1,
+            "n_documents": served.n_documents,
+            "n_active": served.n_active, "shards": [shard]}))
+        for mmap in (False, True):
+            with pytest.raises(PersistenceError, match=marker):
+                ServedIndex.load(path, config=ServingConfig(mmap=mmap))
+        assert main(["serve-stats", str(path)]) == 2
+        assert marker in capsys.readouterr().err
+        loaded = ServedIndex.load(path / "shard-000")
+        global_ids = np.load(path / "shard-000.ids.npy")
+        assert np.array_equal(
+            global_ids[loaded.rank_batch(queries, top_k=10)], expected)
+
 
 class TestServedIndex:
     def test_satisfies_retriever_protocol(self, served, model,
@@ -520,6 +552,85 @@ class TestServedIndex:
         loaded = ServedIndex.load(served.save(tmp_path / "b"))
         loaded.rank_documents(queries[:, 0], top_k=3)
         assert loaded.stats().queries_served == saved_queries + 1
+
+    @pytest.mark.parametrize("doc_ids", [[3, 3], [2.7], [True]],
+                             ids=["repeated", "float", "bool"])
+    def test_bad_remove_changes_nothing(self, served, doc_ids):
+        def state():
+            return (served.drift, served.stats().deletes_since_refit,
+                    served.generation, served.tombstones)
+
+        before = state()
+        with pytest.raises(ValidationError):
+            served.remove_documents(doc_ids)
+        assert state() == before
+
+    def test_fold_in_during_engine_build_is_not_served_as_new(
+            self, model, queries, rng, monkeypatch):
+        from repro.serving import index as index_module
+
+        # A write that lands while the engine is built, as when a
+        # dispatcher's flusher races a writer thread, must leave that
+        # engine tagged with the generation it was built for.
+        query = queries[:, 0]
+        new_docs = rng.random((model.n_terms, 3))
+        old_ranking = ServedIndex(model).rank_documents(query)
+        reference = ServedIndex(model)
+        reference.add_documents(new_docs)
+        new_ranking = reference.rank_documents(query)
+        index = ServedIndex(model)
+
+        class FoldsInWhileBuilt(BatchQueryEngine):
+            fired = False
+
+            def __init__(self, *args, **kwargs):
+                if not FoldsInWhileBuilt.fired:
+                    FoldsInWhileBuilt.fired = True
+                    index.add_documents(new_docs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "BatchQueryEngine",
+                            FoldsInWhileBuilt)
+        # The racing call ranks the store it read; the next rebuilds.
+        assert np.array_equal(index.rank_documents(query), old_ranking)
+        assert index.score(query).shape == (model.n_documents + 3,)
+        assert np.array_equal(index.rank_documents(query), new_ranking)
+
+    def test_concurrent_readers_share_one_engine(self, rng):
+        import sys
+        import threading
+
+        # A dispatcher's flusher and its callers rank through one
+        # engine at once; per-thread scratch keeps their buffers apart.
+        model = LSIModel.fit(rng.random((64, 3000)), 16, engine="exact")
+        index = ServedIndex(model,
+                            config=ServingConfig(cache_capacity=0))
+        blocks = [rng.random((64, 8)) for _ in range(4)]
+        serial = [index.rank_batch(block, top_k=10) for block in blocks]
+        errors = []
+
+        def reader(block, expected):
+            try:
+                for _ in range(100):
+                    ranking = index.rank_batch(block, top_k=10)
+                    if not np.array_equal(ranking, expected):
+                        errors.append("ranking differs from serial")
+            except Exception as error:  # noqa: BLE001 - recorded
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=reader, args=pair)
+                   for pair in zip(blocks, serial)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestServeStatsCLI:

@@ -16,8 +16,8 @@ absolute origin, a bare local name, a ``self.method`` (resolved through
 the enclosing class and its recorded bases, i.e. method calls on
 inferred self types), or a method on a variable whose class a
 constructor call pinned.  Package ``__init__`` re-exports are followed
-through the cached import records, so ``repro.serving.ShardedIndex``
-resolves to ``repro.serving.sharded.ShardedIndex``.
+through the cached import records, so ``repro.serving.ServedIndex``
+resolves to ``repro.serving.index.ServedIndex``.
 
 Two rule families run on the resolved graph:
 
@@ -386,7 +386,7 @@ def build_call_graph(records: dict, package_roots: dict) -> CallGraph:
             graph.paths[cid] = rel
             graph.module_of[cid] = module
     # Re-export aliases from the cached import records, so origins that
-    # name a package surface (repro.serving.ShardedIndex) chase down to
+    # name a package surface (repro.serving.ServedIndex) chase down to
     # the defining module.
     for rel, record in records.items():
         module = module_name_for(rel, package_roots)

@@ -1,8 +1,10 @@
 """R112: concurrency and fork-safety.
 
-The sharded serving plan on the ROADMAP fans queries out over
-``ProcessPoolExecutor``/``ThreadPoolExecutor`` workers.  Both pools
-make the same category of bug easy to write and hard to see:
+Work handed to ``ProcessPoolExecutor``/``ThreadPoolExecutor`` workers,
+or to a background thread such as the micro-batching dispatcher's
+flusher (``repro/serving/dispatch.py``), which ranks through the index
+its callers also query, makes the same category of bug easy to write
+and hard to see:
 
 - a **process** pool forks (or spawns) workers, so a worker that
   mutates module-level state mutates its *copy* — the update is
@@ -30,9 +32,9 @@ Three findings:
    ``cache`` with methods that mutate ``self`` container attributes
    but no ``threading.Lock``/``RLock`` evidence anywhere in the class
    (neither a ``self.x = threading.Lock()`` assignment nor a
-   ``with self.x:`` block): the future threaded serving layer will
-   race on it, exactly the way an OrderedDict LRU races on
-   ``move_to_end`` + eviction.
+   ``with self.x:`` block): threads sharing one index race on it,
+   exactly the way an OrderedDict LRU races on ``move_to_end`` +
+   eviction.
 
 Everything is positive-knowledge: pools are tracked only when their
 constructor resolves via the import map, workers only when they are

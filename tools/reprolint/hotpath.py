@@ -4,7 +4,7 @@ The serving layer's latency budget is dominated by memory traffic, not
 flops: a batched query scores as one GEMM, and everything after it —
 clipping, normalising, thresholding — is bandwidth-bound.  An avoidable
 temporary in that tail doubles the traffic of the step that allocates
-it, and a bundle load that reads every shard array eagerly pays the
+it, and a bundle load that reads every array eagerly pays the
 whole index's footprint before the first query.  None of this shows up
 as a wrong answer, only as a slow one, so the rule makes the
 allocations visible at lint time — but only inside the configured

@@ -128,8 +128,10 @@ CATALOGUE = {
             "Concurrency safety: shared mutable state captured by "
             "pool workers, fork-unsafe module state, and executor "
             "misuse on configured paths (r112-scope)."),
-        "example": ("src/repro/serving/sharded.py:310:8: R112 worker "
-                    "closes over shared mutable state without a lock"),
+        "example": ("src/repro/serving/engine.py:223:0: R112 cache "
+                    "class 'LRUResultCache' mutates self._entries with "
+                    "no lock: get/put from concurrent threads race on "
+                    "the container"),
         "fix": ("Pass state explicitly to the worker or guard it with "
                 "the owning lock."),
     },
@@ -143,12 +145,11 @@ CATALOGUE = {
             "different functions; and a worker submitted to a pool "
             "while the submitter holds a lock the worker also "
             "acquires."),
-        "example": ("src/repro/serving/sharded.py:595:12: R113 "
-                    "pool.shutdown(wait=True) while holding "
-                    "ShardedIndex._pool_lock: every other thread "
-                    "contending for the lock stalls behind this wait "
-                    "(and a dependent task deadlocks); release the "
-                    "lock before blocking"),
+        "example": ("src/repro/serving/engine.py:257:12: R113 "
+                    "time.sleep() while holding LRUResultCache._lock: "
+                    "every other thread contending for the lock stalls "
+                    "behind this wait (and a dependent task "
+                    "deadlocks); release the lock before blocking"),
         "fix": ("Copy what you need under the lock, release it, then "
                 "block; keep one global lock-acquisition order; never "
                 "hold a lock the submitted worker needs."),
