@@ -98,11 +98,9 @@ def bench_incremental_merge_throughput(params, seed):
     rank, block = params["rank"], params["block_size"]
 
     run = measure(
-        lambda: block_updates(iter_column_blocks(matrix, block), rank,
-                              seed=seed),
+        lambda: block_updates(iter_column_blocks(matrix, block), rank),
         warmup=1, repeats=2)
-    partial = block_updates(iter_column_blocks(matrix, block), rank,
-                            seed=seed)
+    partial = block_updates(iter_column_blocks(matrix, block), rank)
     dense = matrix.to_dense()
     approx = (partial.u * partial.singular_values) @ partial.vt
     actual_residual = float(np.linalg.norm(dense - approx))
@@ -138,11 +136,11 @@ def bench_incremental_streamed_agreement(params, seed):
         lambda: LSIModel.fit(matrix, rank, seed=seed), repeats=1)
     streamed_run = measure(
         lambda: LSIModel.fit_streamed(
-            iter_column_blocks(matrix, block), rank, seed=seed),
+            iter_column_blocks(matrix, block), rank),
         repeats=1)
     eager = LSIModel.fit(matrix, rank, seed=seed)
     streamed = LSIModel.fit_streamed(
-        iter_column_blocks(matrix, block), rank, seed=seed)
+        iter_column_blocks(matrix, block), rank)
 
     rng = as_generator(seed + 1)
     queries = rng.random((params["n_terms"], params["n_queries"]))
@@ -222,7 +220,7 @@ if mode == "eager":
     model = LSIModel.fit(full, rank, engine="lanczos", seed=seed)
     del full
 else:
-    model = LSIModel.fit_streamed(blocks(), rank, seed=seed,
+    model = LSIModel.fit_streamed(blocks(), rank,
                                   oversample=params["oversample"])
 fit_seconds = time.perf_counter() - begin
 

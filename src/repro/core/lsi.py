@@ -67,17 +67,17 @@ class LSIModel:
         return cls(svd)
 
     @classmethod
-    def fit_streamed(cls, blocks, rank, *, engine: "str | None" = None,
-                     seed=None, block_size: "int | None" = None,
-                     oversample: int = 8, polish_iterations: int = 0,
-                     **engine_kwargs) -> "LSIModel":
+    def fit_streamed(cls, blocks, rank, *,
+                     block_size: "int | None" = None,
+                     oversample: int = 8) -> "LSIModel":
         """Fit rank-``rank`` LSI from a stream of column blocks.
 
         The out-of-core fitting path: blocks are factored one at a
-        time and folded together with the
-        :mod:`repro.linalg.incremental` merge, so peak memory is one
+        time by the direct kernel of :mod:`repro.linalg.incremental`
+        and folded together with its merge, so peak memory is one
         block plus the ``(n + m) × k`` factors — the full
-        term–document matrix is never materialised.
+        term–document matrix is never materialised.  The fit is
+        deterministic: it takes no seed.
 
         Args:
             blocks: an iterable of column blocks (dense arrays or
@@ -86,53 +86,28 @@ class LSIModel:
                 single in-memory matrix to be chunked via
                 :func:`~repro.linalg.incremental.iter_column_blocks`.
             rank: the LSI dimension ``k``.
-            engine: per-block engine: ``None`` (default) for the
-                direct Gram/Rayleigh–Ritz kernel of
-                :mod:`repro.linalg.incremental`, or any non-incremental
-                engine name.
-            seed: RNG seed for iterative engines.
             block_size: chunk width for a matrix input, and the
                 re-chunk width for oversized stream blocks (``None``
                 keeps stream blocks as produced; a matrix input
                 defaults to 256-column chunks).
-            oversample: working-rank headroom carried through merges.
-            polish_iterations: power-iteration polish rounds after the
-                merge — only valid for a (re-readable) matrix input; a
-                one-shot block stream cannot be polished.
-            **engine_kwargs: per-block engine tuning.
+            oversample: working-rank headroom carried through merges;
+                on a flat spectrum, raise it or fit the whole matrix
+                with :meth:`fit`.
 
         Raises:
-            ValidationError: when ``polish_iterations > 0`` with a
-                one-shot block stream, or on invalid fit parameters.
+            ValidationError: on invalid fit parameters or blocks with
+                differing row counts.
             EmptyCorpusError: when the stream yields no blocks.
-            ConvergenceError: when a per-block engine fails to
-                converge.
         """
         from repro.linalg.incremental import block_updates, \
-            iter_column_blocks, polish
+            iter_column_blocks
         from repro.linalg.sparse import CSRMatrix
 
-        is_matrix = isinstance(blocks, (CSRMatrix, np.ndarray))
-        if is_matrix:
+        if isinstance(blocks, (CSRMatrix, np.ndarray)):
             width = 256 if block_size is None else block_size
-            stream = iter_column_blocks(blocks, width)
-        else:
-            if polish_iterations > 0:
-                raise ValidationError(
-                    "polish_iterations requires a re-readable matrix "
-                    "input; a one-shot block stream cannot be "
-                    "re-scanned (pass the matrix itself, or polish "
-                    "later with repro.linalg.incremental.polish)")
-            stream = blocks
-        partial = block_updates(
-            stream, rank,
-            block_size=None if is_matrix else block_size,
-            engine=engine, oversample=oversample, seed=seed,
-            keep_vt=True, **engine_kwargs)
-        if is_matrix and polish_iterations > 0:
-            partial = polish(partial, blocks,
-                             iterations=polish_iterations)
-            partial = partial.truncate(min(rank, partial.rank))
+            blocks, block_size = iter_column_blocks(blocks, width), None
+        partial = block_updates(blocks, rank, block_size=block_size,
+                                oversample=oversample)
         return cls(partial.to_svd_result())
 
     # ------------------------------------------------------------------
@@ -190,7 +165,11 @@ class LSIModel:
         return self.svd.u * self.svd.singular_values
 
     def document_vector(self, doc_id: int) -> np.ndarray:
-        """The LSI vector of one document."""
+        """The LSI vector of one document.
+
+        Raises:
+            ValidationError: when ``doc_id`` is out of range.
+        """
         doc_id = int(doc_id)
         if not 0 <= doc_id < self.n_documents:
             raise ValidationError(
@@ -202,6 +181,10 @@ class LSIModel:
         """Fold a term-space query into the LSI space: ``Uₖᵀ·q``.
 
         Works for unseen documents too (folding-in).
+
+        Raises:
+            ValidationError: when the query is not a finite vector
+                over the model's ``n`` terms.
         """
         query = check_vector(query_vector, "query_vector")
         if query.shape[0] != self.n_terms:
@@ -215,6 +198,10 @@ class LSIModel:
 
         Accepts a dense ``(n, p)`` array or a CSR matrix; returns
         ``(k, p)``.
+
+        Raises:
+            ValidationError: when the columns do not span the model's
+                ``n`` terms.
         """
         from repro.linalg.operator import as_operator
 
@@ -239,7 +226,12 @@ class LSIModel:
         return self._cosine_against_documents(projected)
 
     def score_in_lsi_space(self, lsi_vector) -> np.ndarray:
-        """Cosine scores for a query already in LSI coordinates."""
+        """Cosine scores for a query already in LSI coordinates.
+
+        Raises:
+            ValidationError: when the vector is not a finite vector of
+                ``k`` coordinates.
+        """
         lsi_vector = check_vector(lsi_vector, "lsi_vector")
         if lsi_vector.shape[0] != self.rank:
             raise ValidationError(

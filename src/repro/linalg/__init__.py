@@ -17,7 +17,7 @@ This package is the computational foundation of the reproduction:
   alignment, and the Stewart/Lemma-1 machinery behind Theorems 2–3.
 - :mod:`repro.linalg.incremental` — streaming, out-of-core SVD: mergeable
   :class:`~repro.linalg.incremental.PartialSVD` block factorisations with
-  an explicit merge error bound, behind ``truncated_svd(engine="incremental")``.
+  an explicit merge error bound, behind ``LSIModel.fit_streamed``.
 """
 
 from repro.linalg.dense import (
@@ -31,10 +31,8 @@ from repro.linalg.dense import (
 from repro.linalg.incremental import (
     PartialSVD,
     block_updates,
-    incremental_svd,
     iter_column_blocks,
     merge,
-    polish,
 )
 from repro.linalg.lanczos import lanczos_svd
 from repro.linalg.perturbation import (
@@ -71,14 +69,12 @@ __all__ = [
     "dominant_eigenpair",
     "exact_svd",
     "gram_matrix",
-    "incremental_svd",
     "iter_column_blocks",
     "lanczos_svd",
     "low_rank_residual",
     "merge",
     "normalize_columns",
     "orthonormalize_columns",
-    "polish",
     "principal_angles",
     "project_onto_basis",
     "randomized_range_finder",

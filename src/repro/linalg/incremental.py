@@ -11,14 +11,14 @@ factorisation costs ``O(n·w² + w³)`` at working rank ``w`` whatever
 the documents absorbed; carrying the right factor ``vt`` adds an
 ``O(w²·m)`` rotation over the ``m`` columns absorbed so far.
 
-Blocks are factored directly by default (``engine=None``): for a
-block ``B`` (``n × b``) at working rank ``w``, the top-``w``
-eigenvectors ``V`` of its Gram matrix ``BᵀB`` give one Rayleigh–Ritz
-step, ``Q = qr(B·V)`` and a small SVD of ``QᵀB``.  The result
-``U·S·Vᵀ = QQᵀB`` is an orthogonal projection of ``B``, so its
-Pythagorean residual is a valid error bound, and a thin block needs no
-iterative solver.  Blocks wider than :data:`DIRECT_SPLIT_WIDTH` are
-split into pieces that wide and merged.
+Every block is factored directly: for a block ``B`` (``n × b``) at
+working rank ``w``, the top-``w`` eigenvectors ``V`` of its Gram matrix
+``BᵀB`` give one Rayleigh–Ritz step, ``Q = qr(B·V)`` and a small SVD of
+``QᵀB``.  The result ``U·S·Vᵀ = QQᵀB`` is an orthogonal projection of
+``B``, so its Pythagorean residual is a valid error bound, and a thin
+block needs no iterative solver.  Blocks wider than
+:data:`DIRECT_SPLIT_WIDTH` are split into pieces that wide and merged.
+The kernel is deterministic: it takes no seed and no options.
 
 The merge of ``A₁ ≈ U₁·S₁·V₁ᵀ`` and ``A₂ ≈ U₂·S₂·V₂ᵀ`` for the column
 concatenation ``[A₁ A₂]`` is exact on the inputs' approximants:
@@ -40,14 +40,8 @@ an explicit truncation whose discarded tail is added to a running
 triangle-inequality error bound (:attr:`PartialSVD.error_bound`).
 
 :class:`PartialSVD` is the mergeable value type, :func:`merge` the
-pairwise combiner, :func:`block_updates` the streaming driver (blocks
-are factored directly, or by a named
-:func:`~repro.linalg.svd.truncated_svd` engine), and
-:func:`incremental_svd` the in-memory front-end behind
-``truncated_svd(engine="incremental")``.  :func:`polish` optionally
-runs power iterations against a re-readable matrix, which both improves
-the factors and collapses the accumulated bound back to the exact
-Pythagorean residual.
+pairwise combiner, and :func:`block_updates` folds a whole block
+stream into one :class:`PartialSVD`.
 """
 
 from __future__ import annotations
@@ -58,11 +52,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.errors import ConvergenceError, EmptyCorpusError, \
-    ValidationError
+from repro.errors import EmptyCorpusError, ValidationError
 from repro.linalg.operator import as_operator
 from repro.linalg.sparse import CSRMatrix
-from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative_int, \
     check_positive_int
 
@@ -71,10 +63,8 @@ __all__ = [
     "PartialSVD",
     "block_updates",
     "concat_columns",
-    "incremental_svd",
     "iter_column_blocks",
     "merge",
-    "polish",
 ]
 
 #: Widest block the direct kernel factors in one piece.  Wider blocks
@@ -100,6 +90,10 @@ def iter_column_blocks(matrix, block_size: int):
     Yields:
         Column blocks of the same type as the input (dense ndarray or
         :class:`~repro.linalg.sparse.CSRMatrix`), in column order.
+
+    Raises:
+        ValidationError: on a ``block_size`` that is not a positive
+            integer, or a dense input that is not 2-D.
     """
     block_size = check_positive_int(block_size, "block_size")
     if isinstance(matrix, CSRMatrix):
@@ -189,28 +183,6 @@ def _direct_svd(op, rank: int):
     return SVDResult(basis @ u_small, s, vt, op.frobenius_norm() ** 2)
 
 
-def _check_block_engine(engine: "str | None", engine_kwargs) -> None:
-    """Reject a per-block engine, or options, a block cannot take.
-
-    ``None`` is the direct kernel, which takes no options.
-    """
-    from repro.linalg.svd import _check_engine_kwargs
-
-    if engine is None:
-        if engine_kwargs:
-            raise ValidationError(
-                f"unknown option(s) {sorted(engine_kwargs)} for the "
-                f"direct block kernel (engine=None); valid options: "
-                f"(none)")
-        return
-    if engine == "incremental":
-        raise ValidationError(
-            "from_block cannot recurse into the incremental "
-            "engine; pick None (the direct kernel), lanczos, "
-            "randomized, subspace or exact")
-    _check_engine_kwargs(engine, engine_kwargs)
-
-
 @dataclass(frozen=True)
 class PartialSVD:
     """A mergeable partial factorisation ``A ≈ U·S·Vᵀ`` of a column stream.
@@ -224,9 +196,8 @@ class PartialSVD:
     Attributes:
         u: ``(n, k)`` orthonormal left factor.
         singular_values: length-``k`` singular values, descending.
-        vt: optional ``(k, m)`` right-factor cursor over the columns
-            absorbed so far; ``None`` when the stream's document
-            coordinates are not needed (term-basis-only updates).
+        vt: ``(k, m)`` right factor over the columns absorbed so
+            far (the documents' coordinates).
         n_columns: number of matrix columns absorbed so far.
         frobenius_norm_sq: ``‖A‖_F²`` of *all* absorbed columns.
         error_bound: triangle-inequality bound on
@@ -238,7 +209,7 @@ class PartialSVD:
 
     u: np.ndarray
     singular_values: np.ndarray
-    vt: "np.ndarray | None"
+    vt: np.ndarray
     n_columns: int
     frobenius_norm_sq: float
     error_bound: float = 0.0
@@ -258,15 +229,13 @@ class PartialSVD:
         if np.any(self.singular_values < -1e-12):
             raise ValidationError(
                 "singular values must be non-negative")
-        if self.vt is not None:
-            if self.vt.ndim != 2 or self.vt.shape[0] != k:
-                raise ValidationError(
-                    f"vt must be (k, m) with k={k}; got "
-                    f"{self.vt.shape}")
-            if self.vt.shape[1] != self.n_columns:
-                raise ValidationError(
-                    f"vt covers {self.vt.shape[1]} columns but "
-                    f"n_columns={self.n_columns}")
+        if self.vt.ndim != 2 or self.vt.shape[0] != k:
+            raise ValidationError(
+                f"vt must be (k, m) with k={k}; got {self.vt.shape}")
+        if self.vt.shape[1] != self.n_columns:
+            raise ValidationError(
+                f"vt covers {self.vt.shape[1]} columns but "
+                f"n_columns={self.n_columns}")
         if self.n_columns < 0:
             raise ValidationError("n_columns must be non-negative")
         if self.frobenius_norm_sq < 0 or self.error_bound < 0:
@@ -278,78 +247,52 @@ class PartialSVD:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_block(cls, block, rank: int, *,
-                   engine: "str | None" = None,
-                   seed: SeedLike = None, keep_vt: bool = True,
-                   **engine_kwargs) -> "PartialSVD":
+    def from_block(cls, block, rank: int) -> "PartialSVD":
         """Factor one column block into a mergeable partial SVD.
+
+        Uses the direct Gram/Rayleigh–Ritz kernel of the module
+        docstring, splitting blocks wider than
+        :data:`DIRECT_SPLIT_WIDTH` into pieces and merging them.
 
         Args:
             block: dense ``(n, b)`` array or
                 :class:`~repro.linalg.sparse.CSRMatrix` column block.
             rank: triplets to retain, clamped to ``min(n, b)`` so
                 ragged final blocks never over-ask.
-            engine: ``None`` (default) for the direct kernel of the
-                module docstring, which takes no options and no seed;
-                or any non-incremental
-                :func:`~repro.linalg.svd.truncated_svd` engine.
-            seed: RNG seed forwarded to iterative engines.
-            keep_vt: retain the block's right factor so the merged
-                result carries document coordinates.
-            **engine_kwargs: engine tuning, validated like
-                :func:`~repro.linalg.svd.truncated_svd`.
 
         Returns:
             A :class:`PartialSVD` over the block's columns whose
             ``error_bound`` is the block fit's Pythagorean residual,
-            plus, for a direct block wider than
-            :data:`DIRECT_SPLIT_WIDTH`, what the merges of its pieces
-            truncate.  Blocks whose numerical rank is below the
-            (oversampled) working rank make iterative engines break
-            down; those blocks silently fall back to the ``exact``
-            engine, which is cheap precisely because the block is
-            small.
+            plus, for a block wider than :data:`DIRECT_SPLIT_WIDTH`,
+            what the merges of its pieces truncate.
 
         Raises:
-            ValidationError: on an empty block, the ``incremental``
-                engine, or an option the engine does not take.
+            ValidationError: on an empty block or a ``rank`` that is
+                not a positive integer.
         """
-        from repro.linalg.svd import truncated_svd
-
-        _check_block_engine(engine, engine_kwargs)
         op = as_operator(block)
         if min(op.shape) == 0:
             raise ValidationError(
                 f"cannot factor an empty block of shape {op.shape}")
         rank = min(check_positive_int(rank, "rank"), min(op.shape))
-        if engine is None and op.shape[1] > DIRECT_SPLIT_WIDTH:
-            source = block if isinstance(block, CSRMatrix) \
-                else op.to_dense()
-            pieces = (cls.from_svd_result(
-                _direct_svd(as_operator(piece), rank), keep_vt=keep_vt)
-                for piece in iter_column_blocks(source,
-                                                DIRECT_SPLIT_WIDTH))
-            return functools.reduce(
-                lambda left, right: merge(left, right, rank=rank),
-                pieces)
-        if engine is None:
-            result = _direct_svd(op, rank)
-        else:
-            try:
-                result = truncated_svd(op, rank, engine=engine,
-                                       seed=seed, **engine_kwargs)
-            except ConvergenceError:
-                result = truncated_svd(op, rank, engine="exact")
-        return cls.from_svd_result(result, keep_vt=keep_vt)
+        if op.shape[1] <= DIRECT_SPLIT_WIDTH:
+            return cls.from_svd_result(_direct_svd(op, rank))
+        source = block if isinstance(block, CSRMatrix) \
+            else op.to_dense()
+        pieces = (cls.from_svd_result(_direct_svd(as_operator(piece),
+                                                  rank))
+                  for piece in iter_column_blocks(source,
+                                                  DIRECT_SPLIT_WIDTH))
+        return functools.reduce(
+            lambda left, right: merge(left, right, rank=rank), pieces)
 
     @classmethod
-    def from_svd_result(cls, result, *,
-                        keep_vt: bool = True) -> "PartialSVD":
+    def from_svd_result(cls, result) -> "PartialSVD":
         """Lift an :class:`~repro.linalg.svd.SVDResult` into the merge
         algebra (its Pythagorean residual becomes the initial bound)."""
         return cls(u=result.u,
                    singular_values=result.singular_values,
-                   vt=result.vt if keep_vt else None,
+                   vt=result.vt,
                    n_columns=int(result.vt.shape[1]),
                    frobenius_norm_sq=result.frobenius_norm_sq,
                    error_bound=result.residual_norm())
@@ -409,23 +352,13 @@ class PartialSVD:
             self,
             u=self.u[:, :rank].copy(),
             singular_values=self.singular_values[:rank].copy(),
-            vt=None if self.vt is None else self.vt[:rank].copy(),
+            vt=self.vt[:rank].copy(),
             error_bound=self.error_bound + math.sqrt(max(0.0, dropped)))
 
     def to_svd_result(self):
-        """Convert to an :class:`~repro.linalg.svd.SVDResult`.
-
-        Raises:
-            ValidationError: when the right-factor cursor was dropped
-                (``vt is None``) — an ``SVDResult`` needs document
-                coordinates.
-        """
+        """Convert to an :class:`~repro.linalg.svd.SVDResult`."""
         from repro.linalg.svd import SVDResult
 
-        if self.vt is None:
-            raise ValidationError(
-                "this PartialSVD dropped its vt cursor "
-                "(keep_vt=False); cannot build an SVDResult")
         return SVDResult(self.u, self.singular_values, self.vt,
                          self.frobenius_norm_sq)
 
@@ -455,20 +388,15 @@ def merge(a: PartialSVD, b: PartialSVD, *,
 
     Returns:
         The merged :class:`PartialSVD` over ``a``'s then ``b``'s
-        columns; carries a ``vt`` cursor iff both inputs do.
+        columns.
 
     Raises:
-        ValidationError: when the inputs' term dimensions differ or
-            exactly one of them dropped its ``vt`` cursor.
+        ValidationError: when the inputs' term dimensions differ.
     """
     if a.n_terms != b.n_terms:
         raise ValidationError(
             f"cannot merge partial SVDs over different term spaces "
             f"({a.n_terms} vs {b.n_terms} rows)")
-    if (a.vt is None) != (b.vt is None):
-        raise ValidationError(
-            "cannot merge a PartialSVD with a vt cursor into one "
-            "without (keep_vt must match)")
     k1, k2 = a.rank, b.rank
 
     projection = a.u.T @ b.u                       # (k1, k2)
@@ -501,16 +429,11 @@ def merge(a: PartialSVD, b: PartialSVD, *,
     dropped = max(0.0, a.captured_energy() + b.captured_energy()
                   - retained)
 
-    u_new = np.hstack([a.u, q]) @ u_mid[:, :keep]
-    if a.vt is None:
-        vt_new = None
-    else:
-        vt_new = np.hstack([vt_mid[:keep, :k1] @ a.vt,
-                            vt_mid[:keep, k1:] @ b.vt])
     return PartialSVD(
-        u=u_new,
+        u=np.hstack([a.u, q]) @ u_mid[:, :keep],
         singular_values=s_mid[:keep],
-        vt=vt_new,
+        vt=np.hstack([vt_mid[:keep, :k1] @ a.vt,
+                      vt_mid[:keep, k1:] @ b.vt]),
         n_columns=a.n_columns + b.n_columns,
         frobenius_norm_sq=a.frobenius_norm_sq + b.frobenius_norm_sq,
         error_bound=a.error_bound + b.error_bound
@@ -520,17 +443,13 @@ def merge(a: PartialSVD, b: PartialSVD, *,
 
 def block_updates(stream, rank: int, *,
                   block_size: "int | None" = None,
-                  engine: "str | None" = None,
-                  oversample: int = 8,
-                  seed: SeedLike = None,
-                  keep_vt: bool = True,
-                  **engine_kwargs) -> PartialSVD:
+                  oversample: int = 8) -> PartialSVD:
     """Consume a stream of column blocks into one partial SVD.
 
     Each block is factored at the working rank ``rank + oversample``
-    and merged left-to-right; the final result is truncated to
-    ``rank``.  Peak memory is one block plus the factors —
-    the stream is never concatenated.
+    by :meth:`PartialSVD.from_block` and merged left-to-right; the
+    final result is truncated to ``rank``.  Peak memory is one block
+    plus the factors — the stream is never concatenated.
 
     Args:
         stream: iterable of column blocks (dense arrays or
@@ -541,15 +460,8 @@ def block_updates(stream, rank: int, *,
         block_size: when given, re-chunk oversized incoming blocks to
             this width via :func:`iter_column_blocks` before factoring
             (narrow blocks are processed as-is).
-        engine: per-block engine: ``None`` (default) for the direct
-            kernel, or ``lanczos``, ``randomized``, ``subspace``,
-            ``exact``.
         oversample: extra working-rank headroom carried through the
             merges; more headroom means less truncation error.
-        seed: RNG seed forwarded to each block's engine.
-        keep_vt: carry the document-coordinate cursor through the
-            merges (required to build an ``SVDResult``).
-        **engine_kwargs: per-block engine tuning.
 
     Returns:
         The accumulated :class:`PartialSVD` over every streamed column.
@@ -564,9 +476,7 @@ def block_updates(stream, rank: int, *,
     work_rank = rank + oversample
     accumulated: "PartialSVD | None" = None
     for block in _rechunked(stream, block_size):
-        part = PartialSVD.from_block(block, work_rank, engine=engine,
-                                     seed=seed, keep_vt=keep_vt,
-                                     **engine_kwargs)
+        part = PartialSVD.from_block(block, work_rank)
         if accumulated is None:
             accumulated = part
         elif part.n_terms != accumulated.n_terms:
@@ -587,104 +497,3 @@ def _rechunked(stream, block_size: "int | None"):
         return
     for block in stream:
         yield from iter_column_blocks(block, block_size)
-
-
-def polish(partial: PartialSVD, matrix, *,
-           iterations: int = 1) -> PartialSVD:
-    """Power-iteration polish against a re-readable matrix.
-
-    Runs ``iterations`` rounds of orthonormalised power iteration from
-    the current left factor, then a Rayleigh–Ritz projection
-    (small SVD of ``UᵀA``).  Because the polished approximant is an
-    orthogonal projection of ``A``, the accumulated triangle-inequality
-    ``error_bound`` collapses to the *exact* Pythagorean residual —
-    polishing both improves the factors and tightens the bound.  Only
-    available when the stream is re-readable (an in-memory matrix or
-    an mmap); one-shot streams cannot be polished.
-
-    Args:
-        partial: the factorisation to polish (its ``vt`` is recomputed,
-            so ``keep_vt=False`` inputs regain a cursor).
-        matrix: the full matrix the stream was drawn from, dense or
-            :class:`~repro.linalg.sparse.CSRMatrix`.
-        iterations: power-iteration rounds before the final projection
-            (0 = projection only, which already tightens the bound).
-
-    Returns:
-        The polished :class:`PartialSVD` with an exact residual bound.
-
-    Raises:
-        ValidationError: when ``matrix``'s shape does not match the
-            columns the partial SVD absorbed.
-    """
-    iterations = check_non_negative_int(iterations, "iterations")
-    op = as_operator(matrix)
-    if op.shape[0] != partial.n_terms \
-            or op.shape[1] != partial.n_columns:
-        raise ValidationError(
-            f"polish matrix has shape {op.shape}; the partial SVD "
-            f"absorbed ({partial.n_terms}, {partial.n_columns})")
-    basis = partial.u
-    for _ in range(iterations):
-        right = np.linalg.qr(op.rmatmat(basis))[0]   # (m, k)
-        basis = np.linalg.qr(op.matmat(right))[0]    # (n, k)
-    projected = op.rmatmat(basis).T                  # (k, m) = UᵀA
-    u_small, s_new, vt_new = np.linalg.svd(projected,
-                                           full_matrices=False)
-    u_new = basis @ u_small
-    captured = math.fsum(float(s) * float(s) for s in s_new)
-    residual = max(0.0, partial.frobenius_norm_sq - captured)
-    return PartialSVD(
-        u=u_new,
-        singular_values=s_new,
-        vt=vt_new,
-        n_columns=partial.n_columns,
-        frobenius_norm_sq=partial.frobenius_norm_sq,
-        error_bound=math.sqrt(residual),
-        merges=partial.merges)
-
-
-def incremental_svd(matrix, rank: int, *,
-                    block_size: int = 256,
-                    oversample: int = 8,
-                    polish_iterations: int = 0,
-                    inner_engine: "str | None" = None,
-                    seed: SeedLike = None,
-                    **engine_kwargs):
-    """Blocked incremental SVD of an in-memory matrix.
-
-    The convenience front-end behind
-    ``truncated_svd(engine="incremental")``: chunk the matrix into
-    ``block_size``-column blocks, run :func:`block_updates`, optionally
-    :func:`polish` against the matrix (possible here because it *is*
-    re-readable), and return a standard
-    :class:`~repro.linalg.svd.SVDResult`.  For streams that never fit
-    in memory, drive :func:`block_updates` directly.
-
-    Args:
-        matrix: dense ``(n, m)`` array or
-            :class:`~repro.linalg.sparse.CSRMatrix`.
-        rank: triplets to retain.
-        block_size: column width of each decomposed block.
-        oversample: working-rank headroom carried through merges.
-        polish_iterations: power-iteration rounds after the merge
-            (0 disables polishing entirely).
-        inner_engine: per-block engine (``None``: the direct
-            kernel).
-        seed: RNG seed forwarded to per-block engines.
-        **engine_kwargs: per-block engine tuning.
-
-    Returns:
-        :class:`~repro.linalg.svd.SVDResult` with ``rank`` triplets.
-    """
-    op = as_operator(matrix)
-    source = matrix if isinstance(matrix, CSRMatrix) else op.to_dense()
-    partial = block_updates(
-        iter_column_blocks(source, block_size), rank,
-        engine=inner_engine, oversample=oversample, seed=seed,
-        keep_vt=True, **engine_kwargs)
-    if polish_iterations > 0:
-        partial = polish(partial, source,
-                         iterations=polish_iterations)
-        partial = partial.truncate(min(rank, partial.rank))
-    return partial.to_svd_result()

@@ -1,7 +1,7 @@
 """Singular value decomposition front-end.
 
-All SVD consumers in the library go through :func:`truncated_svd`, which
-dispatches to one of three engines:
+All in-memory SVD consumers in the library go through
+:func:`truncated_svd`, which dispatches to one of four engines:
 
 - ``"lanczos"`` — Golub–Kahan–Lanczos bidiagonalisation
   (:mod:`repro.linalg.lanczos`), the default and the stand-in for the
@@ -12,11 +12,11 @@ dispatches to one of three engines:
   (:mod:`repro.linalg.randomized`), the modern descendant of the
   paper's §5 random-projection idea;
 - ``"exact"`` — dense LAPACK SVD, used as ground truth in tests and for
-  matrices small enough that densifying is free;
-- ``"incremental"`` — blocked mergeable-SVD streaming decomposition
-  (:mod:`repro.linalg.incremental`), the in-memory front-end of the
-  out-of-core path (column blocks factored independently and merged
-  in constant space).
+  matrices small enough that densifying is free.
+
+Streams of column blocks take the out-of-core path instead:
+:mod:`repro.linalg.incremental` factors each block directly and merges
+the factors (``LSIModel.fit_streamed``).
 
 The engines all return an :class:`SVDResult`, which also carries the
 Eckart–Young residual bookkeeping the paper's Theorem 1 and Theorem 5 are
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Names of the available SVD engines.
-ENGINES = ("lanczos", "subspace", "randomized", "exact", "incremental")
+ENGINES = ("lanczos", "subspace", "randomized", "exact")
 
 #: Engine name → tuning options its ``**engine_kwargs`` accepts.
 _ENGINE_OPTIONS = {
@@ -54,8 +54,6 @@ _ENGINE_OPTIONS = {
     "subspace": ("oversample", "max_iter", "tol"),
     "randomized": ("oversample", "power_iterations"),
     "exact": (),
-    "incremental": ("block_size", "oversample", "polish_iterations",
-                    "inner_engine"),
 }
 
 
@@ -193,7 +191,7 @@ def truncated_svd(matrix, rank, *, engine: str = "lanczos",
             :class:`~repro.linalg.sparse.CSRMatrix`.
         rank: number of singular triplets to retain (the LSI ``k``).
         engine: one of :data:`ENGINES` (``"lanczos"``, ``"subspace"``,
-            ``"randomized"``, ``"exact"``, ``"incremental"``).
+            ``"randomized"``, ``"exact"``).
         seed: RNG seed forwarded to iterative engines.
         **engine_kwargs: engine-specific tuning (e.g. ``extra_steps`` for
             Lanczos, ``oversample`` for subspace iteration); unknown
@@ -210,11 +208,6 @@ def truncated_svd(matrix, rank, *, engine: str = "lanczos",
 
     if engine == "exact":
         return exact_svd(op).truncate(rank)
-    if engine == "incremental":
-        from repro.linalg.incremental import incremental_svd
-
-        return incremental_svd(matrix, rank, seed=seed,
-                               **engine_kwargs)
     if engine == "lanczos":
         from repro.linalg.lanczos import lanczos_svd
 

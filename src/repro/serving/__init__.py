@@ -54,7 +54,7 @@ from repro.serving.engine import (
 )
 from repro.serving.index import ServedIndex
 from repro.serving.stats import ServingStats
-from repro.serving.writer import DriftReport, IndexWriter
+from repro.serving.writer import IndexWriter
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -64,7 +64,6 @@ __all__ = [
     "CacheKey",
     "ChecksumMismatch",
     "DispatchStats",
-    "DriftReport",
     "IndexBundle",
     "IndexWriter",
     "LRUResultCache",

@@ -66,9 +66,6 @@ class ServingConfig:
             bounds out-of-core peak memory.
         stream_oversample: working-rank headroom carried through the
             incremental merges (more headroom, less truncation error).
-        stream_polish: power-iteration polish rounds after a streamed
-            fit of a re-readable matrix (0 disables; one-shot block
-            streams cannot be polished).
     """
 
     dtype: "str | None" = None
@@ -79,7 +76,6 @@ class ServingConfig:
     max_wait_ms: float = 2.0
     stream_block_size: int = 256
     stream_oversample: int = 8
-    stream_polish: int = 0
 
     def __post_init__(self):
         if self.dtype is not None and self.dtype not in COMPUTE_DTYPES:
@@ -99,7 +95,6 @@ class ServingConfig:
         check_positive_int(self.stream_block_size, "stream_block_size")
         check_non_negative_int(self.stream_oversample,
                                "stream_oversample")
-        check_non_negative_int(self.stream_polish, "stream_polish")
 
     def merged(self, **overrides) -> "ServingConfig":
         """A copy with ``overrides`` applied.

@@ -44,7 +44,7 @@ from repro.serving.config import ServingConfig
 from repro.serving.engine import BatchQueryEngine, LRUResultCache, \
     QueryBatch, _check_compute_dtype
 from repro.serving.stats import ServingStats
-from repro.serving.writer import DriftReport, IndexWriter
+from repro.serving.writer import IndexWriter
 from repro.utils.validation import check_top_k, check_vector
 
 if TYPE_CHECKING:
@@ -141,11 +141,9 @@ class ServedIndex:
         return cls(model, vocabulary=vocabulary, config=config)
 
     @classmethod
-    def fit_streamed(cls, blocks, rank, *,
-                     engine: "str | None" = None,
-                     seed=None, vocabulary=None,
-                     config: "ServingConfig | None" = None,
-                     **engine_kwargs) -> "ServedIndex":
+    def fit_streamed(cls, blocks, rank, *, seed=None, vocabulary=None,
+                     config: "ServingConfig | None" = None
+                     ) -> "ServedIndex":
         """Fit an index from a stream of column blocks, out-of-core.
 
         The streaming twin of :meth:`fit`: blocks are decomposed and
@@ -153,37 +151,30 @@ class ServedIndex:
         (:meth:`repro.core.lsi.LSIModel.fit_streamed`), so the full
         term–document matrix is never materialised and peak memory is
         one block plus the factors.  The config's ``stream_*`` knobs
-        control the chunk width, the merge working-rank headroom, and
-        the optional polish of re-readable matrix inputs.
+        control the chunk width and the merge working-rank headroom.
 
         Args:
             blocks: iterable of column blocks (e.g. from
                 :func:`~repro.corpus.io.corpus_column_blocks`) or a
                 single in-memory matrix to chunk.
             rank: the LSI dimension ``k``.
-            engine: per-block engine (``None``: the direct kernel).
-            seed: RNG seed for iterative engines.
+            seed: unused: the block kernel is deterministic, so any
+                seed gives bit-identical factors.  Accepted so callers
+                can pass one seed to every fit.
             vocabulary: optional term strings persisted with the
                 index.
-            config: serving policy; ``stream_block_size``,
-                ``stream_oversample``, and ``stream_polish`` govern
-                the incremental fit.
-            **engine_kwargs: per-block engine tuning.
+            config: serving policy; ``stream_block_size`` and
+                ``stream_oversample`` govern the incremental fit.
 
         Raises:
-            ValidationError: when ``config.stream_polish > 0`` with a
-                one-shot block stream, or on invalid fit parameters.
+            ValidationError: on invalid fit parameters or blocks with
+                differing row counts.
             EmptyCorpusError: when the stream yields no blocks.
-            ConvergenceError: when a per-block engine fails to
-                converge.
         """
         config = config if config is not None else ServingConfig()
         model = LSIModel.fit_streamed(
-            blocks, rank, engine=engine, seed=seed,
-            block_size=config.stream_block_size,
-            oversample=config.stream_oversample,
-            polish_iterations=config.stream_polish,
-            **engine_kwargs)
+            blocks, rank, block_size=config.stream_block_size,
+            oversample=config.stream_oversample)
         return cls(model, vocabulary=vocabulary, config=config)
 
     # ------------------------------------------------------------------
@@ -268,10 +259,6 @@ class ServedIndex:
     def needs_refit(self) -> bool:
         """Whether drift has crossed the configured threshold."""
         return self._writer.needs_refit
-
-    def drift_report(self) -> DriftReport:
-        """The frozen drift accounting (cheap even on mmap loads)."""
-        return self._writer.drift_report()
 
     # ------------------------------------------------------------------
     # Serving
@@ -391,18 +378,21 @@ class ServedIndex:
         """Absorb accumulated updates into the factors.
 
         ``refit()`` with no matrix merges the buffered fold-in block
-        into the basis incrementally (no from-scratch SVD; the
-        config's ``stream_block_size``/``stream_oversample`` steer the
-        merge, and ``engine=None`` factors its blocks directly);
-        ``refit(matrix)`` re-decomposes from scratch (``engine=None``
-        means Lanczos) and also purges tombstoned mass — see
+        into the basis incrementally with the direct block kernel (no
+        from-scratch SVD; the config's
+        ``stream_block_size``/``stream_oversample`` steer the merge,
+        and it takes no engine or engine option); ``refit(matrix)``
+        re-decomposes from scratch (``engine=None`` means Lanczos) and
+        also purges tombstoned mass — see
         :meth:`repro.serving.writer.IndexWriter.refit`.
 
         Raises:
-            ValidationError: on an option the engine does not take,
-                when the incremental fold buffer is unavailable (e.g.
-                after a bundle load), the matrix's term space
-                mismatches, or fit parameters are invalid.
+            ValidationError: on an option the engine does not take, an
+                engine or engine option without a matrix, a
+                ``block_size`` with one, when the incremental fold
+                buffer is unavailable (e.g. after a bundle load), the
+                matrix's term space mismatches, or fit parameters are
+                invalid.
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """

@@ -29,7 +29,8 @@ class ServingStats:
         fold_ins_since_refit: documents added by folding since the last
             (re)fit.
         deletes_since_refit: documents tombstoned since the last (re)fit.
-        refits: times the index was refit from a full matrix.
+        refits: times the index was refit, incrementally or from a
+            full matrix.
         drift: current residual-energy drift in ``[0, 1)`` (see
             :class:`repro.serving.writer.IndexWriter`).
         refit_recommended: whether ``drift`` has crossed the index's

@@ -40,48 +40,16 @@ read-only memory maps as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.lsi import LSIModel
 from repro.errors import ValidationError
-from repro.linalg.incremental import PartialSVD, _check_block_engine, \
-    concat_columns, iter_column_blocks, merge
+from repro.linalg.incremental import PartialSVD, concat_columns, \
+    iter_column_blocks, merge
 from repro.linalg.sparse import CSRMatrix
-from repro.linalg.svd import _check_engine_kwargs
 from repro.utils.validation import check_fraction, check_non_negative_int
 
-__all__ = ["DriftReport", "IndexWriter"]
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """The writer's drift accounting, frozen for reporting.
-
-    Attributes:
-        drift: current drift in ``[0, 1)``; monotone non-decreasing in
-            update operations between refits.
-        threshold: configured refit threshold (``None`` = never
-            recommend).
-        needs_refit: whether ``drift >= threshold``.
-        unabsorbed_energy: accumulated out-of-subspace + deleted energy.
-        captured_energy: ``‖Aₖ‖_F²`` of the fitted model (drift
-            denominator anchor).
-        baseline_residual_energy: the fit's own Eckart–Young residual
-            ``‖A − Aₖ‖_F²`` — error the index had even before folding.
-        fold_ins_since_refit: documents folded since the last (re)fit.
-        deletes_since_refit: documents tombstoned since the last (re)fit.
-    """
-
-    drift: float
-    threshold: "float | None"
-    needs_refit: bool
-    unabsorbed_energy: float
-    captured_energy: float
-    baseline_residual_energy: float
-    fold_ins_since_refit: int
-    deletes_since_refit: int
+__all__ = ["IndexWriter"]
 
 
 def _column_sq_norms(columns) -> np.ndarray:
@@ -201,7 +169,7 @@ class IndexWriter:
         themselves are buffered (term space, verbatim) so the next
         ``refit()`` can absorb them into the basis incrementally; the
         buffer costs O(nnz of the folds since the last refit) and is
-        dropped on every refit (or via :meth:`discard_fold_buffer`).
+        dropped on every refit.
 
         Raises:
             ValidationError: if ``columns`` is dense but not 2-D.
@@ -294,19 +262,9 @@ class IndexWriter:
         True when the fold buffer covers every folded document —
         which it always does for an in-process writer, but not after
         loading a bundle that was saved with unabsorbed fold-ins
-        (term-space columns are not persisted), or after
-        :meth:`discard_fold_buffer`.
+        (term-space columns are not persisted).
         """
         return self.pending_columns == self.n_folded
-
-    def discard_fold_buffer(self) -> None:
-        """Drop the buffered fold-in columns to reclaim memory.
-
-        After this, drift accounting still works but ``refit()`` must
-        be given the corpus matrix (full refit) until the next refit
-        resets the fold state.
-        """
-        self._fold_buffer.clear()
 
     @property
     def fold_ins_since_refit(self) -> int:
@@ -329,90 +287,89 @@ class IndexWriter:
         return (self.drift_threshold is not None
                 and self.drift >= self.drift_threshold)
 
-    def drift_report(self) -> DriftReport:
-        """A frozen snapshot of the drift accounting."""
-        svd = self._model.svd
-        return DriftReport(
-            drift=self.drift,
-            threshold=self.drift_threshold,
-            needs_refit=self.needs_refit,
-            unabsorbed_energy=self.unabsorbed_energy,
-            captured_energy=svd.captured_energy(),
-            baseline_residual_energy=svd.residual_energy(),
-            fold_ins_since_refit=self._fold_ins,
-            deletes_since_refit=self._deletes)
-
     # ------------------------------------------------------------------
     # Refit
     # ------------------------------------------------------------------
 
     def refit(self, matrix=None, *, rank=None,
               engine: "str | None" = None, seed=None,
-              block_size: "int | None" = None, oversample: int = 8,
+              block_size: "int | None" = None,
+              oversample: "int | None" = None,
               **engine_kwargs) -> LSIModel:
         """Absorb the accumulated updates into the factors.
 
-        Two modes:
+        Two modes, and neither replaces the other:
 
         - **Incremental (default)** — ``refit()`` with no matrix
           concatenates the buffered fold-in columns into one block,
-          factors it ``block_size`` columns at a time and merges each
+          factors it ``block_size`` columns at a time with the direct
+          kernel of :mod:`repro.linalg.incremental` and merges each
           factorisation into the current factors via
           :func:`repro.linalg.incremental.merge`, so the refit merges
           ``⌈pending / block_size⌉`` times however many
           :meth:`add_documents` calls filled the buffer.  No
-          from-scratch decomposition runs; cost scales with the
-          fold block, not the corpus.  Fold-in drift is absorbed;
-          tombstones (and their deleted energy) survive, because a
-          merge can only *add* subspace mass — purging deletions
-          needs the full mode.
+          from-scratch decomposition runs and no corpus matrix is
+          needed; cost scales with the fold block, not the corpus.
+          Fold-in drift is absorbed; tombstones (and their deleted
+          energy) survive, because a merge can only *add* subspace
+          mass — purging deletions needs the full mode.
         - **Full** — ``refit(matrix)`` re-runs the SVD on an
           authoritative corpus matrix: the writer replaces its model
           and document store, clears tombstones, and resets all drift
-          accounting, exactly as before the incremental subsystem
-          existed.
+          accounting.
 
         Args:
             matrix: the ``n_terms × m_new`` corpus for a full refit;
                 ``None`` selects the incremental merge.
             rank: LSI rank (defaults to the current model's rank).
-            engine: SVD engine for the full fit (``None``:
-                ``lanczos``), or the per-block engine of the
-                incremental merge (``None``: the direct kernel of
-                :mod:`repro.linalg.incremental`).
-            seed: RNG seed for iterative engines.
+            engine: full mode only — the SVD engine (``None``:
+                ``lanczos``).
+            seed: RNG seed for the full mode's iterative engines; the
+                incremental mode is deterministic and ignores it.
             block_size: incremental mode only — width of the blocks
                 the concatenated fold buffer is factored in (``None``
                 factors it as one block).
-            oversample: incremental mode only — working-rank headroom
-                carried through the merges.
-            **engine_kwargs: the tuning options ``engine`` takes (see
-                :func:`~repro.linalg.svd.engine_options`), checked
-                before either mode runs — an incremental refit with no
-                buffered block would otherwise drop them unread.
+            oversample: working-rank headroom: carried through the
+                incremental merges (``None``: 8), or, when given with
+                a matrix, the engine's own ``oversample`` option.
+            **engine_kwargs: full mode only — the tuning options
+                ``engine`` takes (see
+                :func:`~repro.linalg.svd.engine_options`).
 
         Returns:
             The refreshed model (also installed in the writer).
 
         Raises:
             ValidationError: on an option ``engine`` does not take;
-                when the incremental mode's fold buffer does not cover
-                the folded documents (bundle loads drop the buffer —
-                supply the matrix instead); when the refit matrix's
-                term space does not match the served one; or on
-                invalid fit parameters.
+                on an engine or engine option without a matrix, or a
+                ``block_size`` with one; when the incremental mode's
+                fold buffer does not cover the folded documents
+                (bundle loads drop the buffer — supply the matrix
+                instead); when the refit matrix's term space does not
+                match the served one; or on invalid fit parameters.
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """
-        if matrix is not None:
-            engine = "lanczos" if engine is None else engine
-            _check_engine_kwargs(engine, engine_kwargs)
-            return self._refit_full(matrix, rank=rank, engine=engine,
-                                    seed=seed, **engine_kwargs)
-        _check_block_engine(engine, engine_kwargs)
-        return self._refit_incremental(
-            rank=rank, engine=engine, seed=seed,
-            block_size=block_size, oversample=oversample,
+        if matrix is None:
+            if engine is not None:
+                engine_kwargs["engine"] = engine
+            if engine_kwargs:
+                raise ValidationError(
+                    f"unknown option(s) {sorted(engine_kwargs)} for the "
+                    f"incremental refit; an engine and its options "
+                    f"apply to refit(matrix) only")
+            return self._refit_incremental(
+                rank=rank, block_size=block_size,
+                oversample=8 if oversample is None else oversample)
+        if block_size is not None:
+            raise ValidationError(
+                "block_size applies to the incremental refit only; "
+                "refit(matrix) decomposes the whole matrix")
+        if oversample is not None:
+            engine_kwargs["oversample"] = oversample
+        return self._refit_full(
+            matrix, rank=rank,
+            engine="lanczos" if engine is None else engine, seed=seed,
             **engine_kwargs)
 
     def _refit_full(self, matrix, *, rank, engine, seed,
@@ -437,8 +394,8 @@ class IndexWriter:
         self._refits += 1
         return model
 
-    def _refit_incremental(self, *, rank, engine, seed, block_size,
-                           oversample, **engine_kwargs) -> LSIModel:
+    def _refit_incremental(self, *, rank, block_size,
+                           oversample) -> LSIModel:
         """Merge the concatenated fold buffer into the current
         factors, ``block_size`` columns at a time."""
         if not self.can_refit_incrementally:
@@ -449,17 +406,17 @@ class IndexWriter:
                 f"documents (bundles do not persist the buffer); "
                 f"pass refit(matrix) for a full refit")
         rank = self._model.rank if rank is None else int(rank)
-        work_rank = max(rank, self._model.rank) + int(oversample)
+        work_rank = max(rank, self._model.rank) \
+            + check_non_negative_int(oversample, "oversample")
         partial = PartialSVD.from_svd_result(self._model.svd)
         if self._fold_buffer:
             pending = concat_columns(self._fold_buffer)
             width = pending.shape[1] if block_size is None \
                 else block_size
             for block in iter_column_blocks(pending, width):
-                part = PartialSVD.from_block(
-                    block, work_rank, engine=engine, seed=seed,
-                    keep_vt=True, **engine_kwargs)
-                partial = merge(partial, part, rank=work_rank)
+                partial = merge(partial,
+                                PartialSVD.from_block(block, work_rank),
+                                rank=work_rank)
         partial = partial.truncate(min(rank, partial.rank))
         model = LSIModel(partial.to_svd_result())
         self._model = model

@@ -2,11 +2,12 @@
 
 Covers the mergeable :class:`PartialSVD` algebra (associativity up to
 a rotation, energy monotonicity, error-bound validity — the hypothesis
-properties the merge math promises), the block iterators, the
-``engine="incremental"`` dispatch, ``fit_streamed`` on models and
-served indexes, the writer's incremental ``refit()`` path, the
-``serve-stats`` writer-state report, and a subprocess peak-RSS check
-that the streamed path actually stays out-of-core.
+properties the merge math promises, checked on ``exact_svd`` inputs),
+the direct block kernel against the exact SVD, the block iterators,
+``fit_streamed`` on models and served indexes, both modes of the
+writer's ``refit()`` and the options each takes, the ``serve-stats``
+writer-state report, and a subprocess peak-RSS check that the streamed
+path actually stays out-of-core.
 """
 
 import json
@@ -30,10 +31,8 @@ from repro.linalg.incremental import (
     PartialSVD,
     block_updates,
     concat_columns,
-    incremental_svd,
     iter_column_blocks,
     merge,
-    polish,
 )
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import exact_svd
@@ -47,6 +46,12 @@ def low_rank_matrix(rng, n, m, rank, noise=0.01):
     left = rng.standard_normal((n, rank))
     right = rng.standard_normal((rank, m))
     return left @ right + noise * rng.standard_normal((n, m))
+
+
+def exact_part(block, rank):
+    """The exact rank-``rank`` SVD of ``block`` as a merge input."""
+    return PartialSVD.from_svd_result(
+        exact_svd(block).truncate(min(rank, *block.shape)))
 
 
 def score_batch(model, queries):
@@ -153,7 +158,7 @@ class TestCorpusColumnBlocks:
 class TestPartialSVD:
     def test_from_block_accounting(self, rng):
         block = rng.standard_normal((30, 12))
-        part = PartialSVD.from_block(block, 5, engine="exact")
+        part = PartialSVD.from_block(block, 5)
         assert part.rank == 5 and part.n_terms == 30
         assert part.n_columns == 12 and part.merges == 0
         assert part.frobenius_norm_sq == pytest.approx(
@@ -167,18 +172,11 @@ class TestPartialSVD:
         assert 0.0 < part.energy_fraction() <= 1.0
 
     def test_rank_clamped_to_block_shape(self, rng):
-        part = PartialSVD.from_block(rng.standard_normal((30, 3)), 10,
-                                     engine="exact")
+        part = PartialSVD.from_block(rng.standard_normal((30, 3)), 10)
         assert part.rank == 3
 
-    def test_from_block_rejects_incremental_engine(self, rng):
-        with pytest.raises(ValidationError, match="recurse"):
-            PartialSVD.from_block(rng.standard_normal((6, 6)), 2,
-                                  engine="incremental")
-
     def test_truncate_grows_bound_and_is_idempotent(self, rng):
-        part = PartialSVD.from_block(rng.standard_normal((20, 15)), 8,
-                                     engine="exact")
+        part = PartialSVD.from_block(rng.standard_normal((20, 15)), 8)
         cut = part.truncate(5)
         assert cut.rank == 5
         dropped = float(np.sum(part.singular_values[5:] ** 2))
@@ -186,13 +184,6 @@ class TestPartialSVD:
             part.error_bound + np.sqrt(dropped))
         assert cut.truncate(5) is cut
         assert part.truncate(8) is part
-
-    def test_to_svd_result_requires_vt(self, rng):
-        part = PartialSVD.from_block(rng.standard_normal((10, 6)), 3,
-                                     engine="exact", keep_vt=False)
-        assert part.vt is None
-        with pytest.raises(ValidationError, match="vt"):
-            part.to_svd_result()
 
     def test_invariant_violations_raise(self, rng):
         u, _ = np.linalg.qr(rng.standard_normal((8, 3)))
@@ -229,8 +220,7 @@ class TestMergeProperties:
     @settings(max_examples=40, deadline=None)
     def test_merge_associative_up_to_rotation(self, case):
         blocks, rank = case
-        parts = [PartialSVD.from_block(b, rank, engine="exact")
-                 for b in blocks]
+        parts = [exact_part(b, rank) for b in blocks]
         left = merge(merge(parts[0], parts[1]), parts[2])
         right = merge(parts[0], merge(parts[1], parts[2]))
         # Same spectrum and, away from tolerance-sized directions,
@@ -255,8 +245,7 @@ class TestMergeProperties:
     @settings(max_examples=40, deadline=None)
     def test_captured_energy_monotone_across_merges(self, case):
         blocks, rank = case
-        parts = [PartialSVD.from_block(b, rank, engine="exact")
-                 for b in blocks]
+        parts = [exact_part(b, rank) for b in blocks]
         accumulated = parts[0]
         for part in parts[1:]:
             # keep >= max(k1, k2): monotonicity is guaranteed.
@@ -274,8 +263,7 @@ class TestMergeProperties:
     def test_error_bound_dominates_true_residual(self, case):
         blocks, rank = case
         full = np.hstack(blocks)
-        accumulated = block_updates(iter(blocks), rank, engine="exact",
-                                    oversample=2)
+        accumulated = block_updates(iter(blocks), rank, oversample=2)
         approx = (accumulated.u * accumulated.singular_values) \
             @ accumulated.vt
         actual = float(np.linalg.norm(full - approx))
@@ -322,12 +310,13 @@ def direct_blocks(draw, wide=False):
 
 
 class TestDirectKernelProperties:
-    """``engine=None`` (Gram + Rayleigh–Ritz) against ``exact``."""
+    """The block kernel (Gram + Rayleigh–Ritz) against ``exact``."""
 
     @staticmethod
     def _check_matches_exact(block, dense, rank):
         direct = PartialSVD.from_block(block, rank)
-        exact = PartialSVD.from_block(dense, rank, engine="exact")
+        exact = truncated_svd(dense, min(rank, *dense.shape),
+                              engine="exact")
         top = max(float(exact.singular_values[0]), 1e-300)
         k = min(direct.rank, exact.rank)
         assert np.all(np.abs(direct.singular_values[:k]
@@ -365,12 +354,6 @@ class TestDirectKernelProperties:
         direct, _ = self._check_matches_exact(block, dense, rank)
         assert direct.merges == 1   # two pieces of ≤ 256 + 80 columns
 
-    def test_direct_takes_no_options(self, rng):
-        with pytest.raises(ValidationError,
-                           match=r"unknown option\(s\) \['tol'\]"):
-            PartialSVD.from_block(rng.standard_normal((6, 4)), 2,
-                                  tol=1e-3)
-
     def test_empty_block_raises(self):
         with pytest.raises(ValidationError, match="empty block"):
             PartialSVD.from_block(np.zeros((5, 0)), 2)
@@ -378,19 +361,9 @@ class TestDirectKernelProperties:
 
 class TestMergeValidation:
     def test_mismatched_term_spaces_raise(self, rng):
-        a = PartialSVD.from_block(rng.standard_normal((8, 4)), 2,
-                                  engine="exact")
-        b = PartialSVD.from_block(rng.standard_normal((9, 4)), 2,
-                                  engine="exact")
+        a = exact_part(rng.standard_normal((8, 4)), 2)
+        b = exact_part(rng.standard_normal((9, 4)), 2)
         with pytest.raises(ValidationError, match="term spaces"):
-            merge(a, b)
-
-    def test_mismatched_vt_presence_raises(self, rng):
-        block = rng.standard_normal((8, 4))
-        a = PartialSVD.from_block(block, 2, engine="exact")
-        b = PartialSVD.from_block(block, 2, engine="exact",
-                                  keep_vt=False)
-        with pytest.raises(ValidationError, match="keep_vt"):
             merge(a, b)
 
     def test_merge_exact_on_disjoint_subspaces(self):
@@ -400,16 +373,14 @@ class TestMergeValidation:
         a_block[0, 0], a_block[1, 1] = 4.0, 2.0
         b_block = np.zeros((6, 3))
         b_block[2, 0], b_block[3, 1] = 3.0, 1.0
-        a = PartialSVD.from_block(a_block, 2, engine="exact")
-        b = PartialSVD.from_block(b_block, 2, engine="exact")
-        merged = merge(a, b)
+        merged = merge(exact_part(a_block, 2), exact_part(b_block, 2))
         assert np.allclose(merged.singular_values, [4.0, 3.0, 2.0, 1.0])
         assert merged.error_bound == pytest.approx(0.0, abs=1e-9)
         assert merged.n_columns == 6 and merged.merges == 1
 
 
 # ---------------------------------------------------------------------------
-# block_updates / polish / incremental engine
+# block_updates
 # ---------------------------------------------------------------------------
 
 class TestBlockUpdates:
@@ -421,14 +392,12 @@ class TestBlockUpdates:
         blocks = [rng.standard_normal((8, 4)),
                   rng.standard_normal((9, 4))]
         with pytest.raises(ValidationError, match="rows"):
-            block_updates(iter(blocks), 2, engine="exact")
+            block_updates(iter(blocks), 2)
 
     def test_rechunking_oversized_blocks(self, rng):
         matrix = low_rank_matrix(rng, 20, 90, 4)
-        direct = block_updates(iter_column_blocks(matrix, 16), 4,
-                               engine="exact")
-        rechunked = block_updates(iter([matrix]), 4, engine="exact",
-                                  block_size=16)
+        direct = block_updates(iter_column_blocks(matrix, 16), 4)
+        rechunked = block_updates(iter([matrix]), 4, block_size=16)
         assert rechunked.n_columns == 90
         assert np.allclose(direct.singular_values,
                            rechunked.singular_values, atol=1e-8)
@@ -436,7 +405,7 @@ class TestBlockUpdates:
     def test_streamed_recovers_planted_spectrum(self, rng):
         matrix = low_rank_matrix(rng, 40, 200, 5, noise=0.001)
         streamed = block_updates(iter_column_blocks(matrix, 32), 5,
-                                 engine="exact", oversample=8)
+                                 oversample=8)
         exact = truncated_svd(matrix, 5, engine="exact")
         assert np.allclose(streamed.singular_values,
                            exact.singular_values, rtol=1e-3)
@@ -444,51 +413,16 @@ class TestBlockUpdates:
         assert streamed.energy_fraction() > 0.999
 
 
-class TestPolish:
-    def test_polish_tightens_bound_and_residual(self, rng):
-        matrix = low_rank_matrix(rng, 30, 120, 4, noise=0.05)
-        rough = block_updates(iter_column_blocks(matrix, 16), 4,
-                              engine="exact", oversample=2)
-        polished = polish(rough, matrix, iterations=2)
-        # The polished bound is the exact Pythagorean residual, which
-        # the triangle-inequality accumulation can only overestimate.
-        assert polished.error_bound <= rough.error_bound + 1e-9
-        approx = (polished.u * polished.singular_values) @ polished.vt
-        actual = float(np.linalg.norm(matrix - approx))
-        assert polished.error_bound == pytest.approx(actual, rel=1e-6,
-                                                     abs=1e-8)
-
-    def test_polish_shape_mismatch_raises(self, rng):
-        rough = PartialSVD.from_block(rng.standard_normal((10, 8)), 3,
-                                      engine="exact")
-        with pytest.raises(ValidationError, match="shape"):
-            polish(rough, rng.standard_normal((10, 9)))
-
-
 class TestIncrementalEngine:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_matches_exact_on_low_rank(self, rng, sparse):
         matrix = low_rank_matrix(rng, 50, 300, 6, noise=0.0)
         source = CSRMatrix.from_dense(matrix) if sparse else matrix
-        result = truncated_svd(source, 6, engine="incremental",
-                               block_size=64, seed=0)
+        result = LSIModel.fit_streamed(source, 6, block_size=64).svd
         exact = truncated_svd(matrix, 6, engine="exact")
         assert np.allclose(result.singular_values,
                            exact.singular_values, rtol=1e-6)
         assert sin_theta_distance(result.u, exact.u) < 1e-6
-
-    def test_polish_option_threads_through(self, rng):
-        matrix = low_rank_matrix(rng, 40, 150, 5)
-        result = incremental_svd(matrix, 5, block_size=32,
-                                 polish_iterations=1, seed=0)
-        exact = truncated_svd(matrix, 5, engine="exact")
-        assert result.residual_norm() <= \
-            exact.residual_norm() * (1 + 1e-6) + 1e-8
-
-    def test_unknown_option_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            truncated_svd(rng.random((10, 10)), 2,
-                          engine="incremental", bogus=1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +434,7 @@ class TestFitStreamed:
         matrix = low_rank_matrix(rng, 60, 400, 8, noise=0.01)
         eager = LSIModel.fit(matrix, 8, engine="exact")
         streamed = LSIModel.fit_streamed(
-            iter_column_blocks(matrix, 64), 8, engine="exact",
-            oversample=16)
+            iter_column_blocks(matrix, 64), 8, oversample=16)
         queries = rng.random((60, 12))
         overlap = top_k_overlap(score_batch(eager, queries),
                                 score_batch(streamed, queries), 10)
@@ -510,21 +443,8 @@ class TestFitStreamed:
 
     def test_matrix_input_is_chunked(self, rng):
         matrix = low_rank_matrix(rng, 30, 100, 4)
-        model = LSIModel.fit_streamed(matrix, 4, engine="exact",
-                                      block_size=25)
+        model = LSIModel.fit_streamed(matrix, 4, block_size=25)
         assert model.rank == 4 and model.n_documents == 100
-
-    def test_polish_on_one_shot_stream_raises(self, rng):
-        blocks = [rng.random((10, 5)) for _ in range(3)]
-        with pytest.raises(ValidationError, match="re-readable"):
-            LSIModel.fit_streamed(iter(blocks), 2,
-                                  polish_iterations=1)
-
-    def test_polish_on_matrix_input_allowed(self, rng):
-        matrix = low_rank_matrix(rng, 25, 80, 3)
-        model = LSIModel.fit_streamed(matrix, 3, engine="exact",
-                                      polish_iterations=1)
-        assert model.rank == 3
 
     def test_empty_stream_raises(self):
         with pytest.raises(EmptyCorpusError):
@@ -535,8 +455,7 @@ class TestFitStreamed:
         config = ServingConfig(stream_block_size=32,
                                stream_oversample=12)
         index = ServedIndex.fit_streamed(
-            iter_column_blocks(matrix, 32), 5, engine="exact",
-            config=config)
+            iter_column_blocks(matrix, 32), 5, config=config)
         assert index.n_documents == 150 and index.rank == 5
         eager = LSIModel.fit(matrix, 5, engine="exact")
         queries = rng.random((40, 6))
@@ -558,7 +477,7 @@ class TestFitStreamed:
         # agree with the eager one in full.
         streamed = LSIModel.fit_streamed(
             corpus_column_blocks(corpus, 16, weighting="log_tf"), 4,
-            engine="exact", oversample=26)
+            oversample=26)
         full = corpus.term_document_matrix(weighting="log_tf")
         eager = LSIModel.fit(full, 4, engine="exact")
         queries = rng.random((30, 8))
@@ -571,8 +490,16 @@ class TestFitStreamed:
             ServingConfig(stream_block_size=0)
         with pytest.raises(ValidationError):
             ServingConfig(stream_oversample=-1)
-        with pytest.raises(ValidationError):
-            ServingConfig(stream_polish=-2)
+
+    def test_served_fit_ignores_seed(self, rng):
+        # The block kernel draws no random numbers, which is what
+        # documenting ServedIndex.fit_streamed's seed as unused rests on.
+        matrix = CSRMatrix.from_dense(low_rank_matrix(rng, 40, 300, 5))
+        config = ServingConfig(stream_block_size=64)
+        first, second = (ServedIndex.fit_streamed(matrix, 5, seed=seed,
+                                                  config=config)
+                         for seed in (0, 1))
+        assert_models_close(first.model, second.model, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +563,6 @@ class TestIncrementalRefit:
                                match=r"unknown option\(s\) \['full'\]"):
                 target.refit(full=True)
 
-    def test_refit_after_discarded_buffer_raises(self, writer, rng):
-        writer.add_documents(rng.random((50, 3)))
-        writer.discard_fold_buffer()
-        assert not writer.can_refit_incrementally
-        with pytest.raises(ValidationError, match="buffer"):
-            writer.refit()
-
     def test_refit_after_bundle_reload_raises(self, writer, matrix,
                                               rng, tmp_path):
         index = ServedIndex(writer.model)
@@ -688,6 +608,44 @@ class TestIncrementalRefit:
         assert len(merges) == math.ceil(pending / 16) == 5
         assert_models_close(split, once.refit(block_size=16))
 
+    @pytest.mark.parametrize("options, named", [
+        pytest.param({"engine": "lanczos"}, "'engine'", id="engine"),
+        pytest.param({"tol": 1e-3}, "'tol'", id="option"),
+        pytest.param({"engine": "randomized", "power_iterations": 2},
+                     "'engine', 'power_iterations'", id="both"),
+    ])
+    def test_incremental_mode_rejects_engine_options(self, writer, rng,
+                                                     options, named):
+        # The incremental mode factors with the one block kernel; an
+        # engine or engine option is refused before any state changes.
+        for target in (writer, ServedIndex(writer.model)):
+            target.add_documents(rng.random((50, 4)))
+            before = target.model
+            with pytest.raises(ValidationError,
+                               match=rf"unknown option\(s\) \[{named}\]"):
+                target.refit(**options)
+            assert target.model is before
+        assert writer.pending_columns == 4
+
+    @pytest.mark.parametrize("oversample", [-5, 2.5])
+    def test_incremental_refit_rejects_bad_oversample(self, writer, rng,
+                                                      oversample):
+        # A negative headroom would merge below the served rank and
+        # shrink it.
+        writer.add_documents(rng.random((50, 4)))
+        with pytest.raises(ValidationError, match="oversample"):
+            writer.refit(oversample=oversample)
+        assert writer.model.rank == 6 and writer.pending_columns == 4
+
+    def test_incremental_refit_ignores_seed(self, matrix, rng):
+        folds = low_rank_matrix(rng, 50, 40, 6)
+        models = []
+        for seed in (0, 1):
+            writer = IndexWriter(LSIModel.fit(matrix, 6, engine="exact"))
+            writer.add_documents(folds)
+            models.append(writer.refit(seed=seed, block_size=16))
+        assert_models_close(*models, atol=0.0)
+
     def test_mixed_dense_and_csr_buffer_refits(self, writer, rng):
         folds = [low_rank_matrix(rng, 50, 9, 6) for _ in range(3)]
         dense = IndexWriter(writer.model)
@@ -697,6 +655,44 @@ class TestIncrementalRefit:
         writer.add_documents(folds[2])
         assert writer.pending_columns == 27
         assert_models_close(writer.refit(), dense.refit())
+
+
+class TestFullRefitOptions:
+    """``refit(matrix)`` hands its options to the full fit's engine."""
+
+    @pytest.fixture
+    def matrix(self, rng):
+        return rng.random((60, 80))
+
+    @pytest.fixture(params=["writer", "served"])
+    def target(self, request, matrix):
+        model = LSIModel.fit(matrix, 5, engine="exact")
+        if request.param == "writer":
+            return IndexWriter(model)
+        return ServedIndex(model)
+
+    def test_oversample_reaches_the_engine(self, target, matrix):
+        refitted = target.refit(matrix, engine="randomized", seed=3,
+                                oversample=40)
+        wanted = LSIModel.fit(matrix, 5, engine="randomized", seed=3,
+                              oversample=40)
+        assert_models_close(refitted, wanted, atol=0.0)
+        default = LSIModel.fit(matrix, 5, engine="randomized", seed=3)
+        assert not np.array_equal(refitted.svd.u, default.svd.u)
+
+    def test_engine_without_oversample_rejects_it(self, target, matrix):
+        before = target.model
+        with pytest.raises(ValidationError,
+                           match=r"unknown option\(s\) \['oversample'\] "
+                                 r"for SVD engine 'lanczos'"):
+            target.refit(matrix, engine="lanczos", oversample=40)
+        assert target.model is before
+
+    def test_block_size_with_matrix_raises(self, target, matrix):
+        before = target.model
+        with pytest.raises(ValidationError, match="block_size"):
+            target.refit(matrix, block_size=7)
+        assert target.model is before
 
 
 class TestNoDensify:
@@ -838,7 +834,7 @@ if sys.argv[1] == "eager":
     full = np.hstack(list(blocks()))
     LSIModel.fit(full, RANK, engine="lanczos", seed=0)
 else:
-    LSIModel.fit_streamed(blocks(), RANK, seed=0, oversample=8)
+    LSIModel.fit_streamed(blocks(), RANK, oversample=8)
 print(peak_rss_kb())
 """
         env = dict(os.environ)

@@ -291,8 +291,6 @@ class TestIndexWriter:
         assert not writer.needs_refit
         writer.add_documents(rng.random((model.n_terms, 5)))
         assert writer.needs_refit
-        report = writer.drift_report()
-        assert report.needs_refit and report.drift == writer.drift
 
     def test_refit_resets_accounting(self, model, dense_matrix, rng):
         writer = IndexWriter(model, drift_threshold=1e-6)

@@ -65,7 +65,7 @@ class TestServingConfig:
         {"cache_capacity": -1},
         {"max_batch": 0},
         {"max_wait_ms": -1.0},
-        {"stream_polish": -1},
+        {"stream_oversample": -1},
         {"drift_threshold": 2.0},
     ])
     def test_bad_values_raise(self, fields):
@@ -85,11 +85,11 @@ class TestServingConfig:
                            "valid fields"):
             ServingConfig().merged(cache_capacit=4)
 
-    def test_fields_are_the_nine_policy_knobs(self):
+    def test_fields_are_the_eight_policy_knobs(self):
         assert tuple(f.name for f in dataclasses.fields(ServingConfig)) \
             == ("dtype", "mmap", "cache_capacity", "drift_threshold",
                 "max_batch", "max_wait_ms", "stream_block_size",
-                "stream_oversample", "stream_polish")
+                "stream_oversample")
 
 
 def _saved_bundle(model, tmp_path):
