@@ -198,7 +198,6 @@ class PartialSVD:
         singular_values: length-``k`` singular values, descending.
         vt: ``(k, m)`` right factor over the columns absorbed so
             far (the documents' coordinates).
-        n_columns: number of matrix columns absorbed so far.
         frobenius_norm_sq: ``‖A‖_F²`` of *all* absorbed columns.
         error_bound: triangle-inequality bound on
             ``‖A − U·S·Vᵀ‖_F`` — the sum of each block fit's
@@ -210,7 +209,6 @@ class PartialSVD:
     u: np.ndarray
     singular_values: np.ndarray
     vt: np.ndarray
-    n_columns: int
     frobenius_norm_sq: float
     error_bound: float = 0.0
     merges: int = 0
@@ -232,12 +230,6 @@ class PartialSVD:
         if self.vt.ndim != 2 or self.vt.shape[0] != k:
             raise ValidationError(
                 f"vt must be (k, m) with k={k}; got {self.vt.shape}")
-        if self.vt.shape[1] != self.n_columns:
-            raise ValidationError(
-                f"vt covers {self.vt.shape[1]} columns but "
-                f"n_columns={self.n_columns}")
-        if self.n_columns < 0:
-            raise ValidationError("n_columns must be non-negative")
         if self.frobenius_norm_sq < 0 or self.error_bound < 0:
             raise ValidationError(
                 "energies and error bounds must be non-negative")
@@ -293,7 +285,6 @@ class PartialSVD:
         return cls(u=result.u,
                    singular_values=result.singular_values,
                    vt=result.vt,
-                   n_columns=int(result.vt.shape[1]),
                    frobenius_norm_sq=result.frobenius_norm_sq,
                    error_bound=result.residual_norm())
 
@@ -310,6 +301,11 @@ class PartialSVD:
     def n_terms(self) -> int:
         """Row dimension ``n`` shared by every merged block."""
         return int(self.u.shape[0])
+
+    @property
+    def n_columns(self) -> int:
+        """Number of matrix columns absorbed so far (``vt``'s width)."""
+        return int(self.vt.shape[1])
 
     def captured_energy(self) -> float:
         """``Σ σᵢ²`` over retained triplets (:func:`math.fsum`-stable).
@@ -434,7 +430,6 @@ def merge(a: PartialSVD, b: PartialSVD, *,
         singular_values=s_mid[:keep],
         vt=np.hstack([vt_mid[:keep, :k1] @ a.vt,
                       vt_mid[:keep, k1:] @ b.vt]),
-        n_columns=a.n_columns + b.n_columns,
         frobenius_norm_sq=a.frobenius_norm_sq + b.frobenius_norm_sq,
         error_bound=a.error_bound + b.error_bound
         + math.sqrt(dropped),

@@ -393,6 +393,8 @@ class ServedIndex:
                 buffer is unavailable (e.g. after a bundle load), the
                 matrix's term space mismatches, or fit parameters are
                 invalid.
+            RankError: when an incremental refit asks for a rank above
+                the served one.
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """

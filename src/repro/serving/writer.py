@@ -47,7 +47,8 @@ from repro.errors import ValidationError
 from repro.linalg.incremental import PartialSVD, concat_columns, \
     iter_column_blocks, merge
 from repro.linalg.sparse import CSRMatrix
-from repro.utils.validation import check_fraction, check_non_negative_int
+from repro.utils.validation import check_fraction, \
+    check_non_negative_int, check_rank
 
 __all__ = ["IndexWriter"]
 
@@ -322,6 +323,8 @@ class IndexWriter:
             matrix: the ``n_terms × m_new`` corpus for a full refit;
                 ``None`` selects the incremental merge.
             rank: LSI rank (defaults to the current model's rank).
+                The incremental mode can keep or lower it only; raise
+                it with ``refit(matrix)``.
             engine: full mode only — the SVD engine (``None``:
                 ``lanczos``).
             seed: RNG seed for the full mode's iterative engines; the
@@ -347,6 +350,9 @@ class IndexWriter:
                 (bundle loads drop the buffer — supply the matrix
                 instead); when the refit matrix's term space does not
                 match the served one; or on invalid fit parameters.
+            RankError: when the incremental mode's ``rank`` exceeds
+                the served rank (a merge cannot recover directions the
+                basis already dropped).
             ConvergenceError: when an iterative SVD engine fails to
                 converge.
         """
@@ -405,8 +411,11 @@ class IndexWriter:
                 f"{self.pending_columns} of {self.n_folded} folded "
                 f"documents (bundles do not persist the buffer); "
                 f"pass refit(matrix) for a full refit")
-        rank = self._model.rank if rank is None else int(rank)
-        work_rank = max(rank, self._model.rank) \
+        # A merge cannot recover directions the basis already
+        # dropped, so the rank can only stay or fall here.
+        rank = self._model.rank if rank is None \
+            else check_rank(rank, self._model.rank)
+        work_rank = self._model.rank \
             + check_non_negative_int(oversample, "oversample")
         partial = PartialSVD.from_svd_result(self._model.svd)
         if self._fold_buffer:

@@ -59,7 +59,7 @@ class TestRegistry:
     def test_discover_finds_every_bench_script(self):
         registry = discover()
         scripts = sorted(BENCH_DIR.glob("bench_*.py"))
-        assert len(scripts) == 19
+        assert len(scripts) == 20
         modules = {spec.module for spec in registry.specs()}
         assert modules == {path.stem for path in scripts}
 
@@ -467,6 +467,19 @@ class TestCommittedBaseline:
         assert capped["streamed_agreement_ok"] == 1.0
         refit = metrics["incremental_refit[smoke]"]
         assert refit["refit_agreement_ok"] == 1.0
+
+    def test_text_pipeline_claim_holds_in_baseline(self):
+        # The text front end's acceptance claim, pinned to the committed
+        # report: fit, fold-in transform and query vectors equal the
+        # per-token reference bit for bit; the three timings stay
+        # ungated time metrics.
+        document = load_report(self.BASELINE)
+        entry = next(entry for entry in document["results"]
+                     if entry["benchmark"] == "text_pipeline[smoke]")
+        assert entry["metrics"]["pipeline_matches_reference"] == 1.0
+        assert set(entry["time_metrics"]) == {
+            "fit_transform_seconds", "transform_ms_per_doc",
+            "query_vector_us"}
 
 
 class TestScaleBaseline:

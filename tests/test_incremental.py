@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.corpus import Corpus, Document, corpus_column_blocks
 from repro.core.lsi import LSIModel
-from repro.errors import EmptyCorpusError, ValidationError
+from repro.errors import EmptyCorpusError, RankError, ValidationError
 from repro.linalg import sin_theta_distance, truncated_svd
 from repro.linalg.incremental import (
     DIRECT_SPLIT_WIDTH,
@@ -190,13 +190,11 @@ class TestPartialSVD:
         good = np.array([3.0, 2.0, 1.0])
         vt = rng.standard_normal((3, 5))
         with pytest.raises(ValidationError, match="non-increasing"):
-            PartialSVD(u, good[::-1].copy(), vt, 5, 20.0)
+            PartialSVD(u, good[::-1].copy(), vt, 20.0)
         with pytest.raises(ValidationError, match="ranks"):
-            PartialSVD(u, good[:2], vt, 5, 20.0)
-        with pytest.raises(ValidationError, match="covers"):
-            PartialSVD(u, good, vt, 4, 20.0)
+            PartialSVD(u, good[:2], vt, 20.0)
         with pytest.raises(ValidationError, match="non-negative"):
-            PartialSVD(u, good, vt, 5, -1.0)
+            PartialSVD(u, good, vt, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +634,38 @@ class TestIncrementalRefit:
         with pytest.raises(ValidationError, match="oversample"):
             writer.refit(oversample=oversample)
         assert writer.model.rank == 6 and writer.pending_columns == 4
+
+    @pytest.mark.parametrize("rank", [2.7, True, 0, -1, "3"])
+    def test_incremental_refit_rejects_an_invalid_rank(self, writer, rng,
+                                                       rank):
+        # int() would truncate 2.7 to rank 2 and read True as rank 1.
+        for target in (writer, ServedIndex(writer.model)):
+            target.add_documents(rng.random((50, 4)))
+            before = target.model
+            with pytest.raises(ValidationError, match="rank"):
+                target.refit(rank=rank)
+            assert target.model is before
+        assert writer.pending_columns == 4
+
+    @pytest.mark.parametrize("folds", [0, 10])
+    def test_incremental_refit_rejects_a_higher_rank(self, writer, rng,
+                                                     folds):
+        # A merge cannot recover directions the basis already dropped,
+        # so the answer must not depend on what the buffer holds.
+        for target in (writer, ServedIndex(writer.model)):
+            for _ in range(folds):
+                target.add_documents(rng.random((50, 1)))
+            before = target.model
+            with pytest.raises(RankError, match="rank=10"):
+                target.refit(rank=10)
+            assert target.model is before
+        assert writer.pending_columns == folds
+
+    def test_incremental_refit_lowers_the_rank(self, writer, rng):
+        writer.add_documents(rng.random((50, 4)))
+        assert writer.refit(rank=4).rank == 4
+        assert writer.refit(rank=4).rank == 4
+        assert writer.pending_columns == 0
 
     def test_incremental_refit_ignores_seed(self, matrix, rng):
         folds = low_rank_matrix(rng, 50, 40, 6)

@@ -1,5 +1,8 @@
 """Tests for the stemmer, stop words, and the text pipeline."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.corpus.stopwords import (
     prune_terms,
     remove_stop_words,
 )
+from repro.corpus.vocabulary import Vocabulary, synthetic_words
 from repro.errors import EmptyCorpusError, NotFittedError, ValidationError
 from repro.linalg.sparse import CSRMatrix
 
@@ -244,3 +248,95 @@ class TestTextPipeline:
         query = pipeline.query_vector("galaxy starships")
         top = lsi.rank_documents(query, top_k=2)
         assert set(int(d) for d in top) == {0, 1}
+
+
+class TestTokenTable:
+    """The fitted raw token → term id table behind transform and
+    query_vector."""
+
+    DOCS = TestTextPipeline.DOCS
+
+    @staticmethod
+    def per_token_query(pipeline, text):
+        """The query vector ``process_text`` gives, token by token."""
+        vocabulary = pipeline.vocabulary
+        out = np.zeros(len(vocabulary))
+        for term in pipeline.process_text(text):
+            if term in vocabulary:
+                out[vocabulary.term_id(term)] += 1.0
+        return out
+
+    def test_unseen_token_gets_its_fitted_stem(self):
+        pipeline = TextPipeline()
+        pipeline.fit_transform(["connect", "galaxy relay"])
+        term = pipeline.vocabulary.term_id("connect")
+        query = pipeline.query_vector("connections")
+        assert query[term] == 1.0 and query.sum() == 1.0
+        column = pipeline.transform(["connections connected"]).get_column(0)
+        assert column[term] == 2.0 and column.sum() == 2.0
+
+    def test_unseen_tokens_leave_the_table_unchanged(self):
+        pipeline = TextPipeline()
+        pipeline.fit_transform(self.DOCS)
+        table = pipeline._token_table.ids
+        size = len(table)
+        unseen = [word for word in synthetic_words(10_500)
+                  if word not in table][:10_000]
+        assert len(unseen) == 10_000
+        texts = [" ".join(unseen[i:i + 100])
+                 for i in range(0, len(unseen), 100)]
+        pipeline.transform(texts)
+        for text in texts[:5]:
+            pipeline.query_vector(text)
+        assert pipeline._token_table.ids is table
+        assert len(table) == size
+
+    def test_reassigned_vocabulary_never_serves_old_ids(self):
+        pipeline = TextPipeline()
+        pipeline.fit_transform(self.DOCS)
+        before = pipeline.query_vector("galaxy starships relay")
+        pipeline.vocabulary = Vocabulary(
+            list(pipeline.vocabulary)[::-1])
+        after = pipeline.query_vector("galaxy starships relay")
+        assert np.array_equal(after, before[::-1])
+        assert np.array_equal(
+            after, self.per_token_query(pipeline,
+                                        "galaxy starships relay"))
+
+    @pytest.mark.parametrize("option, fitted, changed", [
+        pytest.param("stem", True, False, id="stem"),
+        pytest.param("remove_stop_words", False, True,
+                     id="remove_stop_words"),
+        pytest.param("extra_stop_words", frozenset(),
+                     frozenset({"galaxy"}), id="extra_stop_words"),
+    ])
+    def test_changed_token_options_bypass_the_table(self, option, fitted,
+                                                    changed):
+        pipeline = TextPipeline(**{option: fitted})
+        pipeline.fit_transform(self.DOCS)
+        text = "The galaxy connections"
+        before = pipeline.query_vector(text)
+        setattr(pipeline, option, changed)
+        after = pipeline.query_vector(text)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, self.per_token_query(pipeline, text))
+
+    def test_query_vector_from_threads_matches_serial(self):
+        pipeline = TextPipeline()
+        pipeline.fit_transform(self.DOCS)
+        queries = [text for doc in self.DOCS
+                   for text in (doc, doc.upper(), doc + " connections")]
+        queries = queries * 20
+        serial = [pipeline.query_vector(text) for text in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(pipeline.query_vector, text)
+                           for text in queries]
+                threaded = [future.result(timeout=60)
+                            for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):
+            assert np.array_equal(got, want)
