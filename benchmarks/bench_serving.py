@@ -12,7 +12,8 @@ Six families:
   recording top-10 ranking agreement, max score delta, and speedup;
 - ``serving_mmap_coldstart`` — O(manifest) cold start: subprocess
   loads of the same bundle eagerly vs memory-mapped, recording load
-  seconds and post-load peak RSS, asserting bit-identical rankings;
+  seconds, post-load peak RSS and how much the load grew it, asserting
+  bit-identical rankings;
 - ``serving_bundle_roundtrip`` — save → load → rank reproduces the
   in-memory rankings exactly, plus wall-clock for both directions;
 - ``serving_foldin_drift`` — fold document batches into an index fitted
@@ -41,6 +42,7 @@ from harness import benchmark
 from harness.fixtures import separable_matrix, synthetic_index_factors
 
 from repro.core.lsi import LSIModel
+from repro.linalg.dense import normalize_columns
 from repro.serving import BatchQueryEngine, MicroBatchDispatcher, \
     ServedIndex, ServingConfig, ranking_overlap
 from repro.utils.rng import as_generator
@@ -90,7 +92,7 @@ def bench_serving_batched_queries(params, seed):
     """S1: batched GEMM ranking vs per-query loop, same rankings."""
     model = _serving_model(params, seed)
     engine = BatchQueryEngine(model.term_basis,
-                              model.document_vectors())
+                              *normalize_columns(model.document_vectors()))
     queries = _query_block(params["n_terms"], params["n_queries"],
                            seed + 1)
     top_k = 10
@@ -138,9 +140,9 @@ def bench_serving_float32_agreement(params, seed):
     """S4: float32 vs float64 scoring — agreement measured, not assumed."""
     model = _serving_model(params, seed)
     basis = model.term_basis
-    docs = model.document_vectors()
-    engine64 = BatchQueryEngine(basis, docs)
-    engine32 = BatchQueryEngine(basis, docs, dtype="float32")
+    store = normalize_columns(model.document_vectors())
+    engine64 = BatchQueryEngine(basis, *store)
+    engine32 = BatchQueryEngine(basis, *store, dtype="float32")
     queries = _query_block(params["n_terms"], params["n_queries"],
                            seed + 1)
     top_k = 10
@@ -181,6 +183,9 @@ def bench_serving_float32_agreement(params, seed):
 #: Run in a subprocess because peak RSS is a process-lifetime
 #: high-water mark — measuring eager and mmap loads in one process
 #: would make the second mode inherit the first one's peak.  The child
+#: reads the peak before and after the load, because the interpreter
+#: and numpy alone hold ~35 MB: what the load adds is the growth.  The
+#: child
 #: reads ``VmHWM`` from ``/proc/self/status`` rather than
 #: ``ru_maxrss``: on Linux the rusage counter is inherited across
 #: fork+exec, so a child spawned from a large bench parent starts with
@@ -207,6 +212,7 @@ def peak_rss_kb():
 
 
 path, mode, n_queries, top_k, seed = sys.argv[1:6]
+rss_before_load_kb = peak_rss_kb()
 start = time.perf_counter()
 index = ServedIndex.load(
     path, config=ServingConfig(mmap=(mode == "mmap")))
@@ -221,6 +227,7 @@ print(json.dumps({
     "load_seconds": load_seconds,
     "first_query_seconds": first_query_seconds,
     "rss_after_load_kb": int(rss_after_load_kb),
+    "rss_growth_kb": int(rss_after_load_kb - rss_before_load_kb),
     "rankings_sha": hashlib.sha256(
         np.ascontiguousarray(ranked).tobytes()).hexdigest(),
 }))
@@ -258,7 +265,8 @@ def _coldstart_probe(bundle_path, mode, *, n_queries, top_k, seed):
                             "rss_ratio_max": 0.25}},
            time_metrics=("eager_load_seconds", "mmap_load_seconds",
                          "coldstart_speedup", "eager_rss_kb",
-                         "mmap_rss_kb"))
+                         "mmap_rss_kb", "eager_rss_growth_kb",
+                         "mmap_rss_growth_kb"))
 def bench_serving_mmap_coldstart(params, seed):
     """S5: mmap load is O(manifest) — cheap, small, and bit-identical."""
     import tempfile
@@ -274,8 +282,12 @@ def bench_serving_mmap_coldstart(params, seed):
             for mode in ("eager", "mmap")
         }
     eager, mapped = probes["eager"], probes["mmap"]
-    rss_ratio = mapped["rss_after_load_kb"] \
-        / max(eager["rss_after_load_kb"], 1)
+    # The load's growth of the peak, not the whole peak: the bare
+    # interpreter is about a third of an eager schema-4 load's whole
+    # peak at the scale size, so a ratio of whole peaks would measure
+    # the interpreter rather than the load.
+    rss_ratio = mapped["rss_growth_kb"] \
+        / max(eager["rss_growth_kb"], 1)
     metrics = {
         "eager_load_seconds": eager["load_seconds"],
         "mmap_load_seconds": mapped["load_seconds"],
@@ -283,6 +295,8 @@ def bench_serving_mmap_coldstart(params, seed):
         / max(mapped["load_seconds"], 1e-12),
         "eager_rss_kb": eager["rss_after_load_kb"],
         "mmap_rss_kb": mapped["rss_after_load_kb"],
+        "eager_rss_growth_kb": eager["rss_growth_kb"],
+        "mmap_rss_growth_kb": mapped["rss_growth_kb"],
         "mmap_rss_ratio": rss_ratio,
         "mmap_rankings_exact":
             bool(eager["rankings_sha"] == mapped["rankings_sha"]),

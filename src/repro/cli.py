@@ -273,7 +273,7 @@ def _print_writer_state(manifest, stats) -> None:
 def _command_serve_stats(args) -> int:
     """Render a saved index's manifest summary and serving counters.
 
-    A directory that is not a schema-3 bundle exits 2 with the reason.
+    A directory that is not a schema-4 bundle exits 2 with the reason.
     With ``--verify``, checksum failures are reported per file (name
     plus expected/actual digest) and the command exits 2.
     """

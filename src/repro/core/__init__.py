@@ -22,7 +22,7 @@ from repro.core.clustering import (
     cluster_documents,
 )
 from repro.core.fkv import fkv_low_rank_approximation, sampled_lsi
-from repro.core.folding import FoldingIndex, folding_drift
+from repro.core.folding import folding_drift
 from repro.core.lsi import LSIModel
 from repro.core.random_projection import (
     GaussianProjector,
@@ -40,7 +40,6 @@ from repro.core.two_step import TwoStepLSI, lsi_cost_model, theorem5_bound
 
 __all__ = [
     "AngleStatistics",
-    "FoldingIndex",
     "GaussianProjector",
     "LSIModel",
     "NearestCentroidClassifier",

@@ -6,11 +6,11 @@ they *fold in*: project the new document onto the existing ``Uₖ`` basis
 that shortcut is drift — folded documents do not influence the basis, so
 as the folded fraction grows the index degrades relative to a refit.
 
-:class:`FoldingIndex` implements the practice; :func:`folding_drift`
-quantifies the degradation so users can schedule refits, connecting back
-to Lemma 1: a batch of in-model documents is a small perturbation of the
-corpus matrix, so the refit basis stays close to the old one and folding
-stays accurate.
+:meth:`repro.serving.index.ServedIndex.add_documents` implements the
+practice; :func:`folding_drift` quantifies the degradation so users can
+schedule refits, connecting back to Lemma 1: a batch of in-model
+documents is a small perturbation of the corpus matrix, so the refit
+basis stays close to the old one and folding stays accurate.
 """
 
 from __future__ import annotations
@@ -21,76 +21,10 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.core.lsi import LSIModel
-from repro.linalg.dense import cosine_similarity_matrix
 from repro.linalg.operator import as_operator
 from repro.linalg.perturbation import sin_theta_distance
-from repro.utils.validation import check_top_k
 
-__all__ = ["FoldingDrift", "FoldingIndex", "folding_drift"]
-
-
-class FoldingIndex:
-    """An LSI index that grows by folding-in instead of refitting.
-
-    Wraps a fitted :class:`~repro.core.lsi.LSIModel` and maintains an
-    extended document store (original + folded columns) sharing the
-    model's ``Uₖ`` basis.
-    """
-
-    def __init__(self, model: LSIModel):
-        if not isinstance(model, LSIModel):
-            raise ValidationError("FoldingIndex wraps an LSIModel")
-        self.model = model
-        self._documents = model.document_vectors()   # (k, m0)
-        self._n_original = model.n_documents
-
-    @property
-    def n_documents(self) -> int:
-        """Total stored documents (original + folded)."""
-        return int(self._documents.shape[1])
-
-    @property
-    def n_folded(self) -> int:
-        """Documents added by folding."""
-        return self.n_documents - self._n_original
-
-    def fold_in(self, columns) -> np.ndarray:
-        """Fold new term-space documents into the index.
-
-        Args:
-            columns: dense ``(n_terms, p)`` array or CSR matrix of new
-                document columns.
-
-        Returns:
-            The ``(k, p)`` LSI vectors assigned to the new documents
-            (their ids are ``n_documents - p .. n_documents - 1``).
-        """
-        projected = self.model.project_documents(columns)
-        self._documents = np.concatenate([self._documents, projected],
-                                         axis=1)
-        return projected
-
-    def document_vectors(self) -> np.ndarray:
-        """All stored LSI document vectors, ``(k, n_documents)``."""
-        return self._documents.copy()
-
-    def score(self, query_vector) -> np.ndarray:
-        """Cosine of every stored document against a term-space query."""
-        projected = self.model.project_query(query_vector)
-        sims = cosine_similarity_matrix(projected[:, None],
-                                        self._documents)
-        return sims[0]
-
-    def rank_documents(self, query_vector, *, top_k=None) -> np.ndarray:
-        """Stored document ids by descending score (``None`` = all)."""
-        scores = self.score(query_vector)
-        top_k = check_top_k(top_k, self.n_documents)
-        order = np.argsort(-scores, kind="stable")
-        return order[:top_k]
-
-    def __repr__(self) -> str:
-        return (f"FoldingIndex(k={self.model.rank}, "
-                f"original={self._n_original}, folded={self.n_folded})")
+__all__ = ["FoldingDrift", "folding_drift"]
 
 
 @dataclass(frozen=True)

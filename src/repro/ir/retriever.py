@@ -39,7 +39,6 @@ class Retriever(Protocol):
     Implemented by :class:`~repro.core.lsi.LSIModel`,
     :class:`~repro.ir.vsm.VectorSpaceModel`,
     :class:`~repro.ir.bm25.BM25Model`,
-    :class:`~repro.core.folding.FoldingIndex`,
     :class:`~repro.core.two_step.TwoStepLSI`, and
     :class:`~repro.serving.index.ServedIndex` (which may be queried
     from several threads at once, as by a micro-batching dispatcher's

@@ -474,8 +474,30 @@ class CSRMatrix:
                                        rows, cols, vals)
 
     def select_rows(self, row_indices) -> "CSRMatrix":
-        """Return the submatrix with the given rows, in the given order."""
-        return self.transpose().select_columns(row_indices).transpose()
+        """Return the submatrix with the given rows, in the given order.
+
+        Repeated indices repeat rows; entries are gathered straight
+        from ``indptr``, with no transpose or re-sort.
+
+        Raises:
+            ShapeError: if ``row_indices`` is not 1-D.
+            ValidationError: if a row index is out of range.
+        """
+        row_indices = np.asarray(row_indices, dtype=np.int64)
+        if row_indices.ndim != 1:
+            raise ShapeError("row_indices must be 1-D")
+        if row_indices.size and (row_indices.min() < 0 or
+                                 row_indices.max() >= self.shape[0]):
+            raise ValidationError("row indices out of range")
+        starts = self.indptr[row_indices]
+        counts = self.indptr[row_indices + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        # Entry t of selected row r comes from t - indptr[r] + starts[r].
+        positions = np.arange(indptr[-1], dtype=np.int64) \
+            + np.repeat(starts - indptr[:-1], counts)
+        return CSRMatrix((row_indices.size, self.shape[1]), indptr,
+                         self.indices[positions], self.data[positions],
+                         _skip_checks=True)
 
     def get_column(self, j) -> np.ndarray:
         """Materialise column ``j`` as a dense vector (a document)."""

@@ -9,7 +9,7 @@ retrieval service needs:
   policy object (precision, caching, mmap, micro-batching, streaming
   fits) shared by every layer below;
 - :mod:`repro.serving.bundle` — versioned, checksummed on-disk index
-  bundles with environment fingerprints and backward-compatible loading;
+  bundles holding one copy of the document store, loaded strictly;
 - :mod:`repro.serving.engine` — batched query execution (whole query
   blocks in single GEMMs), exact stable top-``k`` extraction, the
   shared :class:`CacheKey`, and an LRU result cache;

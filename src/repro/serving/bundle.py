@@ -1,13 +1,14 @@
 """Versioned on-disk persistence for LSI indexes.
 
-A bundle (schema 3) is a directory of flat ``.npy`` files plus a
+A bundle (schema 4) is a directory of six flat ``.npy`` files plus a
 manifest:
 
-- one ``.npy`` per array — the truncated SVD factors (``u``,
-  ``singular_values``, ``vt``, ``frobenius_norm_sq``), the (possibly
-  fold-extended) document store ``doc_vectors``, the *pre-normalised*
-  serving factors ``doc_unit``/``doc_norms``, and ``tombstones`` — all
-  bit-exact float64 so a load reproduces in-memory rankings exactly;
+- one ``.npy`` per array — the basis ``u``, ``singular_values``,
+  ``frobenius_norm_sq``, the document store ``doc_unit`` (unit
+  columns, fitted then folded) with ``doc_norms``, and ``tombstones``
+  — the writer's own float64 arrays, bit-exact, so a load reproduces
+  in-memory rankings and refits exactly (``Vₖᵀ`` is derived from the
+  store on demand, not stored);
 - ``manifest.json`` — schema version, shape summary, the compute
   precision the index was served at, per-file SHA-256 checksums
   (corruption detection), an environment fingerprint (same spirit as
@@ -19,8 +20,9 @@ Flat ``.npy`` files exist for exactly one reason: ``np.load(...,
 mmap_mode="r")`` only memory-maps plain ``.npy`` files (arrays inside
 an ``.npz`` zip are always decompressed into fresh memory), and the
 O(manifest) cold-start path depends on mapping the large factors
-read-only.  ``read_bundle(path, mmap=True)`` does exactly that — large
-arrays stay on disk until a query's GEMM first touches their pages —
+read-only.  ``read_bundle(path, mmap=True)`` does exactly that — ``u``
+and ``doc_unit`` stay on disk until a query's GEMM first touches their
+pages —
 and skips checksum verification, since hashing every byte would defeat
 the point; eager reads always verify.
 
@@ -30,7 +32,7 @@ last, so a process that still maps the old file keeps reading the old
 bytes.
 
 Loading is strict: a missing or unparsable manifest, a foreign
-``format`` marker, a ``schema_version`` other than 3, a checksum
+``format`` marker, a ``schema_version`` other than 4, a checksum
 mismatch, or shape disagreement between manifest and arrays all raise
 :class:`~repro.errors.PersistenceError`.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 from contextlib import contextmanager
@@ -49,8 +52,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import PersistenceError, ValidationError
-from repro.linalg.dense import normalize_columns
-from repro.linalg.svd import SVDResult
 from repro.serving.stats import ServingStats
 
 __all__ = [
@@ -70,19 +71,19 @@ __all__ = [
 BUNDLE_FORMAT = "repro-lsi-index"
 
 #: The only manifest schema version written and read (flat mmap-able
-#: npy).
-BUNDLE_SCHEMA_VERSION = 3
+#: npy, one copy of the document store).
+BUNDLE_SCHEMA_VERSION = 4
 
 #: File name of the manifest inside a bundle directory.
 MANIFEST_NAME = "manifest.json"
 
 #: Arrays a bundle stores, one ``<name>.npy`` file each.
-_ARRAYS = ("u", "singular_values", "vt", "frobenius_norm_sq",
-           "doc_vectors", "doc_unit", "doc_norms", "tombstones")
+_ARRAYS = ("u", "singular_values", "frobenius_norm_sq", "doc_unit",
+           "doc_norms", "tombstones")
 
 #: Arrays worth memory-mapping (the O(n·k)/O(k·m) payloads); the rest
 #: are O(k)/O(m) vectors loaded eagerly even under ``mmap``.
-_LARGE_ARRAYS = ("u", "vt", "doc_vectors", "doc_unit")
+_LARGE_ARRAYS = ("u", "doc_unit")
 
 
 def environment_fingerprint() -> dict:
@@ -142,11 +143,16 @@ class IndexBundle:
     """The in-memory image of a persisted LSI index.
 
     Attributes:
-        svd: the truncated SVD the index serves from.
-        doc_vectors: ``(k, m_total)`` LSI document store — fitted
-            documents plus any folded-in columns.
-        n_original: how many leading columns of ``doc_vectors`` came
-            from the fit (the rest were folded in).
+        u: ``(n_terms, k)`` basis ``Uₖ`` the index projects onto.
+        singular_values: the ``k`` singular values of the served
+            factors.
+        frobenius_norm_sq: ``‖A‖_F²`` of the matrix they decompose.
+        doc_unit: ``(k, m_total)`` document store, every column scaled
+            to unit length — fitted documents, then folded-in ones.
+        doc_norms: length-``m_total`` column norms paired with
+            ``doc_unit``.
+        n_original: how many leading store columns came from the fit
+            (the rest were folded in).
         tombstones: ids of deleted (masked-out) documents.
         unabsorbed_energy: the writer's accumulated out-of-subspace /
             deleted energy (drift numerator).
@@ -154,67 +160,61 @@ class IndexBundle:
             (``None`` disables the recommendation).
         stats: serving counters at save time.
         vocabulary: optional term strings (position = term id).
-        doc_unit: ``(k, m_total)`` unit-normalised document store, the
-            precomputed cosine denominator (``None`` until written or
-            read).
-        doc_norms: length-``m_total`` original column norms paired with
-            ``doc_unit``.
         compute_dtype: precision the index was served at when saved
             (``"float64"`` or ``"float32"``); loads default to it.
         index_version: content hash of the array payload (filled on
             write/read; empty for bundles never persisted).
         created_at: ISO-8601 UTC write timestamp (filled on write).
         env: environment fingerprint of the writing interpreter.
+
+    Raises:
+        ValidationError: on arrays that disagree on ``k`` or ``m``, an
+            id or count out of range, or an unknown compute dtype.
     """
 
-    svd: SVDResult
-    doc_vectors: np.ndarray
+    u: np.ndarray
+    singular_values: np.ndarray
+    frobenius_norm_sq: float
+    doc_unit: np.ndarray
+    doc_norms: np.ndarray
     n_original: int
     tombstones: tuple = ()
     unabsorbed_energy: float = 0.0
     drift_threshold: "float | None" = 0.1
     stats: ServingStats = field(default_factory=ServingStats)
     vocabulary: "tuple | None" = None
-    doc_unit: "np.ndarray | None" = None
-    doc_norms: "np.ndarray | None" = None
     compute_dtype: str = "float64"
     index_version: str = ""
     created_at: str = ""
     env: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.doc_vectors.ndim != 2 \
-                or self.doc_vectors.shape[0] != self.svd.rank:
+        if self.u.ndim != 2 or self.doc_unit.ndim != 2 \
+                or self.singular_values.shape != (self.u.shape[1],) \
+                or self.doc_unit.shape[0] != self.u.shape[1]:
             raise ValidationError(
-                f"doc_vectors must be (rank, m); got "
-                f"{self.doc_vectors.shape} for rank {self.svd.rank}")
-        if not 0 <= self.n_original <= self.doc_vectors.shape[1]:
+                f"u {self.u.shape}, singular_values "
+                f"{self.singular_values.shape} and doc_unit "
+                f"{self.doc_unit.shape} must agree on the rank k")
+        if self.doc_norms.shape != (self.n_documents,):
+            raise ValidationError(
+                f"doc_norms shape {self.doc_norms.shape} does not "
+                f"match {self.n_documents} documents")
+        if not 0 <= self.n_original <= self.n_documents:
             raise ValidationError(
                 f"n_original={self.n_original} out of range for "
-                f"{self.doc_vectors.shape[1]} stored documents")
+                f"{self.n_documents} stored documents")
         bad = [d for d in self.tombstones
-               if not 0 <= int(d) < self.doc_vectors.shape[1]]
+               if not 0 <= int(d) < self.n_documents]
         if bad:
             raise ValidationError(
                 f"tombstoned ids {bad} out of range for "
-                f"{self.doc_vectors.shape[1]} stored documents")
+                f"{self.n_documents} stored documents")
         if self.vocabulary is not None \
-                and len(self.vocabulary) != self.svd.u.shape[0]:
+                and len(self.vocabulary) != self.u.shape[0]:
             raise ValidationError(
                 f"vocabulary has {len(self.vocabulary)} terms; the index "
-                f"has {self.svd.u.shape[0]}")
-        if (self.doc_unit is None) != (self.doc_norms is None):
-            raise ValidationError(
-                "doc_unit and doc_norms must be provided together")
-        if self.doc_unit is not None:
-            if self.doc_unit.shape != self.doc_vectors.shape:
-                raise ValidationError(
-                    f"doc_unit shape {self.doc_unit.shape} does not match "
-                    f"doc_vectors {self.doc_vectors.shape}")
-            if self.doc_norms.shape != (self.doc_vectors.shape[1],):
-                raise ValidationError(
-                    f"doc_norms shape {self.doc_norms.shape} does not "
-                    f"match {self.doc_vectors.shape[1]} documents")
+                f"has {self.u.shape[0]}")
         if self.compute_dtype not in ("float64", "float32"):
             raise ValidationError(
                 f"compute_dtype must be 'float64' or 'float32', got "
@@ -223,7 +223,7 @@ class IndexBundle:
     @property
     def n_documents(self) -> int:
         """Total stored documents (fitted + folded, incl. tombstoned)."""
-        return int(self.doc_vectors.shape[1])
+        return int(self.doc_unit.shape[1])
 
     def manifest(self) -> dict:
         """The JSON-ready manifest describing this bundle."""
@@ -232,13 +232,14 @@ class IndexBundle:
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "created_at": self.created_at,
             "index_version": self.index_version,
-            "rank": self.svd.rank,
-            "n_terms": int(self.svd.u.shape[0]),
+            "rank": int(self.u.shape[1]),
+            "n_terms": int(self.u.shape[0]),
             "n_documents": self.n_documents,
             "n_original": int(self.n_original),
             "n_tombstoned": len(self.tombstones),
             "unabsorbed_energy": float(self.unabsorbed_energy),
-            "captured_energy": float(self.svd.captured_energy()),
+            "captured_energy": math.fsum(
+                float(s) * float(s) for s in self.singular_values),
             "drift_threshold": self.drift_threshold,
             "compute_dtype": self.compute_dtype,
             "stats": self.stats.as_dict(),
@@ -271,10 +272,7 @@ def _replacing(target: Path):
 def write_bundle(path, bundle: IndexBundle) -> Path:
     """Persist ``bundle`` to directory ``path`` (created if needed).
 
-    Writes one ``.npy`` per array.  The pre-normalised serving factors
-    are computed here in float64 when the bundle does not carry them,
-    so every bundle on disk is mmap-servable with rankings
-    bit-identical to an eager load.
+    Writes one ``.npy`` per array, straight from the bundle's arrays.
 
     Returns the bundle directory.  Overwrites an existing bundle at the
     same path by renaming each new file over the old one, the manifest
@@ -283,9 +281,6 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
 
     Raises:
         PersistenceError: if ``path`` exists and is not a directory.
-        ShapeError: if the bundle's document factors are not the 2-D
-            blocks normalisation expects.
-        ValidationError: if the factors carry non-finite entries.
     """
     directory = Path(path)
     if directory.exists() and not directory.is_dir():
@@ -293,18 +288,12 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
             f"bundle path {directory} exists and is not a directory")
     directory.mkdir(parents=True, exist_ok=True)
 
-    doc_unit, doc_norms = bundle.doc_unit, bundle.doc_norms
-    if doc_unit is None:
-        doc_unit, doc_norms = normalize_columns(bundle.doc_vectors)
-
     arrays = {
-        "u": bundle.svd.u,
-        "singular_values": bundle.svd.singular_values,
-        "vt": bundle.svd.vt,
-        "frobenius_norm_sq": np.float64(bundle.svd.frobenius_norm_sq),
-        "doc_vectors": bundle.doc_vectors,
-        "doc_unit": doc_unit,
-        "doc_norms": doc_norms,
+        "u": bundle.u,
+        "singular_values": bundle.singular_values,
+        "frobenius_norm_sq": np.float64(bundle.frobenius_norm_sq),
+        "doc_unit": bundle.doc_unit,
+        "doc_norms": bundle.doc_norms,
         "tombstones": np.asarray(sorted(bundle.tombstones),
                                  dtype=np.int64),
     }
@@ -319,8 +308,6 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
         "".join(checksums[key] for key in sorted(checksums))
         .encode("ascii")).hexdigest()
     stamped = replace(bundle,
-                      doc_unit=doc_unit,
-                      doc_norms=doc_norms,
                       index_version=version_digest[:16],
                       created_at=datetime.now(timezone.utc).isoformat(),
                       env=bundle.env or environment_fingerprint())
@@ -341,7 +328,7 @@ def read_manifest(path, *, verify_arrays: bool = False) -> dict:
 
     Raises:
         PersistenceError: missing/unparsable manifest, foreign format,
-            a schema version other than 3, or (with ``verify_arrays``)
+            a schema version other than 4, or (with ``verify_arrays``)
             a checksum mismatch.
     """
     directory = Path(path)
@@ -368,8 +355,9 @@ def read_manifest(path, *, verify_arrays: bool = False) -> dict:
     if version != BUNDLE_SCHEMA_VERSION:
         raise PersistenceError(
             f"unsupported bundle schema_version {version!r}; this "
-            f"reader handles {BUNDLE_SCHEMA_VERSION} only (re-save the "
-            "bundle from a checkout that still reads it)")
+            f"reader handles {BUNDLE_SCHEMA_VERSION} only (no older "
+            "checkout writes it: rebuild the index from its corpus and "
+            "save it again)")
     if verify_arrays:
         _verify_checksums(directory, manifest)
     return manifest
@@ -465,40 +453,22 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
     if not mmap:
         _verify_checksums(directory, manifest)
     arrays = _load_npy_arrays(directory, mmap=mmap)
-    try:
-        svd = SVDResult(arrays["u"], arrays["singular_values"],
-                        arrays["vt"],
-                        float(arrays["frobenius_norm_sq"]))
-    except ValidationError as error:
-        raise PersistenceError(
-            f"bundle {directory} holds an inconsistent SVD: {error}"
-        ) from error
-
-    doc_vectors = arrays["doc_vectors"]
-    expected = {"rank": svd.rank, "n_terms": int(svd.u.shape[0]),
-                "n_documents": int(doc_vectors.shape[1])}
-    for key, actual in expected.items():
-        recorded = manifest.get(key)
-        if recorded is not None and int(recorded) != actual:
-            raise PersistenceError(
-                f"bundle {directory} manifest/array mismatch: manifest "
-                f"says {key}={recorded}, arrays say {actual}")
-
     vocabulary = manifest.get("vocabulary")
     try:
-        return IndexBundle(
-            svd=svd,
-            doc_vectors=doc_vectors,
+        bundle = IndexBundle(
+            u=arrays["u"],
+            singular_values=arrays["singular_values"],
+            frobenius_norm_sq=float(arrays["frobenius_norm_sq"]),
+            doc_unit=arrays["doc_unit"],
+            doc_norms=arrays["doc_norms"],
             n_original=int(manifest.get("n_original",
-                                        doc_vectors.shape[1])),
+                                        arrays["doc_unit"].shape[-1])),
             tombstones=tuple(int(d) for d in arrays["tombstones"]),
             unabsorbed_energy=float(manifest.get("unabsorbed_energy",
                                                  0.0)),
             drift_threshold=manifest.get("drift_threshold"),
             stats=ServingStats.from_dict(manifest.get("stats") or {}),
             vocabulary=tuple(vocabulary) if vocabulary else None,
-            doc_unit=arrays["doc_unit"],
-            doc_norms=arrays["doc_norms"],
             compute_dtype=str(manifest.get("compute_dtype", "float64")),
             index_version=str(manifest.get("index_version", "")),
             created_at=str(manifest.get("created_at", "")),
@@ -506,3 +476,13 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
     except ValidationError as error:
         raise PersistenceError(
             f"bundle {directory} failed validation: {error}") from error
+    expected = {"rank": int(bundle.u.shape[1]),
+                "n_terms": int(bundle.u.shape[0]),
+                "n_documents": bundle.n_documents}
+    for key, actual in expected.items():
+        recorded = manifest.get(key)
+        if recorded is not None and int(recorded) != actual:
+            raise PersistenceError(
+                f"bundle {directory} manifest/array mismatch: manifest "
+                f"says {key}={recorded}, arrays say {actual}")
+    return bundle

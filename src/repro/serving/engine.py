@@ -4,16 +4,16 @@ Scoring one query against rank-``k`` LSI is two small GEMVs; scoring a
 block of ``q`` queries one at a time wastes the hardware the paper's §5
 cost model is fighting for.  :class:`BatchQueryEngine` instead projects
 the whole ``(n × q)`` query block with one GEMM (``Uₖᵀ·Q``), computes
-every cosine with a second GEMM against pre-normalised document
-vectors, and extracts top-``k`` per query via ``argpartition`` — while
+every cosine with a second GEMM against the index's unit store
+``doc_unit``, used as given, and takes top-``k`` per query — while
 reproducing the per-query path's rankings *exactly*, including the
 stable ascending-id tie-break of ``np.argsort(kind="stable")``
 (see :func:`stable_top_k`).
 
 Two raw-speed levers sit on top:
 
-- ``dtype="float32"`` (opt-in) runs both GEMMs in single precision —
-  roughly half the memory traffic — at the cost of last-ULP score
+- ``dtype="float32"`` (opt-in) runs both GEMMs on a float32 cast of
+  ``Uₖ`` and ``doc_unit`` — half the memory traffic — at the cost of score
   agreement; the serving benchmarks measure the resulting top-k
   ranking overlap (:func:`ranking_overlap`) as a gated claim instead
   of assuming it;
@@ -40,8 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
-from repro.linalg.dense import ZERO_NORM_TOL, normalize_columns, \
-    normalize_columns_into
+from repro.linalg.dense import ZERO_NORM_TOL, normalize_columns_into
 from repro.utils.validation import check_non_negative_int, check_top_k, \
     check_vector
 
@@ -319,69 +318,30 @@ class _BatchScratch(threading.local):
 class BatchQueryEngine:
     """Projects and cosine-ranks query blocks in single GEMMs.
 
-    The engine is a read-only view over an index generation: document
-    unit vectors and norms are precomputed once, and the serving layer
-    discards the engine whenever the writer mutates the store.
+    The engine is a read-only view over an index generation's document
+    store, which it scores as given: the serving layer hands it the
+    writer's arrays and discards the engine whenever the writer
+    mutates the store.
 
     Args:
         term_basis: the ``(n, k)`` orthonormal LSI basis ``Uₖ``.
-        doc_vectors: the ``(k, m)`` LSI document store.
+        doc_unit: ``(k, m)`` unit-normalised document vectors, as
+            produced by :func:`~repro.linalg.dense.normalize_columns`.
+        doc_norms: length-``m`` original column norms; a document whose
+            norm is at most ``ZERO_NORM_TOL`` scores 0.
         tombstones: ids excluded from rankings (their scores report 0).
         dtype: compute precision, ``"float64"`` (default, bit-exact
-            against the per-query path) or ``"float32"`` (opt-in;
-            ranking agreement is measured, not assumed).
+            against the per-query path, and zero-copy: float64 arrays,
+            read-only maps included, are used as they are) or
+            ``"float32"`` (opt-in; casts the basis and ``doc_unit``
+            once, and ranking agreement is measured, not assumed).
     """
 
-    def __init__(self, term_basis, doc_vectors, *, tombstones=(),
+    def __init__(self, term_basis, doc_unit, doc_norms, *, tombstones=(),
                  dtype="float64"):
         self._dtype = _check_compute_dtype(dtype)
         basis = np.asarray(term_basis, dtype=self._dtype)
-        docs = np.asarray(doc_vectors, dtype=self._dtype)
-        if basis.ndim != 2 or docs.ndim != 2 \
-                or basis.shape[1] != docs.shape[0]:
-            raise ShapeError(
-                f"term_basis {basis.shape} and doc_vectors {docs.shape} "
-                "disagree on the LSI rank")
-        unit, norms = normalize_columns(docs, zero_tol=ZERO_NORM_TOL) \
-            if self._dtype == np.float64 else (None, None)
-        if unit is None:
-            # float32: normalise in compute precision, no float64 pass.
-            unit = np.empty_like(docs)
-            norms = normalize_columns_into(docs, unit,
-                                           zero_tol=ZERO_NORM_TOL)
-        self._init_from_parts(basis, unit, norms, tombstones)
-
-    @classmethod
-    def from_precomputed(cls, term_basis, doc_unit, doc_norms, *,
-                         tombstones=(), dtype="float64"
-                         ) -> "BatchQueryEngine":
-        """Build from already-normalised document factors.
-
-        This is the float64 construction path for loaded bundles,
-        zero-copy when they are memory-mapped: ``doc_unit``/``doc_norms``
-        come straight from the bundle files (read-only is fine) and are
-        *not* re-normalised, so no page of the document store is
-        touched until the first query's GEMM reads it.  With
-        ``dtype="float64"`` the arrays are used as-is; ``"float32"``
-        casts (and therefore materialises) them once.
-
-        Args:
-            term_basis: the ``(n, k)`` LSI basis ``Uₖ``.
-            doc_unit: ``(k, m)`` unit-normalised document vectors, as
-                produced by :func:`~repro.linalg.dense.normalize_columns`.
-            doc_norms: length-``m`` original column norms.
-            tombstones: ids excluded from rankings.
-            dtype: compute precision (see the constructor).
-
-        Raises:
-            ShapeError: when the factor shapes disagree on the LSI
-                rank or the document count.
-            ValidationError: on an unsupported compute dtype.
-        """
-        engine = cls.__new__(cls)
-        engine._dtype = _check_compute_dtype(dtype)
-        basis = np.asarray(term_basis, dtype=engine._dtype)
-        unit = np.asarray(doc_unit, dtype=engine._dtype)
+        unit = np.asarray(doc_unit, dtype=self._dtype)
         norms = np.asarray(doc_norms)
         if basis.ndim != 2 or unit.ndim != 2 \
                 or basis.shape[1] != unit.shape[0]:
@@ -392,11 +352,6 @@ class BatchQueryEngine:
             raise ShapeError(
                 f"doc_norms has shape {norms.shape}; expected "
                 f"({unit.shape[1]},)")
-        engine._init_from_parts(basis, unit, norms, tombstones)
-        return engine
-
-    def _init_from_parts(self, basis, unit, norms, tombstones) -> None:
-        """Shared tail of both construction paths."""
         self._basis = basis
         self._doc_unit = unit
         self._doc_zero = norms <= ZERO_NORM_TOL
@@ -413,6 +368,19 @@ class BatchQueryEngine:
         self._n_docs = n_docs
         self._n_terms = int(basis.shape[0])
         self._scratch = _BatchScratch()
+
+    @classmethod
+    def from_precomputed(cls, term_basis, doc_unit, doc_norms, *,
+                         tombstones=(), dtype="float64"
+                         ) -> "BatchQueryEngine":
+        """The constructor, under the name the serving layer builds by.
+
+        :class:`~repro.serving.index.ServedIndex` builds every engine
+        through this classmethod, and e2ebench's tracer times it (and
+        the constructor it calls) as one engine build.
+        """
+        return cls(term_basis, doc_unit, doc_norms,
+                   tombstones=tombstones, dtype=dtype)
 
     @property
     def n_documents(self) -> int:

@@ -12,8 +12,9 @@ unchanged, and adds what production traffic needs:
   drift tracking and a refit recommendation;
 - ``save`` / ``load`` — checksummed, schema-versioned bundles
   (:mod:`repro.serving.bundle`) that reproduce in-memory rankings
-  exactly, with a memory-mapped cold-start path that maps the large
-  factors read-only and defers all real I/O to the first query;
+  exactly, with a memory-mapped cold-start path that maps ``Uₖ`` and
+  the document store read-only and defers all real I/O to the first
+  query;
 - one :class:`~repro.serving.config.ServingConfig` carrying every
   serving-time policy — compute precision, cache sizing, mmap
   loading — shared verbatim with the micro-batching dispatcher, whose
@@ -24,11 +25,13 @@ unchanged, and adds what production traffic needs:
   behind ``repro serve-stats``.
 
 Whether built, fitted, or loaded (mapped or not), an index holds one
-state: its :class:`~repro.serving.writer.IndexWriter`.  A load hands
-the bundle's arrays to the writer as they are, so a mapped index keeps
-serving and mutating over read-only maps and nothing is copied; saves
-publish new files by rename, so they never truncate a file a reader
-maps.
+state: its :class:`~repro.serving.writer.IndexWriter`, whose document
+store ``(doc_unit, doc_norms)`` is the only copy of the documents.  A
+load hands the bundle's arrays to the writer as they are, every engine
+scores the writer's arrays without copying them, and a save writes
+them as they are; so a mapped index keeps serving and mutating over
+read-only maps.  Saves publish new files by rename, so they never
+truncate a file a reader maps.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.serving.writer import IndexWriter
 from repro.utils.validation import check_top_k, check_vector
 
 if TYPE_CHECKING:
-    from repro.core.folding import FoldingIndex
     from repro.core.two_step import TwoStepLSI
     from repro.ir.bm25 import BM25Model
     from repro.ir.retriever import Retriever
@@ -80,15 +82,13 @@ class ServedIndex:
         self._init_state(config, writer, vocabulary=vocabulary)
 
     def _init_state(self, config: ServingConfig, writer: IndexWriter,
-                    *, vocabulary=None, saved_unit=None,
-                    saved_dtype: str = "float64",
+                    *, vocabulary=None, saved_dtype: str = "float64",
                     base_version: str = "unsaved",
                     base_stats: "ServingStats | None" = None) -> None:
         """Assign every attribute; shared by all construction paths.
 
-        ``saved_unit`` is a loaded bundle's ``(doc_unit, doc_norms)``,
-        which a float64 generation 0 is served from; ``saved_dtype`` is the
-        precision used when ``config.dtype`` is ``None``;
+        ``saved_dtype`` is the precision used when ``config.dtype`` is
+        ``None``;
         ``base_version`` and ``base_stats`` carry a loaded bundle's
         identity and cumulative counters forward (:meth:`stats` reads
         only the cumulative fields of ``base_stats``).
@@ -97,7 +97,6 @@ class ServedIndex:
         self._dtype = _check_compute_dtype(
             config.dtype or saved_dtype).name
         self._writer = writer
-        self._saved_unit = saved_unit
         self._cache = LRUResultCache(config.cache_capacity)
         self._vocabulary = (tuple(getattr(vocabulary, "terms",
                                           vocabulary))
@@ -183,22 +182,25 @@ class ServedIndex:
 
     @property
     def model(self) -> LSIModel:
-        """The LSI model currently backing the index.
+        """The LSI model of the fitted documents, derived on demand.
 
-        On an mmap-loaded index its factors are the bundle's read-only
-        maps until a refit replaces them.
+        The writer builds it from the store on first access and caches
+        it until the next refit (see
+        :attr:`repro.serving.writer.IndexWriter.model`): one pass over
+        the fitted store and one more ``(k, m)`` array, which serving,
+        fold-ins, saves and loads never pay.
         """
         return self._writer.model
 
     @property
     def rank(self) -> int:
         """The LSI dimension ``k``."""
-        return self._writer.model.rank
+        return int(self._writer.term_basis.shape[1])
 
     @property
     def n_terms(self) -> int:
         """Term-space dimensionality queries must have."""
-        return self._writer.model.n_terms
+        return int(self._writer.term_basis.shape[0])
 
     @property
     def n_documents(self) -> int:
@@ -227,13 +229,13 @@ class ServedIndex:
 
     @property
     def mmapped(self) -> bool:
-        """Whether the index still serves from a bundle's mapped files.
+        """Whether the document store is still a bundle's mapped file.
 
-        True from a load with ``config.mmap=True`` until the first
-        mutation, which rebuilds the engine from the writer's store.
+        True from a load with ``config.mmap=True`` until a fold-in or
+        a refit replaces the store; a removal keeps it, since it only
+        masks ids.
         """
-        return self._saved_unit is not None \
-            and isinstance(self._saved_unit[0], np.memmap)
+        return isinstance(self._writer.store[0], np.memmap)
 
     @property
     def tombstones(self) -> tuple:
@@ -267,32 +269,23 @@ class ServedIndex:
     def _engine(self) -> BatchQueryEngine:
         """The query engine for the current generation (lazily built).
 
-        Generation 0 of a loaded float64 index, mapped or eager, is
-        built from the bundle's saved pre-normalised factors —
-        zero-copy when mapped, so no document page is read until a
-        GEMM touches it.  float32 normalises the store in float32
-        instead, as the index that was saved did: casting the float64
-        unit vectors differs in the last bits and swaps near-ties.
+        Every engine scores the writer's basis and store as they are:
+        zero-copy in float64, so a mapped index reads no document page
+        until a GEMM touches it.  float32 casts them once per build.
 
-        The generation and the saved factors are read before the store:
-        a write that lands during the build then leaves the engine
-        tagged with the older generation, so the next call rebuilds
-        instead of serving the old store as the new generation.
+        The generation is read before the store: a write that lands
+        during the build then leaves the engine tagged with the older
+        generation, so the next call rebuilds instead of serving the
+        old store as the new generation.
         """
         generation = self._generation
         state = self._engine_state
         if state is not None and state[0] == generation:
             return state[1]
-        saved_unit = self._saved_unit
         writer = self._writer
-        if saved_unit is not None and self._dtype == "float64":
-            engine = BatchQueryEngine.from_precomputed(
-                writer.model.term_basis, *saved_unit,
-                tombstones=writer.tombstones, dtype=self._dtype)
-        else:
-            engine = BatchQueryEngine(
-                writer.model.term_basis, writer.document_vectors(),
-                tombstones=writer.tombstones, dtype=self._dtype)
+        engine = BatchQueryEngine.from_precomputed(
+            writer.term_basis, *writer.store,
+            tombstones=writer.tombstones, dtype=self._dtype)
         self._engine_state = (generation, engine)
         return engine
 
@@ -410,13 +403,9 @@ class ServedIndex:
         return model
 
     def _bump(self) -> None:
-        """Advance the generation and drop stale cache entries.
-
-        The saved factors describe generation 0 only, so they go too.
-        """
+        """Advance the generation and drop stale cache entries."""
         self._generation += 1
         self._cache.clear()
-        self._saved_unit = None
 
     # ------------------------------------------------------------------
     # Stats
@@ -451,14 +440,19 @@ class ServedIndex:
     def save(self, path) -> Path:
         """Persist the index as a bundle directory; returns the path.
 
+        The writer's arrays are written as they are, not copied.
         Saving over a bundle that this index or another one maps is
         safe: :func:`~repro.serving.bundle.write_bundle` renames new
         files over the old ones, and the maps keep the old bytes.
         """
         writer = self._writer
+        doc_unit, doc_norms = writer.store
         bundle = IndexBundle(
-            svd=writer.model.svd,
-            doc_vectors=writer.document_vectors(),
+            u=writer.term_basis,
+            singular_values=writer.singular_values,
+            frobenius_norm_sq=writer.frobenius_norm_sq,
+            doc_unit=doc_unit,
+            doc_norms=doc_norms,
             n_original=writer.n_original,
             tombstones=writer.tombstones,
             unabsorbed_energy=writer.unabsorbed_energy,
@@ -473,16 +467,17 @@ class ServedIndex:
              ) -> "ServedIndex":
         """Load a bundle saved by :meth:`save`.
 
-        The restored index reproduces the saved index's rankings
-        exactly and continues its counters and drift accounting.
-        Nothing is copied or computed on load; a float64 generation 0
-        is served from the bundle's saved pre-normalised factors.
+        The restored index reproduces the saved index's rankings and
+        refits exactly and continues its counters and drift
+        accounting.  Nothing is copied or computed on load: the writer
+        adopts the bundle's arrays as they are.
 
         Args:
             path: the bundle directory.
             config: serving policy for the loaded index.
-                ``config.mmap=True`` maps the large arrays read-only
-                instead of loading them — the O(manifest) cold start:
+                ``config.mmap=True`` maps ``u`` and ``doc_unit``
+                read-only instead of loading them — the O(manifest)
+                cold start:
                 the index serves, mutates, and saves over the maps
                 without copying them.  ``config.dtype=None`` (default)
                 keeps the precision the bundle was saved with
@@ -493,7 +488,8 @@ class ServedIndex:
         config = config if config is not None else ServingConfig()
         bundle = read_bundle(path, mmap=config.mmap)
         writer = IndexWriter.from_state(
-            LSIModel(bundle.svd), bundle.doc_vectors,
+            bundle.u, bundle.singular_values, bundle.frobenius_norm_sq,
+            bundle.doc_unit, bundle.doc_norms,
             n_original=bundle.n_original,
             tombstones=bundle.tombstones,
             unabsorbed_energy=bundle.unabsorbed_energy,
@@ -503,7 +499,6 @@ class ServedIndex:
         index = cls.__new__(cls)
         index._init_state(
             config, writer,
-            saved_unit=(bundle.doc_unit, bundle.doc_norms),
             vocabulary=bundle.vocabulary,
             saved_dtype=bundle.compute_dtype,
             base_version=bundle.index_version or "unsaved",
@@ -521,7 +516,6 @@ def _retriever_conformance(
         lsi: "LSIModel",
         vsm: "VectorSpaceModel",
         bm25: "BM25Model",
-        folding: "FoldingIndex",
         two_step: "TwoStepLSI",
         served: "ServedIndex",
 ) -> "tuple[Retriever, ...]":
@@ -532,4 +526,4 @@ def _retriever_conformance(
     here (not in :mod:`repro.ir.retriever`) because the serving layer
     already imports every backend, keeping the import graph acyclic.
     """
-    return (lsi, vsm, bm25, folding, two_step, served)
+    return (lsi, vsm, bm25, two_step, served)

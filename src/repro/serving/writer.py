@@ -12,7 +12,7 @@ Eckart–Young accounting of :class:`~repro.linalg.svd.SVDResult`:
 - every tombstoned document contributes its in-subspace energy
   ``‖v_d‖²`` — mass the basis was fitted to that no longer exists;
 - ``drift = unabsorbed / (unabsorbed + ‖Aₖ‖_F²)`` where ``‖Aₖ‖_F²`` is
-  the fitted model's captured energy.
+  the served factors' captured energy ``Σ σᵢ²``.
 
 The numerator only grows between refits, so drift is monotone
 non-decreasing in update operations (a perfectly in-subspace fold-in
@@ -32,37 +32,56 @@ from the basis (an incremental merge can add subspace directions but
 never subtracts the deleted columns' contribution, so deleted energy
 stays in the drift numerator until a full refit).
 
+The document store is ``(doc_unit, doc_norms)``: each column ``Uₖᵀ·c``
+of §2 as its direction and length, all cosine ranking needs.  The
+writer keeps no other copy: :attr:`IndexWriter.model` derives the
+fitted ``Vₖᵀ = Σ⁻¹·(doc_unit·doc_norms)`` on demand, and incremental
+refits start from it, so they give the same bits with or without a
+save and load in between.
+
 The writer never edits its arrays in place: updates concatenate onto
-the document store and refits replace the model and store outright.
-That is what lets :meth:`IndexWriter.from_state` adopt a bundle's
-read-only memory maps as they are.
+the store and refits replace the factors and store outright.  That is
+what lets :meth:`IndexWriter.from_state` adopt a bundle's read-only
+memory maps as they are.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.core.lsi import LSIModel
 from repro.errors import ValidationError
+from repro.linalg.dense import ZERO_NORM_TOL
 from repro.linalg.incremental import PartialSVD, concat_columns, \
     iter_column_blocks, merge
+from repro.linalg.operator import as_operator
 from repro.linalg.sparse import CSRMatrix
+from repro.linalg.svd import SVDResult
 from repro.utils.validation import check_fraction, \
     check_non_negative_int, check_rank
 
 __all__ = ["IndexWriter"]
 
 
-def _column_sq_norms(columns) -> np.ndarray:
-    """Squared Euclidean norms of document columns (dense or CSR)."""
-    if isinstance(columns, CSRMatrix):
-        return columns.column_norms() ** 2
-    dense = np.asarray(columns, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ValidationError(
-            f"document columns must be 2-D (n_terms, p), got shape "
-            f"{dense.shape}")
-    return np.sum(dense * dense, axis=0)
+def _normalize_in_place(columns: np.ndarray) -> np.ndarray:
+    """Scale ``(k, p)`` float64 columns to unit length; return their norms.
+
+    The bits are those :func:`~repro.linalg.dense.normalize_columns`
+    gives each column inside a C-ordered ``(k, m)`` store, whatever
+    ``p`` and the layout: squares are summed row after row, as numpy
+    reduces such a store (a lone column or a Fortran-ordered block it
+    sums pairwise).  So fold-ins normalised batch by batch give the
+    store normalising it whole would.
+    """
+    squares = columns[0] * columns[0]
+    scratch = np.empty_like(squares)
+    for row in columns[1:]:
+        squares += np.multiply(row, row, out=scratch)
+    norms = np.sqrt(squares)
+    columns /= np.where(norms > ZERO_NORM_TOL, norms, 1.0)
+    return norms
 
 
 class IndexWriter:
@@ -70,45 +89,56 @@ class IndexWriter:
 
     Args:
         model: the fitted :class:`~repro.core.lsi.LSIModel` to serve.
+            The writer keeps its basis, spectrum and the unit store of
+            its ``Σ·Vᵀ``, not the model itself.
         drift_threshold: drift level past which a refit is recommended;
             ``None`` disables the recommendation.
 
     The writer tracks three kinds of state: the ``(k, m)`` LSI document
-    store (fitted + folded columns), the tombstone set, and the drift
-    accounting described in the module docstring.
+    store (fitted + folded columns) as ``(doc_unit, doc_norms)``, the
+    tombstone set, and the drift accounting described in the module
+    docstring.
     """
 
     def __init__(self, model: LSIModel, *,
                  drift_threshold: "float | None" = 0.1):
         if not isinstance(model, LSIModel):
             raise ValidationError("IndexWriter wraps an LSIModel")
-        self._init_state(model, model.document_vectors(),
-                         drift_threshold)
-
-    def _init_state(self, model: LSIModel, doc_vectors: np.ndarray,
-                    drift_threshold: "float | None") -> None:
-        """Assign every attribute; shared by ``__init__`` and
-        :meth:`from_state`."""
         if drift_threshold is not None:
             drift_threshold = check_fraction(drift_threshold,
                                              "drift_threshold")
-        self._model = model
-        self._doc_vectors = doc_vectors   # (k, m0)
-        self._n_original = int(doc_vectors.shape[1])
+        self.drift_threshold = drift_threshold
         self._tombstones: "set[int]" = set()
-        # Drift numerator, split so an incremental refit can clear
-        # exactly the mass it absorbs: fold-in (out-of-subspace) energy
-        # goes away when the fold block is merged into the basis;
-        # deleted (and bundle-carried) energy only a full refit clears.
-        self._fold_energy = 0.0
+        # Deleted (and bundle-carried) drift energy: only a full refit
+        # clears it.  Fold-in energy lives beside the fold buffer.
         self._deleted_energy = 0.0
-        # Term-space fold-in columns retained verbatim so refit() can
-        # merge their block SVDs into the factors (see refit()).
-        self._fold_buffer: "list[np.ndarray | CSRMatrix]" = []
-        self._fold_ins = 0
         self._deletes = 0
         self._refits = 0
-        self.drift_threshold = drift_threshold
+        self._install(model.svd)
+
+    def _install(self, svd: SVDResult) -> None:
+        """Serve ``svd``, with its ``Σ·Vᵀ`` normalised in place as the
+        store (the model's cached ``Σ·Vᵀ`` is never filled)."""
+        doc_unit = np.multiply(svd.singular_values[:, None], svd.vt,
+                               order="C")
+        doc_norms = _normalize_in_place(doc_unit)
+        self._adopt(svd.u, svd.singular_values, svd.frobenius_norm_sq,
+                    (doc_unit, doc_norms), doc_unit.shape[1])
+
+    def _adopt(self, u, singular_values, frobenius_norm_sq, store,
+               n_original) -> None:
+        """Serve these arrays as they are, with an empty fold buffer."""
+        self._u = u
+        self._singular_values = singular_values
+        self._frobenius_norm_sq = float(frobenius_norm_sq)
+        self._store = store
+        self._n_original = int(n_original)
+        self._view: "LSIModel | None" = None
+        # Fold-in columns, verbatim, for refit() to merge into the
+        # factors, and the out-of-subspace energy it absorbs with them.
+        self._fold_buffer: "list[np.ndarray | CSRMatrix]" = []
+        self._fold_energy = 0.0
+        self._fold_ins = 0
 
     # ------------------------------------------------------------------
     # Store inspection
@@ -116,13 +146,60 @@ class IndexWriter:
 
     @property
     def model(self) -> LSIModel:
-        """The LSI model currently backing the index."""
-        return self._model
+        """The LSI model of the fitted columns, derived from the store.
+
+        Built on first access and cached until the next refit: ``Uₖ``
+        and ``Σ`` as served, and ``Vᵀ = Σ⁻¹·(doc_unit·doc_norms)`` over
+        the :attr:`n_original` fitted columns, each scaled back by the
+        divisor :func:`~repro.linalg.dense.normalize_columns` used (its
+        norm above ``ZERO_NORM_TOL``, else 1); rows with ``σᵢ = 0`` are
+        zero.  It costs one pass over the fitted store and one more
+        ``(k, m)`` array; no query, fold-in, save or load builds it.
+        """
+        view = self._view
+        if view is None:
+            doc_unit, doc_norms = self._store
+            norms = doc_norms[:self._n_original]
+            vt = np.multiply(doc_unit[:, :self._n_original],
+                             np.where(norms > ZERO_NORM_TOL, norms, 1.0),
+                             order="C")
+            positive = self._singular_values > 0
+            vt /= np.where(positive, self._singular_values, 1.0)[:, None]
+            vt[~positive] = 0.0
+            view = LSIModel(SVDResult(self._u, self._singular_values, vt,
+                                      self._frobenius_norm_sq))
+            self._view = view
+        return view
+
+    @property
+    def term_basis(self) -> np.ndarray:
+        """``Uₖ``, the read-only ``(n_terms, k)`` basis."""
+        return self._u
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """``σ₁ ≥ … ≥ σₖ`` of the served factors."""
+        return self._singular_values
+
+    @property
+    def frobenius_norm_sq(self) -> float:
+        """``‖A‖_F²`` of the matrix the served factors decompose."""
+        return self._frobenius_norm_sq
+
+    @property
+    def store(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The read-only document store ``(doc_unit, doc_norms)``.
+
+        ``doc_unit`` is ``(k, m)``, every stored vector at unit length;
+        ``doc_norms`` their lengths.  Writes replace the pair in one
+        assignment, so another thread never reads a mixed pair.
+        """
+        return self._store
 
     @property
     def n_documents(self) -> int:
         """Total stored documents (fitted + folded, incl. tombstoned)."""
-        return int(self._doc_vectors.shape[1])
+        return int(self._store[0].shape[1])
 
     @property
     def n_original(self) -> int:
@@ -149,10 +226,6 @@ class IndexWriter:
         """Deleted document ids, ascending."""
         return tuple(sorted(self._tombstones))
 
-    def document_vectors(self) -> np.ndarray:
-        """The ``(k, m)`` LSI document store (a copy)."""
-        return self._doc_vectors.copy()
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
@@ -165,15 +238,17 @@ class IndexWriter:
                 :class:`~repro.linalg.sparse.CSRMatrix` of new document
                 columns.
 
-        Each column's out-of-subspace energy is added to the drift
-        numerator, so drift never decreases on an add.  The columns
-        themselves are buffered (term space, verbatim) so the next
-        ``refit()`` can absorb them into the basis incrementally; the
-        buffer costs O(nnz of the folds since the last refit) and is
-        dropped on every refit.
+        Each column is projected (``Uₖᵀ·c``), normalised on its own and
+        appended to the store.  Its out-of-subspace energy is added to
+        the drift numerator, so drift never decreases on an add.  The
+        columns themselves are buffered (term space, verbatim) so the
+        next ``refit()`` can absorb them into the basis incrementally;
+        the buffer costs O(nnz of the folds since the last refit) and
+        is dropped on every refit.
 
         Raises:
-            ValidationError: if ``columns`` is dense but not 2-D.
+            ValidationError: if ``columns`` is dense but not 2-D, or
+                does not span the served terms.
         """
         if isinstance(columns, CSRMatrix):
             stored: "np.ndarray | CSRMatrix" = columns
@@ -184,14 +259,23 @@ class IndexWriter:
                     f"document columns must be 2-D (n_terms, p), got "
                     f"shape {dense.shape}")
             stored = dense.copy()
-        projected = self._model.project_documents(stored)  # (k, p)
-        total = _column_sq_norms(stored)
+        operator = as_operator(stored)
+        if operator.shape[0] != self._u.shape[0]:
+            raise ValidationError(
+                f"columns have {operator.shape[0]} terms; the index "
+                f"serves {self._u.shape[0]}")
+        projected = operator.rmatmat(self._u).T  # (k, p)
+        total = stored.column_norms() ** 2 \
+            if isinstance(stored, CSRMatrix) \
+            else np.sum(stored * stored, axis=0)
         captured = np.sum(projected * projected, axis=0)
         self._fold_energy += float(
             np.sum(np.maximum(total - captured, 0.0)))
-        first = self.n_documents
-        self._doc_vectors = np.concatenate(
-            [self._doc_vectors, projected], axis=1)
+        norms = _normalize_in_place(projected)
+        doc_unit, doc_norms = self._store
+        first = int(doc_unit.shape[1])
+        self._store = (np.concatenate([doc_unit, projected], axis=1),
+                       np.concatenate([doc_norms, norms]))
         self._fold_buffer.append(stored)
         self._fold_ins += projected.shape[1]
         return np.arange(first, first + projected.shape[1],
@@ -201,9 +285,10 @@ class IndexWriter:
         """Tombstone documents (fold-out).
 
         Deleted ids keep their positions (so ids stay stable) but stop
-        appearing in rankings; their in-subspace energy joins the drift
-        numerator because the basis still encodes mass that no longer
-        exists.
+        appearing in rankings; their in-subspace energy
+        (``doc_norms[id]²``) joins the drift numerator because the
+        basis still encodes mass that no longer exists.  The store is
+        not touched.
 
         Raises:
             ValidationError: before any state changes, on an id that
@@ -226,10 +311,8 @@ class IndexWriter:
                 raise ValidationError(
                     f"document {doc_id} is repeated in one call")
             seen.add(doc_id)
-        for doc_id in ids:
-            vector = self._doc_vectors[:, doc_id]
-            self._deleted_energy += float(vector @ vector)
-            self._tombstones.add(doc_id)
+        self._deleted_energy += float(np.sum(self._store[1][ids] ** 2))
+        self._tombstones.update(ids)
         self._deletes += len(ids)
 
     # ------------------------------------------------------------------
@@ -239,7 +322,8 @@ class IndexWriter:
     @property
     def drift(self) -> float:
         """``unabsorbed / (unabsorbed + captured)`` in ``[0, 1)``."""
-        captured = self._model.svd.captured_energy()
+        captured = math.fsum(float(s) * float(s)
+                             for s in self._singular_values)
         unabsorbed = self.unabsorbed_energy
         denominator = unabsorbed + captured
         if denominator <= 0:
@@ -305,8 +389,11 @@ class IndexWriter:
           concatenates the buffered fold-in columns into one block,
           factors it ``block_size`` columns at a time with the direct
           kernel of :mod:`repro.linalg.incremental` and merges each
-          factorisation into the current factors via
-          :func:`repro.linalg.incremental.merge`, so the refit merges
+          factorisation into the factors of :attr:`model` via
+          :func:`repro.linalg.incremental.merge`.  That view is
+          derived from the store, so the result has the same bits
+          whether or not the index was saved and loaded since its
+          last refit.  The refit merges
           ``⌈pending / block_size⌉`` times however many
           :meth:`add_documents` calls filled the buffer.  No
           from-scratch decomposition runs and no corpus matrix is
@@ -315,14 +402,14 @@ class IndexWriter:
           energy) survive, because a merge can only *add* subspace
           mass — purging deletions needs the full mode.
         - **Full** — ``refit(matrix)`` re-runs the SVD on an
-          authoritative corpus matrix: the writer replaces its model
+          authoritative corpus matrix: the writer replaces its factors
           and document store, clears tombstones, and resets all drift
           accounting.
 
         Args:
             matrix: the ``n_terms × m_new`` corpus for a full refit;
                 ``None`` selects the incremental merge.
-            rank: LSI rank (defaults to the current model's rank).
+            rank: LSI rank (defaults to the served rank).
                 The incremental mode can keep or lower it only; raise
                 it with ``refit(matrix)``.
             engine: full mode only — the SVD engine (``None``:
@@ -340,7 +427,9 @@ class IndexWriter:
                 :func:`~repro.linalg.svd.engine_options`).
 
         Returns:
-            The refreshed model (also installed in the writer).
+            The model the fit or merge produced.  The writer keeps its
+            basis, spectrum and the unit store of its ``Σ·Vᵀ``;
+            :attr:`model` is derived anew from them on next access.
 
         Raises:
             ValidationError: on an option ``engine`` does not take;
@@ -381,29 +470,24 @@ class IndexWriter:
     def _refit_full(self, matrix, *, rank, engine, seed,
                     **engine_kwargs) -> LSIModel:
         """From-scratch decomposition; resets every accounting bucket."""
-        rank = self._model.rank if rank is None else rank
+        rank = int(self._u.shape[1]) if rank is None else rank
         model = LSIModel.fit(matrix, rank, engine=engine, seed=seed,
                              **engine_kwargs)
-        if model.n_terms != self._model.n_terms:
+        if model.n_terms != self._u.shape[0]:
             raise ValidationError(
                 f"refit matrix has {model.n_terms} terms; the index "
-                f"serves {self._model.n_terms}")
-        self._model = model
-        self._doc_vectors = model.document_vectors()
-        self._n_original = model.n_documents
+                f"serves {self._u.shape[0]}")
+        self._install(model.svd)
         self._tombstones.clear()
-        self._fold_energy = 0.0
         self._deleted_energy = 0.0
-        self._fold_buffer.clear()
-        self._fold_ins = 0
         self._deletes = 0
         self._refits += 1
         return model
 
     def _refit_incremental(self, *, rank, block_size,
                            oversample) -> LSIModel:
-        """Merge the concatenated fold buffer into the current
-        factors, ``block_size`` columns at a time."""
+        """Merge the concatenated fold buffer into the factors of
+        :attr:`model`, ``block_size`` columns at a time."""
         if not self.can_refit_incrementally:
             raise ValidationError(
                 f"incremental refit needs the term-space fold "
@@ -413,11 +497,12 @@ class IndexWriter:
                 f"pass refit(matrix) for a full refit")
         # A merge cannot recover directions the basis already
         # dropped, so the rank can only stay or fall here.
-        rank = self._model.rank if rank is None \
-            else check_rank(rank, self._model.rank)
-        work_rank = self._model.rank \
+        served_rank = int(self._u.shape[1])
+        rank = served_rank if rank is None \
+            else check_rank(rank, served_rank)
+        work_rank = served_rank \
             + check_non_negative_int(oversample, "oversample")
-        partial = PartialSVD.from_svd_result(self._model.svd)
+        partial = PartialSVD.from_svd_result(self.model.svd)
         if self._fold_buffer:
             pending = concat_columns(self._fold_buffer)
             width = pending.shape[1] if block_size is None \
@@ -428,15 +513,10 @@ class IndexWriter:
                                 rank=work_rank)
         partial = partial.truncate(min(rank, partial.rank))
         model = LSIModel(partial.to_svd_result())
-        self._model = model
-        self._doc_vectors = model.document_vectors()
-        self._n_original = model.n_documents
         # Fold mass is now in the basis; deleted mass is not — a merge
         # never subtracts, so tombstones and their energy survive
         # until a full refit purges them.
-        self._fold_energy = 0.0
-        self._fold_buffer.clear()
-        self._fold_ins = 0
+        self._install(model.svd)
         self._refits += 1
         return model
 
@@ -445,15 +525,17 @@ class IndexWriter:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_state(cls, model: LSIModel, doc_vectors: np.ndarray,
-                   *, n_original: int, tombstones=(),
-                   unabsorbed_energy: float = 0.0,
+    def from_state(cls, term_basis: np.ndarray,
+                   singular_values: np.ndarray,
+                   frobenius_norm_sq: float, doc_unit: np.ndarray,
+                   doc_norms: np.ndarray, *, n_original: int,
+                   tombstones=(), unabsorbed_energy: float = 0.0,
                    drift_threshold: "float | None" = 0.1,
                    fold_ins: int = 0, deletes: int = 0,
                    refits: int = 0) -> "IndexWriter":
         """Rebuild a writer from persisted bundle state.
 
-        The writer adopts ``model`` and ``doc_vectors`` as they are —
+        The writer adopts the basis, spectrum and store as they are —
         nothing is copied or computed, so restoring from a bundle's
         read-only memory maps touches no page of them.  That is safe
         because the writer never edits its arrays in place.
@@ -465,19 +547,34 @@ class IndexWriter:
         ``can_refit_incrementally == False`` until its next refit.
 
         Raises:
-            ValidationError: when ``doc_vectors`` is not a
-                ``(rank, m)`` block matching the model's rank.
+            ValidationError: when ``term_basis``, ``singular_values``
+                and ``doc_unit`` disagree on ``k``, ``doc_norms`` does
+                not match ``doc_unit``'s column count, ``n_original``
+                lies outside ``[0, m]``, or ``drift_threshold`` is not
+                a fraction.
         """
-        doc_vectors = np.asarray(doc_vectors, dtype=np.float64)
-        if doc_vectors.ndim != 2 \
-                or doc_vectors.shape[0] != model.rank:
+        shapes = (term_basis.shape, singular_values.shape, doc_unit.shape)
+        if len(shapes[0]) != 2 or len(shapes[2]) != 2 \
+                or shapes[1] != shapes[0][1:] or shapes[2][0] != shapes[0][1]:
             raise ValidationError(
-                f"doc_vectors must be (rank, m); got "
-                f"{doc_vectors.shape} for rank {model.rank}")
+                f"term_basis {shapes[0]}, singular_values {shapes[1]} and "
+                f"doc_unit {shapes[2]} must agree on the rank k")
+        n_documents = int(shapes[2][1])
+        if doc_norms.shape != (n_documents,):
+            raise ValidationError(
+                f"doc_norms has shape {doc_norms.shape}; doc_unit has "
+                f"{n_documents} columns")
+        if not 0 <= n_original <= n_documents:
+            raise ValidationError(
+                f"n_original={n_original} out of range for "
+                f"{n_documents} stored documents")
         writer = cls.__new__(cls)
-        writer._init_state(model, doc_vectors, drift_threshold)
-        writer._n_original = min(int(n_original),
-                                 doc_vectors.shape[1])
+        if drift_threshold is not None:
+            drift_threshold = check_fraction(drift_threshold,
+                                             "drift_threshold")
+        writer.drift_threshold = drift_threshold
+        writer._adopt(term_basis, singular_values, frobenius_norm_sq,
+                      (doc_unit, doc_norms), n_original)
         writer._tombstones = {int(d) for d in tombstones}
         writer._deleted_energy = float(unabsorbed_energy)
         writer._fold_ins = int(fold_ins)
@@ -486,7 +583,7 @@ class IndexWriter:
         return writer
 
     def __repr__(self) -> str:
-        return (f"IndexWriter(k={self._model.rank}, "
+        return (f"IndexWriter(k={self._u.shape[1]}, "
                 f"m={self.n_documents}, folded={self.n_folded}, "
                 f"tombstoned={self.n_tombstoned}, "
                 f"drift={self.drift:.4f})")

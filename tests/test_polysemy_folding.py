@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.folding import FoldingIndex, folding_drift
+from repro.core.folding import folding_drift
 from repro.core.lsi import LSIModel
 from repro.core.polysemy import (
     context_disambiguation,
@@ -13,6 +13,8 @@ from repro.core.polysemy import (
 from repro.corpus import build_separable_model, generate_corpus
 from repro.corpus.polysemy import merge_matrix_terms, merge_topic_terms
 from repro.errors import ValidationError
+from repro.linalg.dense import normalize_columns
+from repro.serving import ServedIndex
 
 
 @pytest.fixture(scope="module")
@@ -118,39 +120,50 @@ def folding_setup():
 
 
 class TestFoldingIndex:
+    """Folding-in as a served index does it (``add_documents``)."""
+
     def test_fold_in_grows_store(self, folding_setup):
         _, base, new = folding_setup
-        index = FoldingIndex(LSIModel.fit(base, 4, engine="exact"))
-        assert index.n_folded == 0
-        vectors = index.fold_in(new)
-        assert vectors.shape == (4, 30)
+        index = ServedIndex(LSIModel.fit(base, 4, engine="exact"))
+        assert index._writer.n_folded == 0
+        ids = index.add_documents(new)
+        assert np.array_equal(ids, np.arange(120, 150))
+        doc_unit, doc_norms = index._writer.store
+        assert doc_unit.shape == (4, 150)
+        assert doc_norms.shape == (150,)
         assert index.n_documents == 150
-        assert index.n_folded == 30
+        assert index._writer.n_folded == 30
 
     def test_folded_vectors_are_projections(self, folding_setup):
         _, base, new = folding_setup
         model = LSIModel.fit(base, 4, engine="exact")
-        index = FoldingIndex(model)
-        vectors = index.fold_in(new)
-        assert np.allclose(vectors, model.project_documents(new))
+        index = ServedIndex(model)
+        index.add_documents(new)
+        doc_unit, doc_norms = index._writer.store
+        # Folded vectors are Uₖᵀ·c, stored as normalize_columns gives
+        # them inside the C-ordered (k, m) store.
+        unit, norms = normalize_columns(
+            np.ascontiguousarray(model.project_documents(new)))
+        assert np.array_equal(doc_unit[:, 120:], unit)
+        assert np.array_equal(doc_norms[120:], norms)
 
     def test_retrieval_reaches_folded_documents(self, folding_setup):
         _, base, new = folding_setup
-        index = FoldingIndex(LSIModel.fit(base, 4, engine="exact"))
-        index.fold_in(new)
+        index = ServedIndex(LSIModel.fit(base, 4, engine="exact"))
+        index.add_documents(new)
         query = new.get_column(0)
         top = index.rank_documents(query, top_k=5)
         assert any(int(d) >= 120 for d in top)
 
     def test_scores_cover_all_documents(self, folding_setup):
         _, base, new = folding_setup
-        index = FoldingIndex(LSIModel.fit(base, 4, engine="exact"))
-        index.fold_in(new)
+        index = ServedIndex(LSIModel.fit(base, 4, engine="exact"))
+        index.add_documents(new)
         assert index.score(new.get_column(0)).shape == (150,)
 
     def test_wrap_type_checked(self):
         with pytest.raises(ValidationError):
-            FoldingIndex("not a model")
+            ServedIndex("not a model")
 
 
 class TestFoldingDrift:

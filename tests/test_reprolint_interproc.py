@@ -114,7 +114,7 @@ class TestCallGraphResolution:
         ImportMap into linalg/ on the real tree."""
         package_roots = {"repro": "src/repro"}
         records = {}
-        for rel in ("src/repro/serving/bundle.py",
+        for rel in ("src/repro/serving/engine.py",
                     "src/repro/linalg/dense.py",
                     "src/repro/utils/validation.py",
                     "src/repro/errors.py"):
@@ -129,11 +129,11 @@ class TestCallGraphResolution:
             record.imports = ()
             records[rel] = record
         graph = build_call_graph(records, package_roots)
-        fid = "repro.serving.bundle.write_bundle"
+        fid = "repro.serving.engine.BatchQueryEngine._score_into"
         assert fid in graph.functions
         resolved = {graph._resolve_call(fid, call)
                     for call in graph.functions[fid]["calls"]}
-        assert "repro.linalg.dense.normalize_columns" in resolved
+        assert "repro.linalg.dense.normalize_columns_into" in resolved
         # ...and the raise flows back across the module boundary.
         closure = graph.raises_closure(fid)
         assert "repro.errors.ShapeError" in closure

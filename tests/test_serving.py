@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lsi import LSIModel
 from repro.errors import (
@@ -12,6 +14,9 @@ from repro.errors import (
     ValidationError,
 )
 from repro.ir.retriever import Retriever
+from repro.linalg.dense import normalize_columns
+from repro.linalg.sparse import CSRMatrix
+from repro.linalg.svd import SVDResult
 from repro.serving import (
     BUNDLE_FORMAT,
     BatchQueryEngine,
@@ -143,8 +148,8 @@ class TestBatchedEquivalence:
     def test_batched_scores_match_model(self, model, queries):
         # GEMM vs GEMV summation order differs in the last ULP, so
         # scores agree to ~1e-15 while *rankings* agree exactly.
-        engine = BatchQueryEngine(model.term_basis,
-                                  model.document_vectors())
+        engine = BatchQueryEngine(
+            model.term_basis, *normalize_columns(model.document_vectors()))
         scores = engine.score_batch(queries)
         for i in range(queries.shape[1]):
             expected = model.score(queries[:, i])
@@ -154,38 +159,39 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("top_k", [1, 3, None])
     def test_batched_ranking_matches_looped(self, model, queries,
                                             top_k):
-        engine = BatchQueryEngine(model.term_basis,
-                                  model.document_vectors())
+        engine = BatchQueryEngine(
+            model.term_basis, *normalize_columns(model.document_vectors()))
         batched = engine.rank_batch(queries, top_k=top_k)
         for i in range(queries.shape[1]):
             expected = model.rank_documents(queries[:, i], top_k=top_k)
             assert np.array_equal(batched[i], expected)
 
     def test_zero_query_scores_zero(self, model):
-        engine = BatchQueryEngine(model.term_basis,
-                                  model.document_vectors())
+        engine = BatchQueryEngine(
+            model.term_basis, *normalize_columns(model.document_vectors()))
         assert np.all(engine.score(np.zeros(model.n_terms)) == 0.0)
 
     def test_tombstoned_documents_never_ranked(self, model, queries):
-        engine = BatchQueryEngine(model.term_basis,
-                                  model.document_vectors(),
-                                  tombstones=(0, 5))
+        engine = BatchQueryEngine(
+            model.term_basis, *normalize_columns(model.document_vectors()),
+            tombstones=(0, 5))
         ranked = engine.rank_batch(queries)
         assert ranked.shape[1] == model.n_documents - 2
         assert 0 not in ranked and 5 not in ranked
         assert np.all(engine.score(queries[:, 0])[[0, 5]] == 0.0)
 
     def test_wrong_term_space_raises(self, model):
-        engine = BatchQueryEngine(model.term_basis,
-                                  model.document_vectors())
+        engine = BatchQueryEngine(
+            model.term_basis, *normalize_columns(model.document_vectors()))
         with pytest.raises(ShapeError):
             engine.rank_batch(np.ones((model.n_terms + 1, 2)))
 
     def test_out_of_range_tombstone_raises(self, model):
         with pytest.raises(ValidationError):
-            BatchQueryEngine(model.term_basis,
-                             model.document_vectors(),
-                             tombstones=(999,))
+            BatchQueryEngine(
+                model.term_basis,
+                *normalize_columns(model.document_vectors()),
+                tombstones=(999,))
 
 
 class TestLRUResultCache:
@@ -312,6 +318,188 @@ class TestIndexWriter:
         assert writer.n_folded == 2
 
 
+def _reachable_arrays(root) -> list:
+    """Every ndarray reachable from ``root`` through attributes,
+    tuples and lists (a writer's store, factors, view and buffers)."""
+    found, stack, seen = [], [root], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return found
+
+
+class TestWriterFromState:
+    def _state(self, model):
+        writer = IndexWriter(model)
+        doc_unit, doc_norms = writer.store
+        return (writer.term_basis, writer.singular_values,
+                writer.frobenius_norm_sq, doc_unit, doc_norms)
+
+    def test_adopts_arrays_without_copying(self, model):
+        state = self._state(model)
+        writer = IndexWriter.from_state(*state, n_original=3)
+        assert writer.term_basis is state[0]
+        assert writer.store[0] is state[3] and writer.store[1] is state[4]
+        assert writer.n_original == 3
+        assert writer.n_folded == model.n_documents - 3
+
+    @pytest.mark.parametrize("n_original", [-1, 31])
+    def test_n_original_out_of_range_raises(self, model, n_original):
+        with pytest.raises(ValidationError, match="n_original"):
+            IndexWriter.from_state(*self._state(model),
+                                   n_original=n_original)
+
+    def test_norms_must_match_store_columns(self, model):
+        u, s, frob, doc_unit, doc_norms = self._state(model)
+        with pytest.raises(ValidationError, match="doc_norms"):
+            IndexWriter.from_state(u, s, frob, doc_unit, doc_norms[:-1],
+                                   n_original=0)
+
+    @pytest.mark.parametrize("part", ["term_basis", "singular_values",
+                                      "doc_unit"])
+    def test_rank_disagreement_raises(self, model, part):
+        u, s, frob, doc_unit, doc_norms = self._state(model)
+        if part == "term_basis":
+            u = u[:, :-1]
+        elif part == "singular_values":
+            s = s[:-1]
+        else:
+            doc_unit = doc_unit[:-1]
+        with pytest.raises(ValidationError, match="rank k"):
+            IndexWriter.from_state(u, s, frob, doc_unit, doc_norms,
+                                   n_original=0)
+
+
+class TestOneStore:
+    def test_engine_scores_the_writers_store(self, model, queries, rng):
+        # After a fold-in, a refit and a query, the only (k, m) float64
+        # array a float64 index holds is the store the engine scores.
+        index = ServedIndex(model)
+        index.add_documents(rng.random((model.n_terms, 4)))
+        index.refit()
+        index.rank_batch(queries, top_k=5)
+        engine_unit = index._engine()._doc_unit
+        shape = (index.rank, index.n_documents)
+
+        def stores():
+            return [a for a in _reachable_arrays(index._writer)
+                    if a.shape == shape and a.dtype == np.float64]
+
+        assert stores()
+        assert all(np.shares_memory(a, engine_unit) for a in stores())
+        # Reading .model derives Vᵀ: a second array, until the refit.
+        assert index.model.svd.vt.shape == shape
+        assert not all(np.shares_memory(a, engine_unit)
+                       for a in stores())
+
+    def test_removal_keeps_the_mapped_store(self, model, queries,
+                                            tmp_path):
+        path = ServedIndex(model).save(tmp_path / "b")
+        index = ServedIndex.load(path, config=ServingConfig(mmap=True))
+        index.rank_batch(queries, top_k=5)
+        mapped = index._engine()._doc_unit
+        index.remove_documents([1, 4])
+        assert index.mmapped
+        ranked = index.rank_batch(queries)
+        assert 1 not in ranked and 4 not in ranked
+        # The first query after the removal scores the map as it is.
+        assert np.shares_memory(index._engine()._doc_unit, mapped)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_refit_bits_survive_a_save_and_load(self, model, queries,
+                                                rng, tmp_path, mmap):
+        dense = rng.random((model.n_terms, 7))
+        sparse = rng.random((model.n_terms, 12))
+        sparse[sparse < 0.6] = 0.0
+        folds = (dense, CSRMatrix.from_dense(sparse))
+        kept = ServedIndex(model)
+        kept.add_documents(folds[0])
+        kept.refit()
+        reloaded = ServedIndex.load(kept.save(tmp_path / "b"),
+                                    config=ServingConfig(mmap=mmap))
+        for index in (kept, reloaded):
+            for columns in folds:
+                index.add_documents(columns)
+            index.remove_documents([2])
+            index.refit()
+        a, b = kept._writer, reloaded._writer
+        assert np.array_equal(a.term_basis, b.term_basis)
+        assert np.array_equal(a.singular_values, b.singular_values)
+        assert np.array_equal(a.store[0], b.store[0])
+        assert np.array_equal(a.store[1], b.store[1])
+        assert np.array_equal(kept.rank_batch(queries, top_k=10),
+                              reloaded.rank_batch(queries, top_k=10))
+
+    def test_zero_singular_value_refits_without_nan(self, rng, queries):
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 3)))
+        rows, _ = np.linalg.qr(rng.standard_normal((25, 3)))
+        singular = np.array([3.0, 1.0, 0.0])
+        svd = SVDResult(basis, singular, rows.T.copy(), 12.0)
+        index = ServedIndex(LSIModel(svd))
+        assert np.all(index.model.svd.vt[2] == 0.0)
+        index.add_documents(rng.random((40, 6)))
+        index.refit()
+        writer = index._writer
+        for array in (writer.term_basis, writer.singular_values,
+                      *writer.store, index.model.svd.vt):
+            assert np.all(np.isfinite(array))
+        assert index.rank_batch(queries, top_k=5).shape == (8, 5)
+
+
+@st.composite
+def store_updates(draw):
+    """A fitted model's size and seed, and interleaved updates:
+    fold-ins of 1–60 dense or CSR columns, and removals."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rank = draw(st.sampled_from([3, 8, 12]))
+    n_documents = draw(st.integers(12, 40))
+    updates = draw(st.lists(st.one_of(
+        st.tuples(st.just("fold"), st.integers(1, 60), st.booleans()),
+        st.tuples(st.just("remove"), st.integers(1, 3), st.just(False))),
+        min_size=1, max_size=6))
+    return seed, rank, n_documents, updates
+
+
+class TestStoreProperties:
+    @given(store_updates())
+    @settings(max_examples=60, deadline=None)
+    def test_store_is_normalized_concatenation(self, case):
+        # Normalising each fold-in on its own gives the bits of
+        # normalising the whole store, for any batch width and layout.
+        seed, rank, n_documents, updates = case
+        local = np.random.default_rng(seed)
+        model = LSIModel.fit(local.random((24, n_documents)), rank,
+                             engine="exact")
+        writer = IndexWriter(model)
+        columns = [model.document_vectors()]
+        for kind, count, sparse in updates:
+            if kind == "fold":
+                block = local.random((24, count))
+                block[block < 0.5] = 0.0
+                if sparse:
+                    block = CSRMatrix.from_dense(block)
+                writer.add_documents(block)
+                columns.append(model.project_documents(block))
+            else:
+                live = [d for d in range(writer.n_documents)
+                        if d not in writer.tombstones]
+                writer.remove_documents(
+                    local.choice(live, size=min(count, len(live) - 1),
+                                 replace=False).tolist())
+        doc_unit, doc_norms = normalize_columns(
+            np.concatenate(columns, axis=1))
+        assert np.array_equal(writer.store[0], doc_unit)
+        assert np.array_equal(writer.store[1], doc_norms)
+
+
 class TestBundleRoundTrip:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_roundtrip_preserves_rankings_dense(
@@ -365,9 +553,13 @@ class TestBundleRoundTrip:
         manifest = read_manifest(path, verify_arrays=True)
         assert manifest["format"] == BUNDLE_FORMAT
         assert set(environment_fingerprint()) <= set(manifest["env"])
-        for name in ("u.npy", "vt.npy", "doc_vectors.npy",
-                     "doc_unit.npy", "doc_norms.npy"):
-            assert manifest["checksums"][name].startswith("sha256:")
+        # Schema 4: six arrays, one copy of the document store.
+        assert sorted(manifest["checksums"]) == [
+            "doc_norms.npy", "doc_unit.npy", "frobenius_norm_sq.npy",
+            "singular_values.npy", "tombstones.npy", "u.npy"]
+        assert manifest["schema_version"] == 4
+        for digest in manifest["checksums"].values():
+            assert digest.startswith("sha256:")
 
 
 class TestBundleRejection:
@@ -377,7 +569,7 @@ class TestBundleRejection:
 
     def test_corrupted_arrays_detected(self, served, tmp_path):
         path = served.save(tmp_path / "b")
-        arrays = path / "doc_vectors.npy"
+        arrays = path / "doc_unit.npy"
         blob = bytearray(arrays.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         arrays.write_bytes(bytes(blob))
@@ -414,29 +606,48 @@ class TestBundleRejection:
         with pytest.raises(PersistenceError, match="mismatch"):
             read_bundle(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_legacy_schema_refused(self, served, version, tmp_path,
                                    capsys):
         from repro.cli import main
 
         # Schemas 1 and 2 kept their arrays in one arrays.npz (v1 the
-        # factors only); neither is read any more, mapped or eager.
+        # factors only); schema 3 kept one .npy per array, with vt and
+        # the raw store doc_vectors beside doc_unit.  None is read any
+        # more, mapped or eager, and no older checkout writes schema 4.
         path = served.save(tmp_path / "b")
-        names = ("u", "singular_values", "vt", "frobenius_norm_sq")
-        if version == 2:
-            names += ("doc_vectors", "tombstones")
-        arrays = {name: np.load(path / f"{name}.npy") for name in names}
+        model = served.model
+        doc_unit, doc_norms = served._writer.store
+        arrays = {"u": model.svd.u,
+                  "singular_values": model.svd.singular_values,
+                  "vt": model.svd.vt,
+                  "frobenius_norm_sq": np.float64(
+                      model.svd.frobenius_norm_sq),
+                  "doc_vectors": model.document_vectors(),
+                  "doc_unit": doc_unit, "doc_norms": doc_norms,
+                  "tombstones": np.zeros(0, dtype=np.int64)}
+        names = {1: ("u", "singular_values", "vt", "frobenius_norm_sq"),
+                 2: ("u", "singular_values", "vt", "frobenius_norm_sq",
+                     "doc_vectors", "tombstones"),
+                 3: tuple(arrays)}[version]
         for npy in path.glob("*.npy"):
             npy.unlink()
-        np.savez(path / "arrays.npz", **arrays)
+        if version == 3:
+            for name in names:
+                np.save(path / f"{name}.npy", arrays[name])
+            files = [f"{name}.npy" for name in names]
+        else:
+            np.savez(path / "arrays.npz",
+                     **{name: arrays[name] for name in names})
+            files = ["arrays.npz"]
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         manifest["schema_version"] = version
-        manifest["checksums"] = {
-            "arrays.npz": sha256_file(path / "arrays.npz")}
+        manifest["checksums"] = {name: sha256_file(path / name)
+                                 for name in files}
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
         for mmap in (False, True):
             with pytest.raises(PersistenceError,
-                               match=f"schema_version {version}.*re-save"):
+                               match=f"schema_version {version}.*rebuild"):
                 ServedIndex.load(path, config=ServingConfig(mmap=mmap))
         assert main(["serve-stats", str(path)]) == 2
         assert f"schema_version {version}" in capsys.readouterr().err
@@ -477,7 +688,6 @@ class TestBundleRejection:
 class TestServedIndex:
     def test_satisfies_retriever_protocol(self, served, model,
                                           tiny_matrix):
-        from repro.core.folding import FoldingIndex
         from repro.core.two_step import TwoStepLSI
         from repro.ir.bm25 import BM25Model
         from repro.ir.vsm import VectorSpaceModel
@@ -487,8 +697,6 @@ class TestServedIndex:
         assert isinstance(
             VectorSpaceModel.fit(tiny_matrix), Retriever)
         assert isinstance(BM25Model.fit(tiny_matrix), Retriever)
-        folding_model = LSIModel.fit(tiny_matrix, 4, seed=0)
-        assert isinstance(FoldingIndex(folding_model), Retriever)
         assert isinstance(
             TwoStepLSI.fit(tiny_matrix, 4, 20, seed=0), Retriever)
 
@@ -516,13 +724,12 @@ class TestServedIndex:
         served.rank_documents(query, top_k=5)
         assert served.stats().cache_hits == 0
 
-    def test_batch_mixes_cached_and_fresh(self, served, queries):
+    def test_batch_mixes_cached_and_fresh(self, served, model, queries):
         served.rank_documents(queries[:, 2], top_k=4)
         batched = served.rank_batch(queries, top_k=4)
         assert served.stats().cache_hits == 1
         engine = BatchQueryEngine(
-            served.model.term_basis,
-            served.model.document_vectors())
+            model.term_basis, *normalize_columns(model.document_vectors()))
         assert np.array_equal(batched,
                               engine.rank_batch(queries, top_k=4))
 

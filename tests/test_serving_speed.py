@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.lsi import LSIModel
 from repro.errors import ValidationError
+from repro.linalg.dense import normalize_columns
 from repro.serving import (
     COMPUTE_DTYPES,
     BatchQueryEngine,
@@ -88,7 +89,8 @@ class TestRankingOverlap:
 class TestFloat32Engine:
     def test_unknown_dtype_rejected(self, model):
         with pytest.raises(ValidationError):
-            BatchQueryEngine(model.svd.u, model.document_vectors(),
+            BatchQueryEngine(model.svd.u,
+                             *normalize_columns(model.document_vectors()),
                              dtype="float16")
 
     def test_dtype_names_exported(self):
@@ -103,9 +105,9 @@ class TestFloat32Engine:
         matrix = local.random((80, 64))
         model = LSIModel.fit(matrix, 8, engine="exact")
         queries = local.random((80, 16))
-        e64 = BatchQueryEngine(model.svd.u, model.document_vectors())
-        e32 = BatchQueryEngine(model.svd.u, model.document_vectors(),
-                               dtype="float32")
+        store = normalize_columns(model.document_vectors())
+        e64 = BatchQueryEngine(model.svd.u, *store)
+        e32 = BatchQueryEngine(model.svd.u, *store, dtype="float32")
         overlap = ranking_overlap(e64.rank_batch(queries, top_k=5),
                                   e32.rank_batch(queries, top_k=5))
         assert overlap >= 0.95
@@ -115,15 +117,15 @@ class TestFloat32Engine:
         assert delta < 1e-4
 
     def test_float32_scores_have_float32_dtype(self, model, queries):
-        engine = BatchQueryEngine(model.svd.u,
-                                  model.document_vectors(),
-                                  dtype="float32")
+        engine = BatchQueryEngine(
+            model.svd.u, *normalize_columns(model.document_vectors()),
+            dtype="float32")
         assert engine.dtype == "float32"
         assert engine.score_batch(queries).dtype == np.float32
 
     def test_float64_path_unchanged_by_default(self, model, queries):
-        engine = BatchQueryEngine(model.svd.u,
-                                  model.document_vectors())
+        engine = BatchQueryEngine(
+            model.svd.u, *normalize_columns(model.document_vectors()))
         assert engine.dtype == "float64"
         assert engine.score_batch(queries).dtype == np.float64
 
@@ -131,17 +133,17 @@ class TestFloat32Engine:
             self, model, queries):
         # Same engine, different batches: preallocated scratch must
         # not let one batch's scores contaminate the next.
-        engine = BatchQueryEngine(model.svd.u,
-                                  model.document_vectors(),
-                                  dtype="float32")
+        engine = BatchQueryEngine(
+            model.svd.u, *normalize_columns(model.document_vectors()),
+            dtype="float32")
         first = engine.score_batch(queries).copy()
         engine.score_batch(queries[:, ::-1].copy())
         again = engine.score_batch(queries)
         assert np.array_equal(first, again)
 
     def test_varying_batch_width_reallocates(self, model, queries):
-        engine = BatchQueryEngine(model.svd.u,
-                                  model.document_vectors())
+        engine = BatchQueryEngine(
+            model.svd.u, *normalize_columns(model.document_vectors()))
         wide = engine.score_batch(queries)
         narrow = engine.score_batch(queries[:, :3])
         assert wide.shape[0] == queries.shape[1]
@@ -221,9 +223,8 @@ class TestMmapLoad:
                                                   tmp_path):
         path = ServedIndex(model).save(tmp_path / "b")
         bundle = read_bundle(path, mmap=True)
-        assert isinstance(bundle.svd.u, np.memmap)
-        assert not bundle.svd.u.flags.writeable
-        assert bundle.doc_unit is not None
+        assert isinstance(bundle.u, np.memmap)
+        assert not bundle.u.flags.writeable
         assert isinstance(bundle.doc_unit, np.memmap)
 
     def test_mmap_properties_work_without_materialising(self, model,
@@ -273,10 +274,9 @@ class TestMmapLoad:
 
     def test_float32_reloads_rank_like_the_saved_index(
             self, model, queries, tmp_path):
-        # float32 normalises the store in float32.  A reload must do
-        # the same rather than cast the saved float64 unit vectors:
-        # those differ in the last bits, so every score differs and
-        # near-tied documents can swap.
+        # float32 casts the float64 unit store, in memory and on a
+        # reload alike, so both score the same float32 bits and no
+        # near-tied documents swap.
         saved = ServedIndex(model, config=ServingConfig(dtype="float32"))
         path = saved.save(tmp_path / "b")
         for mmap in (False, True):
@@ -322,11 +322,11 @@ class TestMmapLoad:
         inodes = {f.name: f.stat().st_ino for f in path.iterdir()}
         ServedIndex.load(path).save(path)
         # Renamed, not rewritten in place: every file is a new inode,
-        # and no staging file is left beside the nine bundle files.
+        # and no staging file is left beside the seven bundle files.
         names = sorted(f.name for f in path.iterdir())
         assert names == sorted([*read_manifest(path)["checksums"],
                                 "manifest.json"])
-        assert len(names) == 9
+        assert len(names) == 7
         assert all(f.stat().st_ino != inodes[f.name]
                    for f in path.iterdir())
 

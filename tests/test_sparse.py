@@ -236,6 +236,26 @@ class TestTransforms:
             small_sparse.select_rows(chosen).to_dense(),
             small_dense[chosen])
 
+    @pytest.mark.parametrize("chosen", [[7, 2, 19, 0], [4, 4, 4, 11, 4],
+                                        []],
+                             ids=["reordered", "repeated", "empty"])
+    def test_select_rows_is_csr_equal(self, small_dense, small_sparse,
+                                      chosen):
+        selected = small_sparse.select_rows(chosen)
+        expected = CSRMatrix.from_dense(small_dense[chosen])
+        assert selected.shape == expected.shape
+        assert np.array_equal(selected.indptr, expected.indptr)
+        assert np.array_equal(selected.indices, expected.indices)
+        assert np.array_equal(selected.data, expected.data)
+
+    def test_select_rows_rejects_bad_indices(self, small_sparse):
+        with pytest.raises(ShapeError):
+            small_sparse.select_rows([[0, 1]])
+        with pytest.raises(ValidationError):
+            small_sparse.select_rows([20])
+        with pytest.raises(ValidationError):
+            small_sparse.select_rows([-1])
+
     def test_select_columns_out_of_range(self, small_sparse):
         with pytest.raises(ValidationError):
             small_sparse.select_columns([99])
