@@ -1,15 +1,12 @@
-"""Benches S1–S5 and S8: the serving layer.
+"""Benches S1–S3, S5 and S8: the serving layer.
 
-Six families:
+Five families:
 
 - ``serving_batched_queries`` — the tentpole perf claim: ranking a
   query block through :class:`~repro.serving.engine.BatchQueryEngine`'s
   single-GEMM path vs the per-query loop, asserting bit-identical
   rankings and reporting the speedup (the loop comparison is skipped at
   the ``scale`` tier, where throughput in queries/sec is the headline);
-- ``serving_float32_agreement`` — the precision-policy claim: the
-  opt-in float32 compute path against float64 on identical queries,
-  recording top-10 ranking agreement, max score delta, and speedup;
 - ``serving_mmap_coldstart`` — O(manifest) cold start: subprocess
   loads of the same bundle eagerly vs memory-mapped, recording load
   seconds, post-load peak RSS and how much the load grew it, asserting
@@ -44,7 +41,7 @@ from harness.fixtures import separable_matrix, synthetic_index_factors
 from repro.core.lsi import LSIModel
 from repro.linalg.dense import normalize_columns
 from repro.serving import BatchQueryEngine, MicroBatchDispatcher, \
-    ServedIndex, ServingConfig, ranking_overlap
+    ServedIndex, ServingConfig
 from repro.utils.rng import as_generator
 from repro.utils.timing import measure
 
@@ -120,62 +117,6 @@ def bench_serving_batched_queries(params, seed):
             / max(batched.mean_seconds, 1e-12)
         metrics["batched_matches_looped"] = \
             bool(np.array_equal(looped.result, batched.result))
-    return metrics
-
-
-@benchmark(name="serving_float32_agreement", tags=("serving", "perf"),
-           sizes={"smoke": {"n_terms": 400, "n_topics": 8,
-                            "n_documents": 400, "rank": 8,
-                            "n_queries": 64},
-                  "full": {"n_terms": 1500, "n_topics": 12,
-                           "n_documents": 1200, "rank": 12,
-                           "n_queries": 256},
-                  "scale": {"n_terms": 4096, "rank": 96,
-                            "n_documents": 100_000, "n_queries": 512,
-                            "chunk": 128, "synthetic": True,
-                            "repeats": 2, "speedup_floor": 1.3}},
-           time_metrics=("float64_seconds", "float32_seconds",
-                         "float32_speedup"))
-def bench_serving_float32_agreement(params, seed):
-    """S4: float32 vs float64 scoring — agreement measured, not assumed."""
-    model = _serving_model(params, seed)
-    basis = model.term_basis
-    store = normalize_columns(model.document_vectors())
-    engine64 = BatchQueryEngine(basis, *store)
-    engine32 = BatchQueryEngine(basis, *store, dtype="float32")
-    queries = _query_block(params["n_terms"], params["n_queries"],
-                           seed + 1)
-    top_k = 10
-    chunk = params.get("chunk", queries.shape[1])
-    repeats = params.get("repeats", 3)
-
-    timed64 = measure(
-        lambda: _rank_chunked(engine64, queries, top_k=top_k,
-                              chunk=chunk),
-        warmup=1, repeats=repeats)
-    timed32 = measure(
-        lambda: _rank_chunked(engine32, queries, top_k=top_k,
-                              chunk=chunk),
-        warmup=1, repeats=repeats)
-    agreement = ranking_overlap(timed64.result, timed32.result)
-    speedup = timed64.mean_seconds / max(timed32.mean_seconds, 1e-12)
-
-    probe = queries[:, :min(32, queries.shape[1])]
-    scores64 = engine64.score_batch(probe)
-    scores32 = engine32.score_batch(probe).astype(np.float64)
-    max_delta = float(np.max(np.abs(scores64 - scores32)))
-
-    metrics = {
-        "float64_seconds": timed64.mean_seconds,
-        "float32_seconds": timed32.mean_seconds,
-        "float32_speedup": speedup,
-        "float32_top10_agreement": agreement,
-        "float32_max_score_delta": max_delta,
-        "float32_agreement_ok": bool(agreement >= 0.99),
-    }
-    floor = params.get("speedup_floor")
-    if floor is not None:
-        metrics["float32_speedup_ok"] = bool(speedup >= floor)
     return metrics
 
 

@@ -2,9 +2,9 @@
 
 ``repro bench summary CURRENT.json [--baseline BASELINE.json]`` turns a
 report into two GitHub-flavoured markdown tables — correctness/agreement
-claims and timing/throughput — so a reviewer reads the float32-vs-
-float64 agreement and the cold-start/throughput deltas straight off the
-workflow page instead of downloading artifacts.  CI appends the output
+claims and timing/throughput — so the exactness claims and the
+cold-start/throughput deltas read straight off the workflow page
+instead of downloading artifacts.  CI appends the output
 to ``$GITHUB_STEP_SUMMARY``; locally it is plain printable markdown.
 """
 
@@ -27,7 +27,7 @@ def _is_claim(name: str, value: Any) -> bool:
     """Whether a metric is a pass/fail claim recorded as 0/1.
 
     ``*_ok`` names are always claims.  Otherwise continuous agreement
-    metrics win over the claim fragments — ``float32_top10_agreement``
+    metrics win over the claim fragments — ``refit_top10_agreement``
     happens to contain ``agree`` and can legitimately be exactly 1.0,
     but it is a measurement, not a flag.
     """

@@ -311,8 +311,6 @@ def _command_serve_stats(args) -> int:
           f"documents={manifest.get('n_documents')} "
           f"(original={manifest.get('n_original')}, "
           f"tombstoned={manifest.get('n_tombstoned', 0)})")
-    print(f"compute dtype     "
-          f"{manifest.get('compute_dtype', stats.dtype)}")
     threshold = manifest.get("drift_threshold")
     _print_serving_counters(stats, threshold)
     _print_writer_state(manifest, stats)

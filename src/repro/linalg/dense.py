@@ -66,9 +66,9 @@ def normalize_columns_into(matrix, out, *,
     preallocated ``out`` of the batch's shape, so repeated batches of
     one shape normalise without touching the allocator.  Unlike
     :func:`normalize_columns` the input is *not* coerced to float64:
-    the computation runs in ``matrix``'s own dtype (the float32 compute
-    path depends on that), and for float64 inputs the written values
-    are bit-identical to the allocating version.
+    the computation runs in ``matrix``'s own dtype, and for float64
+    inputs the written values are bit-identical to the allocating
+    version.
 
     Args:
         matrix: dense ``(n, p)`` array to normalise (not modified).

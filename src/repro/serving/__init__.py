@@ -6,12 +6,12 @@ sound?"; this package answers "can you run it?".  It wraps a fitted
 retrieval service needs:
 
 - :mod:`repro.serving.config` — :class:`ServingConfig`, the one frozen
-  policy object (precision, caching, mmap, micro-batching, streaming
-  fits) shared by every layer below;
+  policy object (caching, mmap, micro-batching, streaming fits) shared
+  by every layer below;
 - :mod:`repro.serving.bundle` — versioned, checksummed on-disk index
   bundles holding one copy of the document store, loaded strictly;
-- :mod:`repro.serving.engine` — batched query execution (whole query
-  blocks in single GEMMs), exact stable top-``k`` extraction, the
+- :mod:`repro.serving.engine` — batched float64 query execution (whole
+  query blocks in single GEMMs), exact stable top-``k`` extraction, the
   shared :class:`CacheKey`, and an LRU result cache;
 - :mod:`repro.serving.writer` — incremental fold-in and tombstoning
   with monotone Eckart–Young drift accounting and refit recommendation;
@@ -44,12 +44,10 @@ from repro.serving.bundle import (
 from repro.serving.config import ServingConfig
 from repro.serving.dispatch import DispatchStats, MicroBatchDispatcher
 from repro.serving.engine import (
-    COMPUTE_DTYPES,
     BatchQueryEngine,
     CacheKey,
     LRUResultCache,
     QueryBatch,
-    ranking_overlap,
     stable_top_k,
 )
 from repro.serving.index import ServedIndex
@@ -60,7 +58,6 @@ __all__ = [
     "BUNDLE_FORMAT",
     "BUNDLE_SCHEMA_VERSION",
     "BatchQueryEngine",
-    "COMPUTE_DTYPES",
     "CacheKey",
     "ChecksumMismatch",
     "DispatchStats",
@@ -74,7 +71,6 @@ __all__ = [
     "ServingStats",
     "checksum_failures",
     "environment_fingerprint",
-    "ranking_overlap",
     "read_bundle",
     "read_manifest",
     "sha256_file",

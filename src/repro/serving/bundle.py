@@ -9,10 +9,9 @@ manifest:
   — the writer's own float64 arrays, bit-exact, so a load reproduces
   in-memory rankings and refits exactly (``Vₖᵀ`` is derived from the
   store on demand, not stored);
-- ``manifest.json`` — schema version, shape summary, the compute
-  precision the index was served at, per-file SHA-256 checksums
-  (corruption detection), an environment fingerprint (same spirit as
-  the benchmark harness's ``BENCH_*.json`` fingerprints:
+- ``manifest.json`` — schema version, shape summary, per-file SHA-256
+  checksums (corruption detection), an environment fingerprint (same
+  spirit as the benchmark harness's ``BENCH_*.json`` fingerprints:
   informational, never used for matching), the serving counters, and
   the writer's drift accounting.
 
@@ -33,8 +32,10 @@ bytes.
 
 Loading is strict: a missing or unparsable manifest, a foreign
 ``format`` marker, a ``schema_version`` other than 4, a checksum
-mismatch, or shape disagreement between manifest and arrays all raise
-:class:`~repro.errors.PersistenceError`.
+mismatch, shape disagreement between manifest and arrays, or a
+manifest value out of its range (the manifest has no checksum) all
+raise :class:`~repro.errors.PersistenceError`.  Manifest keys the
+reader does not use are ignored.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 import os
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,6 +54,7 @@ import numpy as np
 
 from repro.errors import PersistenceError, ValidationError
 from repro.serving.stats import ServingStats
+from repro.utils.validation import check_fraction, check_non_negative_int
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -84,6 +86,29 @@ _ARRAYS = ("u", "singular_values", "frobenius_norm_sq", "doc_unit",
 #: Arrays worth memory-mapping (the O(n·k)/O(k·m) payloads); the rest
 #: are O(k)/O(m) vectors loaded eagerly even under ``mmap``.
 _LARGE_ARRAYS = ("u", "doc_unit")
+
+
+def _check_real(value, name: str) -> float:
+    """``value`` as a float, requiring a real number (not a bool)."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_stats(stats: ServingStats) -> None:
+    """Require non-negative int counters, a fraction for ``drift`` and
+    a bool for ``refit_recommended``."""
+    for item in fields(stats):
+        name, value = f"stats.{item.name}", getattr(stats, item.name)
+        if item.name == "drift":
+            check_fraction(_check_real(value, name), name)
+        elif item.name == "refit_recommended":
+            if not isinstance(value, bool):
+                raise ValidationError(
+                    f"{name} must be a bool, got {value!r}")
+        else:
+            check_non_negative_int(value, name)
 
 
 def environment_fingerprint() -> dict:
@@ -160,8 +185,6 @@ class IndexBundle:
             (``None`` disables the recommendation).
         stats: serving counters at save time.
         vocabulary: optional term strings (position = term id).
-        compute_dtype: precision the index was served at when saved
-            (``"float64"`` or ``"float32"``); loads default to it.
         index_version: content hash of the array payload (filled on
             write/read; empty for bundles never persisted).
         created_at: ISO-8601 UTC write timestamp (filled on write).
@@ -169,7 +192,9 @@ class IndexBundle:
 
     Raises:
         ValidationError: on arrays that disagree on ``k`` or ``m``, an
-            id or count out of range, or an unknown compute dtype.
+            id or count out of range, a ``drift_threshold`` outside
+            ``[0, 1]``, a negative or non-finite ``unabsorbed_energy``,
+            or a ``stats`` field of the wrong type or range.
     """
 
     u: np.ndarray
@@ -183,7 +208,6 @@ class IndexBundle:
     drift_threshold: "float | None" = 0.1
     stats: ServingStats = field(default_factory=ServingStats)
     vocabulary: "tuple | None" = None
-    compute_dtype: str = "float64"
     index_version: str = ""
     created_at: str = ""
     env: dict = field(default_factory=dict)
@@ -200,7 +224,8 @@ class IndexBundle:
             raise ValidationError(
                 f"doc_norms shape {self.doc_norms.shape} does not "
                 f"match {self.n_documents} documents")
-        if not 0 <= self.n_original <= self.n_documents:
+        check_non_negative_int(self.n_original, "n_original")
+        if self.n_original > self.n_documents:
             raise ValidationError(
                 f"n_original={self.n_original} out of range for "
                 f"{self.n_documents} stored documents")
@@ -215,10 +240,16 @@ class IndexBundle:
             raise ValidationError(
                 f"vocabulary has {len(self.vocabulary)} terms; the index "
                 f"has {self.u.shape[0]}")
-        if self.compute_dtype not in ("float64", "float32"):
+        if self.drift_threshold is not None:
+            check_fraction(_check_real(self.drift_threshold,
+                                       "drift_threshold"),
+                           "drift_threshold")
+        energy = _check_real(self.unabsorbed_energy, "unabsorbed_energy")
+        if not (math.isfinite(energy) and energy >= 0.0):
             raise ValidationError(
-                f"compute_dtype must be 'float64' or 'float32', got "
-                f"{self.compute_dtype!r}")
+                f"unabsorbed_energy must be finite and non-negative, "
+                f"got {energy}")
+        _check_stats(self.stats)
 
     @property
     def n_documents(self) -> int:
@@ -241,7 +272,6 @@ class IndexBundle:
             "captured_energy": math.fsum(
                 float(s) * float(s) for s in self.singular_values),
             "drift_threshold": self.drift_threshold,
-            "compute_dtype": self.compute_dtype,
             "stats": self.stats.as_dict(),
             "vocabulary": (list(self.vocabulary)
                            if self.vocabulary is not None else None),
@@ -461,15 +491,13 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
             frobenius_norm_sq=float(arrays["frobenius_norm_sq"]),
             doc_unit=arrays["doc_unit"],
             doc_norms=arrays["doc_norms"],
-            n_original=int(manifest.get("n_original",
-                                        arrays["doc_unit"].shape[-1])),
+            n_original=manifest.get("n_original",
+                                    int(arrays["doc_unit"].shape[-1])),
             tombstones=tuple(int(d) for d in arrays["tombstones"]),
-            unabsorbed_energy=float(manifest.get("unabsorbed_energy",
-                                                 0.0)),
+            unabsorbed_energy=manifest.get("unabsorbed_energy", 0.0),
             drift_threshold=manifest.get("drift_threshold"),
             stats=ServingStats.from_dict(manifest.get("stats") or {}),
             vocabulary=tuple(vocabulary) if vocabulary else None,
-            compute_dtype=str(manifest.get("compute_dtype", "float64")),
             index_version=str(manifest.get("index_version", "")),
             created_at=str(manifest.get("created_at", "")),
             env=dict(manifest.get("env") or {}))

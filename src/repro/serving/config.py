@@ -1,23 +1,23 @@
 """One frozen configuration object for the whole serving stack.
 
 The serving layer grew its knobs one at a time: ``ServedIndex`` took
-``cache_capacity=...``, then ``dtype=...``; ``load`` added
-``mmap=...`` on top.  The micro-batching dispatcher would have had to
-re-thread that kwarg sprawl.  :class:`ServingConfig` collapses it into
-a single frozen dataclass accepted by
+``cache_capacity=...``; ``load`` added ``mmap=...`` on top.  The
+micro-batching dispatcher would have had to re-thread that kwarg
+sprawl.  :class:`ServingConfig` collapses it into a single frozen
+dataclass accepted by
 :class:`~repro.serving.index.ServedIndex` and
 :class:`~repro.serving.dispatch.MicroBatchDispatcher`:
 
-- one object describes precision, caching, cold-start,
-  micro-batching, and streaming-fit policy; a dispatcher built without
-  one inherits its index's, because its flusher thread ranks through
-  the same index the caller threads query;
+- one object describes caching, cold-start, micro-batching, and
+  streaming-fit policy; a dispatcher built without one inherits its
+  index's, because its flusher thread ranks through the same index the
+  caller threads query;
 - ``config=`` is the only way in: the entry points take no per-field
   kwargs, so a stray ``cache_capacity=4`` is a :class:`TypeError`
   rather than a silently ignored setting;
-- unknown fields in :meth:`ServingConfig.merged` fail eagerly with the
-  valid ones listed — the same typo policy as
-  :func:`repro.linalg.svd.truncated_svd`'s ``engine_options`` errors.
+- :func:`dataclasses.replace` derives a variant: ``__post_init__``
+  validates every value again, and an unknown field is a
+  :class:`TypeError`.
 
 A knob stays only while it wins on some measured workload; one that
 never wins is deleted rather than left off by default (the
@@ -26,11 +26,9 @@ measurements are in ``docs/SERVING.md``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
-from repro.serving.engine import COMPUTE_DTYPES
 from repro.utils.validation import check_fraction, check_non_negative_int, \
     check_positive_int
 
@@ -42,11 +40,6 @@ class ServingConfig:
     """Every serving-time policy knob, in one frozen value.
 
     Attributes:
-        dtype: compute precision for scoring — ``None`` (default)
-            means float64 for new indexes and the persisted
-            ``compute_dtype`` when loading a bundle; ``"float32"``
-            opts into single-precision GEMMs (agreement measured, not
-            assumed — see :mod:`repro.serving.engine`).
         mmap: load bundles by memory-mapping the large arrays
             read-only (the O(manifest) cold start) instead of reading
             them eagerly.  Ignored for indexes built in memory.
@@ -68,7 +61,6 @@ class ServingConfig:
             incremental merges (more headroom, less truncation error).
     """
 
-    dtype: "str | None" = None
     mmap: bool = False
     cache_capacity: int = 256
     drift_threshold: "float | None" = 0.1
@@ -78,10 +70,6 @@ class ServingConfig:
     stream_oversample: int = 8
 
     def __post_init__(self):
-        if self.dtype is not None and self.dtype not in COMPUTE_DTYPES:
-            raise ValidationError(
-                f"ServingConfig.dtype must be None or one of "
-                f"{COMPUTE_DTYPES}, got {self.dtype!r}")
         check_non_negative_int(self.cache_capacity, "cache_capacity")
         if self.drift_threshold is not None:
             check_fraction(self.drift_threshold, "drift_threshold")
@@ -95,20 +83,3 @@ class ServingConfig:
         check_positive_int(self.stream_block_size, "stream_block_size")
         check_non_negative_int(self.stream_oversample,
                                "stream_oversample")
-
-    def merged(self, **overrides) -> "ServingConfig":
-        """A copy with ``overrides`` applied.
-
-        Raises:
-            ValidationError: on an unknown field (the message lists
-                the valid ones) or an invalid value.
-        """
-        if not overrides:
-            return self
-        valid = [field.name for field in dataclasses.fields(self)]
-        unknown = sorted(set(overrides) - set(valid))
-        if unknown:
-            raise ValidationError(
-                f"unknown field(s) {unknown} for ServingConfig.merged; "
-                f"valid fields are {valid}")
-        return dataclasses.replace(self, **overrides)

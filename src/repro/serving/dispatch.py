@@ -277,9 +277,7 @@ class MicroBatchDispatcher:
             unique: "dict[CacheKey, int]" = {}
             firsts = []
             for i in range(len(group)):
-                key = CacheKey.for_query(generation, batch, i,
-                                         key_top_k,
-                                         kind="dispatch")
+                key = CacheKey.for_query(generation, batch, i, key_top_k)
                 if key not in unique:
                     unique[key] = len(unique)
                     firsts.append(i)

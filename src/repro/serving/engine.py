@@ -10,16 +10,10 @@ reproducing the per-query path's rankings *exactly*, including the
 stable ascending-id tie-break of ``np.argsort(kind="stable")``
 (see :func:`stable_top_k`).
 
-Two raw-speed levers sit on top:
-
-- ``dtype="float32"`` (opt-in) runs both GEMMs on a float32 cast of
-  ``Uₖ`` and ``doc_unit`` — half the memory traffic — at the cost of score
-  agreement; the serving benchmarks measure the resulting top-k
-  ranking overlap (:func:`ranking_overlap`) as a gated claim instead
-  of assuming it;
-- the hot path is allocation-free: per-thread scratch buffers hold the
-  projected block, the unit queries, and the similarity matrix, so
-  repeated batches of one shape run entirely through ``out=`` GEMMs.
+Scores are float64 cosines, the only precision the engine computes
+in.  The hot path is allocation-free: per-thread scratch buffers hold
+the projected block, the unit queries, and the similarity matrix, so
+repeated batches of one shape run entirely through ``out=`` GEMMs.
 
 The document GEMM is always one call over the whole store: column
 panels under a cache budget measured 0.98–1.01x of it on 20k- and
@@ -47,15 +41,10 @@ from repro.utils.validation import check_non_negative_int, check_top_k, \
 __all__ = [
     "BatchQueryEngine",
     "CacheKey",
-    "COMPUTE_DTYPES",
     "LRUResultCache",
     "QueryBatch",
-    "ranking_overlap",
     "stable_top_k",
 ]
-
-#: Compute precisions the engine accepts.
-COMPUTE_DTYPES = ("float64", "float32")
 
 
 def stable_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
@@ -80,33 +69,6 @@ def stable_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
     candidates = np.concatenate([above, ties[:top_k - above.size]])
     order = np.argsort(-scores[candidates], kind="stable")
     return candidates[order]
-
-
-def ranking_overlap(rankings_a, rankings_b) -> float:
-    """Mean per-query overlap between two ``(q, k)`` ranking blocks.
-
-    Each row is treated as a set of document ids; the overlap of a row
-    pair is ``|a ∩ b| / k``.  This is the agreement metric the float32
-    compute path is gated on: position-insensitive (a last-ULP score
-    flip that swaps ranks 3 and 4 is not a retrieval regression) but
-    sensitive to any document entering or leaving the cutoff.
-
-    Returns 1.0 for two empty blocks of matching shape.
-
-    Raises:
-        ShapeError: if the blocks are not 2-D with matching shapes.
-    """
-    a = np.asarray(rankings_a)
-    b = np.asarray(rankings_b)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(
-            f"ranking blocks must share a 2-D shape, got {a.shape} "
-            f"and {b.shape}")
-    if a.size == 0:
-        return 1.0
-    overlaps = [np.intersect1d(a[row], b[row]).size
-                for row in range(a.shape[0])]
-    return float(np.mean(overlaps)) / a.shape[1]
 
 
 class QueryBatch:
@@ -191,8 +153,7 @@ class CacheKey(NamedTuple):
     the result cache of :class:`~repro.serving.index.ServedIndex` and
     the micro-batching dispatcher's coalescing key one implementation.
     The dispatcher's flusher thread and the caller threads rank through
-    one index, so both kinds of key are built against the same
-    generation counter.
+    one index, so both build keys against the same generation counter.
 
     Attributes:
         generation: the index generation the entry was computed
@@ -201,30 +162,25 @@ class CacheKey(NamedTuple):
         query_hash: SHA-256 of the query column's bytes
             (:meth:`QueryBatch.query_hash`).
         top_k: the effective cutoff the ranking was computed at.
-        kind: who built the key — ``"rank"`` for the result cache,
-            ``"dispatch"`` for the dispatcher's in-flush coalescing —
-            so the two never alias.
     """
 
     generation: int
     query_hash: str
     top_k: int
-    kind: str = "rank"
 
     @classmethod
     def for_query(cls, generation: int, batch: "QueryBatch", i: int,
-                  top_k: int, *, kind: str = "rank") -> "CacheKey":
+                  top_k: int) -> "CacheKey":
         """The key for query ``i`` of ``batch`` at one generation."""
-        return cls(int(generation), batch.query_hash(i), int(top_k),
-                   kind)
+        return cls(int(generation), batch.query_hash(i), int(top_k))
 
 
 class LRUResultCache:
     """A bounded least-recently-used cache of ranking results.
 
     Keys are :class:`CacheKey` values (build them with
-    :meth:`key_for`); values are ranked-id arrays, copied on the way
-    in and out.
+    :meth:`CacheKey.for_query`); values are ranked-id arrays, copied on
+    the way in and out.
     ``capacity=0`` disables caching (every lookup misses, nothing is
     stored).
 
@@ -245,9 +201,6 @@ class LRUResultCache:
         self.misses = 0
         #: Entries dropped to respect ``capacity``.
         self.evictions = 0
-
-    #: The shared cache-key constructor (see :class:`CacheKey`).
-    key_for = staticmethod(CacheKey.for_query)
 
     def get(self, key):
         """The cached result for ``key`` (a copy), or ``None``."""
@@ -287,16 +240,6 @@ class LRUResultCache:
                 f"misses={self.misses})")
 
 
-def _check_compute_dtype(dtype) -> np.dtype:
-    """Normalise/validate a compute-precision request."""
-    resolved = np.dtype(dtype)
-    if resolved.name not in COMPUTE_DTYPES:
-        raise ValidationError(
-            f"compute dtype must be one of {COMPUTE_DTYPES}, got "
-            f"{resolved.name!r}")
-    return resolved
-
-
 class _BatchScratch(threading.local):
     """Per-thread scratch buffers for one query-block shape.
 
@@ -309,7 +252,6 @@ class _BatchScratch(threading.local):
     """
 
     n_queries = -1
-    queries = None
     projected = None
     unit = None
     sims = None
@@ -330,18 +272,15 @@ class BatchQueryEngine:
         doc_norms: length-``m`` original column norms; a document whose
             norm is at most ``ZERO_NORM_TOL`` scores 0.
         tombstones: ids excluded from rankings (their scores report 0).
-        dtype: compute precision, ``"float64"`` (default, bit-exact
-            against the per-query path, and zero-copy: float64 arrays,
-            read-only maps included, are used as they are) or
-            ``"float32"`` (opt-in; casts the basis and ``doc_unit``
-            once, and ranking agreement is measured, not assumed).
+
+    Scoring is float64, and rankings equal the per-query path's.
+    float64 arrays, read-only maps included, are used as they are,
+    without a copy.
     """
 
-    def __init__(self, term_basis, doc_unit, doc_norms, *, tombstones=(),
-                 dtype="float64"):
-        self._dtype = _check_compute_dtype(dtype)
-        basis = np.asarray(term_basis, dtype=self._dtype)
-        unit = np.asarray(doc_unit, dtype=self._dtype)
+    def __init__(self, term_basis, doc_unit, doc_norms, *, tombstones=()):
+        basis = np.asarray(term_basis, dtype=np.float64)
+        unit = np.asarray(doc_unit, dtype=np.float64)
         norms = np.asarray(doc_norms)
         if basis.ndim != 2 or unit.ndim != 2 \
                 or basis.shape[1] != unit.shape[0]:
@@ -371,8 +310,7 @@ class BatchQueryEngine:
 
     @classmethod
     def from_precomputed(cls, term_basis, doc_unit, doc_norms, *,
-                         tombstones=(), dtype="float64"
-                         ) -> "BatchQueryEngine":
+                         tombstones=()) -> "BatchQueryEngine":
         """The constructor, under the name the serving layer builds by.
 
         :class:`~repro.serving.index.ServedIndex` builds every engine
@@ -380,7 +318,7 @@ class BatchQueryEngine:
         the constructor it calls) as one engine build.
         """
         return cls(term_basis, doc_unit, doc_norms,
-                   tombstones=tombstones, dtype=dtype)
+                   tombstones=tombstones)
 
     @property
     def n_documents(self) -> int:
@@ -396,11 +334,6 @@ class BatchQueryEngine:
     def n_active(self) -> int:
         """Documents eligible to appear in rankings."""
         return self._n_docs - len(self._tombstones)
-
-    @property
-    def dtype(self) -> str:
-        """Compute precision the engine scores in."""
-        return self._dtype.name
 
     def _as_batch(self, queries) -> QueryBatch:
         """Coerce an array / vector sequence into a :class:`QueryBatch`."""
@@ -421,14 +354,9 @@ class BatchQueryEngine:
         scratch = self._scratch
         if scratch.n_queries != n_queries:
             rank = self._basis.shape[1]
-            scratch.queries = np.empty((self._n_terms, n_queries),
-                                       dtype=self._dtype)
-            scratch.projected = np.empty((rank, n_queries),
-                                         dtype=self._dtype)
-            scratch.unit = np.empty((rank, n_queries),
-                                    dtype=self._dtype)
-            scratch.sims = np.empty((n_queries, self._n_docs),
-                                    dtype=self._dtype)
+            scratch.projected = np.empty((rank, n_queries))
+            scratch.unit = np.empty((rank, n_queries))
+            scratch.sims = np.empty((n_queries, self._n_docs))
             scratch.n_queries = n_queries
         return scratch
 
@@ -441,12 +369,7 @@ class BatchQueryEngine:
         tombstoned documents score exactly 0.
         """
         scratch = self._buffers(batch.n_queries)
-        if self._dtype == np.float64:
-            block = batch.matrix
-        else:
-            np.copyto(scratch.queries, batch.matrix)
-            block = scratch.queries
-        np.matmul(self._basis.T, block, out=scratch.projected)
+        np.matmul(self._basis.T, batch.matrix, out=scratch.projected)
         norms = normalize_columns_into(scratch.projected, scratch.unit,
                                        zero_tol=ZERO_NORM_TOL)
         sims = scratch.sims
@@ -464,8 +387,8 @@ class BatchQueryEngine:
         One GEMM projects the block, a second computes all cosines.
         Zero-norm queries, zero-vector documents, and tombstoned
         documents score exactly 0, matching the per-query path.  The
-        returned array is the caller's (a copy of the internal scratch)
-        in the engine's compute dtype.
+        returned array is the caller's (a copy of the internal
+        scratch).
         """
         batch = self._as_batch(queries)
         return self._score_into(batch).copy()
@@ -501,5 +424,4 @@ class BatchQueryEngine:
     def __repr__(self) -> str:
         return (f"BatchQueryEngine(n_terms={self._n_terms}, "
                 f"k={self._basis.shape[1]}, m={self._n_docs}, "
-                f"tombstoned={len(self._tombstones)}, "
-                f"dtype={self._dtype.name})")
+                f"tombstoned={len(self._tombstones)})")

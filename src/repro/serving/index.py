@@ -16,11 +16,11 @@ unchanged, and adds what production traffic needs:
   the document store read-only and defers all real I/O to the first
   query;
 - one :class:`~repro.serving.config.ServingConfig` carrying every
-  serving-time policy — compute precision, cache sizing, mmap
-  loading — shared verbatim with the micro-batching dispatcher, whose
-  flusher thread ranks through the index while caller threads query
-  it directly (hence the locked result cache and the engine's
-  per-thread scratch);
+  serving-time policy — cache sizing, mmap loading, drift and
+  streaming-fit settings — shared verbatim with the micro-batching
+  dispatcher, whose flusher thread ranks through the index while
+  caller threads query it directly (hence the locked result cache and
+  the engine's per-thread scratch);
 - ``stats`` — the :class:`~repro.serving.stats.ServingStats` counters
   behind ``repro serve-stats``.
 
@@ -44,8 +44,8 @@ import numpy as np
 from repro.core.lsi import LSIModel
 from repro.serving.bundle import IndexBundle, read_bundle, write_bundle
 from repro.serving.config import ServingConfig
-from repro.serving.engine import BatchQueryEngine, LRUResultCache, \
-    QueryBatch, _check_compute_dtype
+from repro.serving.engine import BatchQueryEngine, CacheKey, \
+    LRUResultCache, QueryBatch
 from repro.serving.stats import ServingStats
 from repro.serving.writer import IndexWriter
 from repro.utils.validation import check_top_k, check_vector
@@ -71,8 +71,8 @@ class ServedIndex:
         model: a fitted :class:`~repro.core.lsi.LSIModel`.
         vocabulary: optional term strings persisted with the index.
         config: the :class:`~repro.serving.config.ServingConfig`
-            governing precision, caching, and drift policy (``None``
-            = all defaults).
+            governing caching and drift policy (``None`` = all
+            defaults).
     """
 
     def __init__(self, model: LSIModel, *, vocabulary=None,
@@ -82,20 +82,15 @@ class ServedIndex:
         self._init_state(config, writer, vocabulary=vocabulary)
 
     def _init_state(self, config: ServingConfig, writer: IndexWriter,
-                    *, vocabulary=None, saved_dtype: str = "float64",
-                    base_version: str = "unsaved",
+                    *, vocabulary=None, base_version: str = "unsaved",
                     base_stats: "ServingStats | None" = None) -> None:
         """Assign every attribute; shared by all construction paths.
 
-        ``saved_dtype`` is the precision used when ``config.dtype`` is
-        ``None``;
         ``base_version`` and ``base_stats`` carry a loaded bundle's
         identity and cumulative counters forward (:meth:`stats` reads
         only the cumulative fields of ``base_stats``).
         """
         self._config = config
-        self._dtype = _check_compute_dtype(
-            config.dtype or saved_dtype).name
         self._writer = writer
         self._cache = LRUResultCache(config.cache_capacity)
         self._vocabulary = (tuple(getattr(vocabulary, "terms",
@@ -213,11 +208,6 @@ class ServedIndex:
         return self._writer.n_active
 
     @property
-    def dtype(self) -> str:
-        """Compute precision this index scores in."""
-        return self._dtype
-
-    @property
     def config(self) -> ServingConfig:
         """The serving policy this index was built with."""
         return self._config
@@ -269,9 +259,9 @@ class ServedIndex:
     def _engine(self) -> BatchQueryEngine:
         """The query engine for the current generation (lazily built).
 
-        Every engine scores the writer's basis and store as they are:
-        zero-copy in float64, so a mapped index reads no document page
-        until a GEMM touches it.  float32 casts them once per build.
+        Every engine scores the writer's float64 basis and store as
+        they are, without a copy, so a mapped index reads no document
+        page until a GEMM touches it.
 
         The generation is read before the store: a write that lands
         during the build then leaves the engine tagged with the older
@@ -285,7 +275,7 @@ class ServedIndex:
         writer = self._writer
         engine = BatchQueryEngine.from_precomputed(
             writer.term_basis, *writer.store,
-            tombstones=writer.tombstones, dtype=self._dtype)
+            tombstones=writer.tombstones)
         self._engine_state = (generation, engine)
         return engine
 
@@ -331,7 +321,7 @@ class ServedIndex:
         missing = []
         keys = []
         for i in range(batch.n_queries):
-            key = self._cache.key_for(generation, batch, i, top_k)
+            key = CacheKey.for_query(generation, batch, i, top_k)
             keys.append(key)
             cached = self._cache.get(key)
             if cached is None:
@@ -430,8 +420,7 @@ class ServedIndex:
             deletes_since_refit=writer.deletes_since_refit,
             refits=base.refits + writer.refits,
             drift=self.drift,
-            refit_recommended=self.needs_refit,
-            dtype=self._dtype)
+            refit_recommended=self.needs_refit)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -458,8 +447,7 @@ class ServedIndex:
             unabsorbed_energy=writer.unabsorbed_energy,
             drift_threshold=writer.drift_threshold,
             stats=self.stats(),
-            vocabulary=self._vocabulary,
-            compute_dtype=self._dtype)
+            vocabulary=self._vocabulary)
         return write_bundle(path, bundle)
 
     @classmethod
@@ -479,11 +467,8 @@ class ServedIndex:
                 read-only instead of loading them — the O(manifest)
                 cold start:
                 the index serves, mutates, and saves over the maps
-                without copying them.  ``config.dtype=None`` (default)
-                keeps the precision the bundle was saved with
-                (``compute_dtype`` in the manifest); the bundle's
-                persisted ``drift_threshold`` always wins over the
-                config's.
+                without copying them.  The bundle's persisted
+                ``drift_threshold`` always wins over the config's.
         """
         config = config if config is not None else ServingConfig()
         bundle = read_bundle(path, mmap=config.mmap)
@@ -500,7 +485,6 @@ class ServedIndex:
         index._init_state(
             config, writer,
             vocabulary=bundle.vocabulary,
-            saved_dtype=bundle.compute_dtype,
             base_version=bundle.index_version or "unsaved",
             base_stats=bundle.stats)
         return index
@@ -508,7 +492,7 @@ class ServedIndex:
     def __repr__(self) -> str:
         return (f"ServedIndex(k={self.rank}, n={self.n_terms}, "
                 f"m={self.n_documents}, active={self.n_active}, "
-                f"dtype={self._dtype}, drift={self.drift:.4f}, "
+                f"drift={self.drift:.4f}, "
                 f"version={self.index_version!r})")
 
 

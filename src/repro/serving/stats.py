@@ -35,9 +35,6 @@ class ServingStats:
             :class:`repro.serving.writer.IndexWriter`).
         refit_recommended: whether ``drift`` has crossed the index's
             configured threshold.
-        dtype: compute precision the index scores in (``"float64"`` or
-            ``"float32"``) — operationally load-bearing, because a
-            float32 index trades last-ULP score agreement for speed.
     """
 
     queries_served: int = 0
@@ -50,7 +47,6 @@ class ServingStats:
     refits: int = 0
     drift: float = 0.0
     refit_recommended: bool = False
-    dtype: str = "float64"
 
     @property
     def cache_hit_rate(self) -> float:

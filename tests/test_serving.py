@@ -606,6 +606,33 @@ class TestBundleRejection:
         with pytest.raises(PersistenceError, match="mismatch"):
             read_bundle(path)
 
+    @pytest.mark.parametrize("mmap", [False, True],
+                             ids=["eager", "mmap"])
+    @pytest.mark.parametrize("key, value", [
+        ("drift_threshold", 2.0),
+        ("drift_threshold", "abc"),
+        ("unabsorbed_energy", -5.0),
+        ("unabsorbed_energy", float("nan")),
+        ("stats", {"queries_served": "x"}),
+    ], ids=["threshold-above-one", "threshold-string",
+            "negative-energy", "nan-energy", "string-counter"])
+    def test_bad_manifest_value_rejected(self, served, key, value,
+                                         mmap, tmp_path, capsys):
+        from repro.cli import main
+
+        # The manifest has no checksum, so its values are range-checked
+        # on load instead of escaping later from the writer or stats().
+        path = served.save(tmp_path / "b")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest[key] = value
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match=f"failed validation.*"
+                           f"{key}"):
+            ServedIndex.load(path, config=ServingConfig(mmap=mmap))
+        # serve-stats still prints the raw manifest.
+        assert main(["serve-stats", str(path), "--json"]) == 0
+        assert key in json.loads(capsys.readouterr().out)
+
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_legacy_schema_refused(self, served, version, tmp_path,
                                    capsys):

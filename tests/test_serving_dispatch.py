@@ -9,9 +9,10 @@ import pytest
 
 from repro.core.lsi import LSIModel
 from repro.errors import DispatcherClosedError, ValidationError
+from repro.linalg.dense import normalize_columns
 from repro.serving import (
+    BatchQueryEngine,
     CacheKey,
-    LRUResultCache,
     MicroBatchDispatcher,
     QueryBatch,
     ServedIndex,
@@ -51,7 +52,7 @@ def queries(rng):
 class TestServingConfig:
     def test_defaults(self):
         config = ServingConfig()
-        assert config.dtype is None and config.mmap is False
+        assert config.mmap is False
         assert config.cache_capacity == 256
         assert config.max_batch == 32 and config.max_wait_ms == 2.0
 
@@ -61,7 +62,7 @@ class TestServingConfig:
 
     @pytest.mark.parametrize("fields", [
         {"stream_block_size": 0},
-        {"dtype": "float16"},
+        {"max_wait_ms": True},
         {"cache_capacity": -1},
         {"max_batch": 0},
         {"max_wait_ms": -1.0},
@@ -72,22 +73,9 @@ class TestServingConfig:
         with pytest.raises(ValidationError):
             ServingConfig(**fields)
 
-    def test_merged_applies_overrides(self):
-        config = ServingConfig(cache_capacity=0)
-        assert config.merged() is config
-        merged = config.merged(max_batch=8)
-        assert merged.max_batch == 8 and merged.cache_capacity == 0
-        with pytest.raises(ValidationError):
-            config.merged(nope=1)
-
-    def test_merged_rejects_unknown_fields(self):
-        with pytest.raises(ValidationError, match="cache_capacit.*"
-                           "valid fields"):
-            ServingConfig().merged(cache_capacit=4)
-
-    def test_fields_are_the_eight_policy_knobs(self):
+    def test_fields_are_the_seven_policy_knobs(self):
         assert tuple(f.name for f in dataclasses.fields(ServingConfig)) \
-            == ("dtype", "mmap", "cache_capacity", "drift_threshold",
+            == ("mmap", "cache_capacity", "drift_threshold",
                 "max_batch", "max_wait_ms", "stream_block_size",
                 "stream_oversample")
 
@@ -122,6 +110,15 @@ class TestRemovedSurface:
         pytest.param(lambda model, matrix, tmp_path:
                      ServingConfig(max_workers=2),
                      TypeError, "max_workers", id="config-max-workers"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServingConfig(dtype="float32"),
+                     TypeError, "dtype", id="config-dtype"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     BatchQueryEngine(
+                         model.term_basis,
+                         *normalize_columns(model.document_vectors()),
+                         dtype="float32"),
+                     TypeError, "dtype", id="engine-dtype"),
         # fit forwards its extra kwargs to the SVD engine, whose
         # option check names the stray serving field.
         pytest.param(lambda model, matrix, tmp_path:
@@ -136,9 +133,6 @@ class TestRemovedSurface:
 
 
 class TestCacheKey:
-    def test_key_for_is_the_shared_helper(self):
-        assert LRUResultCache.key_for == CacheKey.for_query
-
     def test_same_query_same_key(self, queries):
         batch = QueryBatch(queries)
         dup = QueryBatch(queries.copy())
@@ -149,8 +143,6 @@ class TestCacheKey:
         batch = QueryBatch(queries)
         base = CacheKey.for_query(3, batch, 0, 5)
         assert base != CacheKey.for_query(4, batch, 0, 5)
-        assert base != CacheKey.for_query(3, batch, 0, 5,
-                                          kind="dispatch")
 
 
 # ----------------------------------------------------------------------

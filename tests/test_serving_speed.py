@@ -1,14 +1,13 @@
-"""Tests for the raw-speed serving paths: float32 and mmap.
+"""Tests for the serving precision and the mmap cold start.
 
-The speed features are opt-in and every one carries a correctness
-contract this file pins down:
+Each carries a correctness contract this file pins down:
 
-- float32 compute is *measured* against float64 (top-k agreement,
-  bounded score delta), never assumed equivalent;
+- the engine scores in float64 only, through reused scratch buffers;
+- a manifest written when a float32 mode existed loads and ranks
+  exactly like the float64 index that was saved;
 - mmap-loaded indexes rank bit-identically to eager loads, mutate
   over the maps without copying them, and keep their rankings when
-  another index saves over the bundle they map;
-- the bundle remembers its compute dtype (sticky across load).
+  another index saves over the bundle they map.
 """
 
 import json
@@ -21,15 +20,11 @@ import numpy as np
 import pytest
 
 from repro.core.lsi import LSIModel
-from repro.errors import ValidationError
 from repro.linalg.dense import normalize_columns
 from repro.serving import (
-    COMPUTE_DTYPES,
     BatchQueryEngine,
     ServedIndex,
     ServingConfig,
-    ServingStats,
-    ranking_overlap,
     read_bundle,
     read_manifest,
 )
@@ -54,79 +49,10 @@ def queries(rng):
     return rng.random((60, 10))
 
 
-class TestRankingOverlap:
-    def test_identical_rankings_score_one(self):
-        ranks = np.array([[0, 1, 2], [3, 4, 5]])
-        assert ranking_overlap(ranks, ranks) == 1.0
-
-    def test_disjoint_rankings_score_zero(self):
-        a = np.array([[0, 1, 2]])
-        b = np.array([[3, 4, 5]])
-        assert ranking_overlap(a, b) == 0.0
-
-    def test_partial_overlap_is_mean_fraction(self):
-        a = np.array([[0, 1, 2], [0, 1, 2]])
-        b = np.array([[0, 1, 9], [7, 8, 9]])
-        assert ranking_overlap(a, b) == pytest.approx(1.0 / 3.0)
-
-    def test_order_within_topk_does_not_matter(self):
-        a = np.array([[0, 1, 2]])
-        b = np.array([[2, 0, 1]])
-        assert ranking_overlap(a, b) == 1.0
-
-    def test_shape_mismatch_raises(self):
-        from repro.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            ranking_overlap(np.zeros((2, 3), dtype=int),
-                            np.zeros((2, 4), dtype=int))
-
-    def test_empty_is_vacuously_one(self):
-        empty = np.zeros((0, 5), dtype=int)
-        assert ranking_overlap(empty, empty) == 1.0
-
-
-class TestFloat32Engine:
-    def test_unknown_dtype_rejected(self, model):
-        with pytest.raises(ValidationError):
-            BatchQueryEngine(model.svd.u,
-                             *normalize_columns(model.document_vectors()),
-                             dtype="float16")
-
-    def test_dtype_names_exported(self):
-        assert COMPUTE_DTYPES == ("float64", "float32")
-
-    @pytest.mark.parametrize("seed", [0, 7, 1234])
-    def test_topk_agreement_across_seeds(self, dense_matrix, seed):
-        # Property: over random models and query blocks, float32
-        # rankings agree with float64 at top-5 and scores stay within
-        # single-precision slack.  Agreement is measured, not assumed.
-        local = np.random.default_rng(seed)
-        matrix = local.random((80, 64))
-        model = LSIModel.fit(matrix, 8, engine="exact")
-        queries = local.random((80, 16))
-        store = normalize_columns(model.document_vectors())
-        e64 = BatchQueryEngine(model.svd.u, *store)
-        e32 = BatchQueryEngine(model.svd.u, *store, dtype="float32")
-        overlap = ranking_overlap(e64.rank_batch(queries, top_k=5),
-                                  e32.rank_batch(queries, top_k=5))
-        assert overlap >= 0.95
-        delta = np.abs(
-            e64.score_batch(queries)
-            - e32.score_batch(queries).astype(np.float64)).max()
-        assert delta < 1e-4
-
-    def test_float32_scores_have_float32_dtype(self, model, queries):
-        engine = BatchQueryEngine(
-            model.svd.u, *normalize_columns(model.document_vectors()),
-            dtype="float32")
-        assert engine.dtype == "float32"
-        assert engine.score_batch(queries).dtype == np.float32
-
-    def test_float64_path_unchanged_by_default(self, model, queries):
+class TestFloat64Engine:
+    def test_scores_are_float64(self, model, queries):
         engine = BatchQueryEngine(
             model.svd.u, *normalize_columns(model.document_vectors()))
-        assert engine.dtype == "float64"
         assert engine.score_batch(queries).dtype == np.float64
 
     def test_scratch_reuse_does_not_leak_between_batches(
@@ -134,8 +60,7 @@ class TestFloat32Engine:
         # Same engine, different batches: preallocated scratch must
         # not let one batch's scores contaminate the next.
         engine = BatchQueryEngine(
-            model.svd.u, *normalize_columns(model.document_vectors()),
-            dtype="float32")
+            model.svd.u, *normalize_columns(model.document_vectors()))
         first = engine.score_batch(queries).copy()
         engine.score_batch(queries[:, ::-1].copy())
         again = engine.score_batch(queries)
@@ -151,58 +76,29 @@ class TestFloat32Engine:
         assert np.array_equal(narrow, wide[:3])
 
 
-class TestDtypeStickiness:
-    def test_bundle_records_compute_dtype(self, model, tmp_path):
-        index = ServedIndex(model,
-                            config=ServingConfig(dtype="float32"))
-        path = index.save(tmp_path / "b")
-        manifest = read_manifest(path)
-        assert manifest["compute_dtype"] == "float32"
-
-    def test_load_inherits_bundle_dtype(self, model, tmp_path):
-        float32 = ServedIndex(
-            model, config=ServingConfig(dtype="float32"))
-        path = float32.save(tmp_path / "b")
-        loaded = ServedIndex.load(path)
-        assert loaded.dtype == "float32"
-
-    def test_load_dtype_override_wins(self, model, tmp_path):
-        float32 = ServedIndex(
-            model, config=ServingConfig(dtype="float32"))
-        path = float32.save(tmp_path / "b")
-        loaded = ServedIndex.load(
-            path, config=ServingConfig(dtype="float64"))
-        assert loaded.dtype == "float64"
-
-    def test_legacy_manifest_defaults_float64(self, model, tmp_path):
-        path = ServedIndex(model).save(tmp_path / "b")
+class TestOnePrecision:
+    def test_float32_manifest_ranks_like_the_saved_float64_index(
+            self, model, queries, tmp_path):
+        # A manifest from when a float32 mode existed: its arrays were
+        # always float64, so the precision keys are ignored and the
+        # index scores the saved bits, eager and mapped.
+        saved = ServedIndex(model)
+        path = saved.save(tmp_path / "b")
         manifest_path = path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        del manifest["compute_dtype"]
+        assert "compute_dtype" not in manifest
+        assert "dtype" not in manifest["stats"]
+        manifest["compute_dtype"] = "float32"
+        manifest["stats"]["dtype"] = "float32"
         manifest_path.write_text(json.dumps(manifest))
-        assert ServedIndex.load(path).dtype == "float64"
-
-    def test_stats_carry_dtype(self, model, queries, tmp_path):
-        index = ServedIndex(model,
-                            config=ServingConfig(dtype="float32"))
-        index.rank_batch(queries, top_k=3)
-        assert index.stats().dtype == "float32"
-        path = index.save(tmp_path / "b")
-        assert ServedIndex.load(path).stats().dtype == "float32"
-
-    def test_stats_from_dict_defaults_dtype(self):
-        stats = ServingStats.from_dict({"queries_served": 2})
-        assert stats.dtype == "float64"
-
-    def test_serve_stats_cli_prints_dtype(self, model, tmp_path,
-                                          capsys):
-        from repro.cli import main
-
-        float32 = ServedIndex(
-            model, config=ServingConfig(dtype="float32"))
-        path = float32.save(tmp_path / "b")
-        assert main(["serve-stats", str(path)]) == 0
-        assert "float32" in capsys.readouterr().out
+        for mmap in (False, True):
+            loaded = ServedIndex.load(path,
+                                      config=ServingConfig(mmap=mmap))
+            assert loaded.mmapped == mmap
+            assert np.array_equal(loaded.rank_batch(queries),
+                                  saved.rank_batch(queries))
+            assert loaded.score(queries[:, 0]).tobytes() \
+                == saved.score(queries[:, 0]).tobytes()
 
 
 class TestMmapLoad:
@@ -258,35 +154,6 @@ class TestMmapLoad:
         lazy.save(path)
         reloaded = ServedIndex.load(path)
         assert reloaded.n_documents == model.n_documents + 1
-
-    def test_mmap_float32_casts_at_engine_build(self, model, queries,
-                                                tmp_path):
-        path = ServedIndex(model).save(tmp_path / "b")
-        lazy = ServedIndex.load(
-            path, config=ServingConfig(mmap=True, dtype="float32"))
-        assert lazy.dtype == "float32"
-        ranked = lazy.rank_batch(queries, top_k=5)
-        assert ranked.shape == (queries.shape[1], 5)
-        eager32 = ServedIndex.load(
-            path, config=ServingConfig(dtype="float32"))
-        assert np.array_equal(ranked,
-                              eager32.rank_batch(queries, top_k=5))
-
-    def test_float32_reloads_rank_like_the_saved_index(
-            self, model, queries, tmp_path):
-        # float32 casts the float64 unit store, in memory and on a
-        # reload alike, so both score the same float32 bits and no
-        # near-tied documents swap.
-        saved = ServedIndex(model, config=ServingConfig(dtype="float32"))
-        path = saved.save(tmp_path / "b")
-        for mmap in (False, True):
-            loaded = ServedIndex.load(path,
-                                      config=ServingConfig(mmap=mmap))
-            assert loaded.dtype == "float32"
-            assert np.array_equal(loaded.score(queries[:, 0]),
-                                  saved.score(queries[:, 0]))
-            assert np.array_equal(loaded.rank_batch(queries),
-                                  saved.rank_batch(queries))
 
     def test_mutation_keeps_the_mapped_factors(self, model, rng,
                                                tmp_path):
