@@ -6,7 +6,9 @@ Five families:
   query block through :class:`~repro.serving.engine.BatchQueryEngine`'s
   single-GEMM path vs the per-query loop, asserting bit-identical
   rankings and reporting the speedup (the loop comparison is skipped at
-  the ``scale`` tier, where throughput in queries/sec is the headline);
+  the ``scale`` tier, where throughput in queries/sec is the headline).
+  A second, text-like block of 2–4 nonzero terms per query takes the
+  engine's touched-rows fold and must rank like the loop too;
 - ``serving_mmap_coldstart`` — O(manifest) cold start: subprocess
   loads of the same bundle eagerly vs memory-mapped, recording load
   seconds, post-load peak RSS and how much the load grew it, asserting
@@ -52,6 +54,21 @@ def _query_block(n_terms, n_queries, seed):
     return rng.random((n_terms, n_queries))
 
 
+def _sparse_query_block(n_terms, n_queries, seed):
+    """Text-like queries: 2–4 distinct terms per column, small counts.
+
+    Together the columns touch only part of the vocabulary, so the
+    engine folds them through the rows of ``Uₖ`` they use.
+    """
+    rng = as_generator(seed)
+    block = np.zeros((n_terms, n_queries))
+    for column in range(n_queries):
+        terms = rng.choice(n_terms, size=int(rng.integers(2, 5)),
+                           replace=False)
+        block[terms, column] = rng.integers(1, 4, size=terms.size)
+    return block
+
+
 def _serving_model(params, seed):
     """The LSI model under test: fitted, or synthetic at scale."""
     if params.get("synthetic"):
@@ -86,7 +103,8 @@ def _rank_chunked(engine, queries, *, top_k, chunk):
            time_metrics=("looped_seconds", "batched_seconds",
                          "batched_speedup", "queries_per_second"))
 def bench_serving_batched_queries(params, seed):
-    """S1: batched GEMM ranking vs per-query loop, same rankings."""
+    """S1: batched GEMM ranking vs per-query loop, same rankings, for
+    dense and for text-like sparse query blocks."""
     model = _serving_model(params, seed)
     engine = BatchQueryEngine(model.term_basis,
                               *normalize_columns(model.document_vectors()))
@@ -117,6 +135,12 @@ def bench_serving_batched_queries(params, seed):
             / max(batched.mean_seconds, 1e-12)
         metrics["batched_matches_looped"] = \
             bool(np.array_equal(looped.result, batched.result))
+        sparse = _sparse_query_block(params["n_terms"],
+                                     params["n_queries"], seed + 2)
+        metrics["sparse_batched_matches_looped"] = bool(np.array_equal(
+            _rank_chunked(engine, sparse, top_k=top_k, chunk=chunk),
+            np.stack([model.rank_documents(sparse[:, i], top_k=top_k)
+                      for i in range(sparse.shape[1])])))
     return metrics
 
 

@@ -275,12 +275,16 @@ def _command_serve_stats(args) -> int:
 
     A directory that is not a schema-4 bundle exits 2 with the reason.
     With ``--verify``, checksum failures are reported per file (name
-    plus expected/actual digest) and the command exits 2.
+    plus expected/actual digest) and the command exits 2.  The text
+    report checks the manifest's writer state and counters by the
+    loader's rules and exits 2 naming the first bad value; ``--json``
+    prints the manifest as it is.
     """
     import json
 
-    from repro.errors import PersistenceError
-    from repro.serving.bundle import checksum_failures, read_manifest
+    from repro.errors import PersistenceError, ValidationError
+    from repro.serving.bundle import check_manifest_values, \
+        checksum_failures, read_manifest
     from repro.serving.stats import ServingStats
 
     try:
@@ -301,6 +305,14 @@ def _command_serve_stats(args) -> int:
         return 2 if failures else 0
 
     stats = ServingStats.from_dict(manifest.get("stats") or {})
+    try:
+        check_manifest_values(manifest.get("drift_threshold"),
+                              manifest.get("unabsorbed_energy", 0.0),
+                              stats)
+    except ValidationError as error:
+        print(f"bundle {args.bundle} has an invalid manifest value: "
+              f"{error}", file=sys.stderr)
+        return 2
     print(f"bundle            {args.bundle}")
     print(f"format            {manifest.get('format')} "
           f"(schema v{manifest.get('schema_version')})")

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import NotFittedError, ValidationError
-from repro.linalg.dense import cosine_similarity_matrix
+from repro.linalg.dense import cosine_similarity_matrix, fold_rows, \
+    stable_top_k
 from repro.linalg.svd import SVDResult, truncated_svd
 from repro.utils.validation import check_top_k, check_vector
 
@@ -180,7 +181,10 @@ class LSIModel:
     def project_query(self, query_vector) -> np.ndarray:
         """Fold a term-space query into the LSI space: ``Uₖᵀ·q``.
 
-        Works for unseen documents too (folding-in).
+        Works for unseen documents too (folding-in).  Only the rows of
+        ``Uₖ`` at the query's nonzero terms are read
+        (:func:`~repro.linalg.dense.fold_rows`, the fold the serving
+        engine uses too).
 
         Raises:
             ValidationError: when the query is not a finite vector
@@ -191,7 +195,8 @@ class LSIModel:
             raise ValidationError(
                 f"query has {query.shape[0]} terms; model expects "
                 f"{self.n_terms}")
-        return self.svd.u.T @ query
+        rows = np.flatnonzero(query)
+        return fold_rows(self.svd.u, rows, query[rows])
 
     def project_documents(self, matrix) -> np.ndarray:
         """Fold a batch of term-space columns into the LSI space.
@@ -250,12 +255,16 @@ class LSIModel:
         ``top_k`` follows the engine-wide policy of
         :func:`~repro.utils.validation.check_top_k`: ``None`` returns the
         full ranking, otherwise a validated positive integer (clamped to
-        the corpus size).
+        the corpus size).  Ties break by ascending id
+        (:func:`~repro.linalg.dense.stable_top_k`, the selection the
+        serving engine uses too).
+
+        Raises:
+            ValidationError: when the query is not a finite vector
+                over the model's ``n`` terms, or ``top_k`` is invalid.
         """
         scores = self.score(query_vector)
-        top_k = check_top_k(top_k, self.n_documents)
-        order = np.argsort(-scores, kind="stable")
-        return order[:top_k]
+        return stable_top_k(scores, check_top_k(top_k, self.n_documents))
 
     def similarities(self) -> np.ndarray:
         """All-pairs document cosine similarity in the LSI space (m × m)."""

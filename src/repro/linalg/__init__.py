@@ -6,7 +6,9 @@ This package is the computational foundation of the reproduction:
   from scratch (term–document matrices are sparse, and the paper's cost
   model counts ``c`` nonzeros per document column).
 - :mod:`repro.linalg.dense` — dense kernels: Gram products, modified
-  Gram–Schmidt, projections, principal angles.
+  Gram–Schmidt, projections, the touched-rows query fold and stable
+  top-``k`` that LSI retrieval and the serving engine share, principal
+  angles.
 - :mod:`repro.linalg.power_iteration` — dominant eigenpairs and block
   subspace iteration on Gram operators.
 - :mod:`repro.linalg.lanczos` — Golub–Kahan–Lanczos bidiagonalisation with

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels used across the library.
 
-These are the small building blocks the SVD engines and the analysis code
-share: Gram products, column normalisation, modified Gram–Schmidt
-orthonormalisation, orthogonal projections, cosine similarity, and
-principal angles between subspaces.
+These are the small building blocks the SVD engines, the analysis code
+and the query path share: Gram products, column normalisation, modified
+Gram–Schmidt orthonormalisation, orthogonal projections, the
+touched-rows query fold (:func:`fold_rows`), cosine similarity, stable
+top-``k`` selection, and principal angles between subspaces.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "angle_between",
     "cosine_similarity",
     "cosine_similarity_matrix",
+    "fold_rows",
     "gram_matrix",
     "normalize_columns",
     "normalize_columns_into",
@@ -28,6 +30,7 @@ __all__ = [
     "reconstruct_from_basis",
     "relative_error",
     "spectral_norm",
+    "stable_top_k",
 ]
 
 #: Columns with norm below this are treated as numerically zero.
@@ -150,6 +153,29 @@ def project_onto_basis(vectors, basis) -> np.ndarray:
     raise ShapeError(f"vectors must be 1-D or 2-D, got shape {arr.shape}")
 
 
+def fold_rows(basis, rows, values, *, out=None) -> np.ndarray:
+    """``basisᵀ·x`` for columns ``x`` that are zero outside ``rows``.
+
+    The query fold of LSI (``q ↦ Uₖᵀ·q``) at the cost the paper's §5
+    model charges it: a query with ``c`` nonzero terms reads ``c`` rows
+    of the basis, ``Uₖ[rows]ᵀ·q[rows]``, not all ``n``.  When ``rows``
+    covers every row, the basis is multiplied in place with no gather,
+    so a dense column costs (and gives the bits of) the plain product.
+
+    Args:
+        basis: ``(n, k)`` array, e.g. the LSI term basis ``Uₖ``.
+        rows: ascending distinct row ids the columns touch.
+        values: the columns restricted to ``rows``: ``(len(rows),)``
+            or ``(len(rows), q)``.
+        out: optional preallocated ``(k,)`` / ``(k, q)`` result.
+
+    Returns:
+        ``(k,)`` or ``(k, q)``, matching ``values``.
+    """
+    touched = basis if len(rows) == basis.shape[0] else basis[rows]
+    return np.matmul(touched.T, values, out=out)
+
+
 def reconstruct_from_basis(coordinates, basis) -> np.ndarray:
     """Inverse of :func:`project_onto_basis`: ``basis @ coordinates``."""
     basis = check_matrix(basis, "basis")
@@ -189,6 +215,30 @@ def cosine_similarity_matrix(columns_a, columns_b=None,
     sims[a_norms <= zero_tol, :] = 0.0
     sims[:, b_norms <= zero_tol] = 0.0
     return np.clip(sims, -1.0, 1.0)
+
+
+def stable_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
+    """Top-``top_k`` indices by descending score, stable ties by id.
+
+    Bit-for-bit equivalent to ``np.argsort(-scores, kind="stable")
+    [:top_k]`` but ``O(m + top_k·log top_k)`` instead of
+    ``O(m·log m)``: an ``np.partition`` selects the cutoff value, ties
+    at the boundary are filled in ascending id order (exactly the
+    stable-sort policy), and only the selected candidates are sorted.
+    """
+    scores = np.asarray(scores)
+    n = scores.shape[0]
+    top_k = min(int(top_k), n)
+    if top_k <= 0:
+        return np.empty(0, dtype=np.int64)
+    if top_k >= n:
+        return np.argsort(-scores, kind="stable")
+    cutoff = np.partition(scores, n - top_k)[n - top_k]
+    above = np.flatnonzero(scores > cutoff)
+    ties = np.flatnonzero(scores == cutoff)
+    candidates = np.concatenate([above, ties[:top_k - above.size]])
+    order = np.argsort(-scores[candidates], kind="stable")
+    return candidates[order]
 
 
 def angle_between(u, v) -> float:

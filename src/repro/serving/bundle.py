@@ -61,6 +61,7 @@ __all__ = [
     "BUNDLE_SCHEMA_VERSION",
     "ChecksumMismatch",
     "IndexBundle",
+    "check_manifest_values",
     "checksum_failures",
     "environment_fingerprint",
     "read_bundle",
@@ -96,13 +97,34 @@ def _check_real(value, name: str) -> float:
     return float(value)
 
 
-def _check_stats(stats: ServingStats) -> None:
-    """Require non-negative int counters, a fraction for ``drift`` and
-    a bool for ``refit_recommended``."""
+def check_manifest_values(drift_threshold, unabsorbed_energy,
+                          stats: ServingStats) -> None:
+    """The rules a bundle's writer state and counters must meet.
+
+    The manifest has no checksum, so :class:`IndexBundle` checks these
+    values on every load, and ``repro serve-stats`` checks a manifest's
+    own values with this function before it reports them.
+
+    Args:
+        drift_threshold: a number in ``[0, 1]``, or ``None``.
+        unabsorbed_energy: a finite, non-negative number.
+        stats: non-negative int counters, a ``drift`` in ``[0, 1]``
+            and a bool ``refit_recommended``.
+
+    Raises:
+        ValidationError: naming the first value that breaks its rule.
+    """
+    if drift_threshold is not None:
+        check_fraction(drift_threshold, "drift_threshold")
+    energy = _check_real(unabsorbed_energy, "unabsorbed_energy")
+    if not (math.isfinite(energy) and energy >= 0.0):
+        raise ValidationError(
+            f"unabsorbed_energy must be finite and non-negative, "
+            f"got {energy}")
     for item in fields(stats):
         name, value = f"stats.{item.name}", getattr(stats, item.name)
         if item.name == "drift":
-            check_fraction(_check_real(value, name), name)
+            check_fraction(value, name)
         elif item.name == "refit_recommended":
             if not isinstance(value, bool):
                 raise ValidationError(
@@ -240,16 +262,8 @@ class IndexBundle:
             raise ValidationError(
                 f"vocabulary has {len(self.vocabulary)} terms; the index "
                 f"has {self.u.shape[0]}")
-        if self.drift_threshold is not None:
-            check_fraction(_check_real(self.drift_threshold,
-                                       "drift_threshold"),
-                           "drift_threshold")
-        energy = _check_real(self.unabsorbed_energy, "unabsorbed_energy")
-        if not (math.isfinite(energy) and energy >= 0.0):
-            raise ValidationError(
-                f"unabsorbed_energy must be finite and non-negative, "
-                f"got {energy}")
-        _check_stats(self.stats)
+        check_manifest_values(self.drift_threshold,
+                              self.unabsorbed_energy, self.stats)
 
     @property
     def n_documents(self) -> int:

@@ -24,9 +24,12 @@ Two knobs bound the trade (both live on
   the index ranks them).
 
 Queries flush in arrival order, grouped by requested ``top_k`` (a
-block shares one cutoff).  Within a flush, identical submissions —
-same query bytes, same cutoff, same index generation, detected with
-the shared :class:`~repro.serving.engine.CacheKey` — collapse into one
+block shares one cutoff).  Each query is validated once, on its nonzero
+terms, when it is submitted; a flush joins the submitted one-query
+batches without checking them again.  Within a flush, identical
+submissions — same term ids and weights, same cutoff, same index
+generation, detected with the shared
+:class:`~repro.serving.engine.CacheKey` — collapse into one
 computed row fanned out to every waiting future.  Mutations to the
 underlying index bump its ``generation``, which both ends the
 collapse window for stale duplicates and (inside the index) invalidates
@@ -46,7 +49,7 @@ import numpy as np
 from repro.errors import DispatcherClosedError, ValidationError
 from repro.serving.config import ServingConfig
 from repro.serving.engine import CacheKey, QueryBatch
-from repro.utils.validation import check_top_k, check_vector
+from repro.utils.validation import check_top_k
 
 __all__ = ["DispatchStats", "MicroBatchDispatcher"]
 
@@ -80,13 +83,14 @@ class DispatchStats:
 
 
 class _Pending:
-    """One queued query awaiting a flush."""
+    """One queued query, as a validated one-query batch, awaiting a
+    flush."""
 
-    __slots__ = ("column", "top_k", "future", "enqueued")
+    __slots__ = ("batch", "top_k", "future", "enqueued")
 
-    def __init__(self, column: np.ndarray, top_k: "int | None",
+    def __init__(self, batch: QueryBatch, top_k: "int | None",
                  future: "Future[np.ndarray]", enqueued: float):
-        self.column = column
+        self.batch = batch
         self.top_k = top_k
         self.future = future
         self.enqueued = enqueued
@@ -155,10 +159,10 @@ class MicroBatchDispatcher:
                 usable cutoff.
             DispatcherClosedError: if :meth:`close` already ran.
         """
-        query = check_vector(query_vector, "query_vector")
-        if query.shape[0] != self._index.n_terms:
+        query = QueryBatch.from_vector(query_vector)
+        if query.n_terms != self._index.n_terms:
             raise ValidationError(
-                f"query has {query.shape[0]} terms; the index "
+                f"query has {query.n_terms} terms; the index "
                 f"expects {self._index.n_terms}")
         if top_k is not None:
             top_k = check_top_k(top_k, self._index.n_documents)
@@ -262,15 +266,14 @@ class MicroBatchDispatcher:
     def _flush(self, group: "list[_Pending]", reason: str) -> None:
         """Rank one coalesced group and resolve its futures.
 
-        Identical (generation, query bytes, cutoff) submissions —
-        keyed with the shared :class:`CacheKey` — compute once; every
-        exception lands on the affected futures, never the flusher
-        thread.
+        The submitted batches are joined, not checked again.  Identical
+        (generation, terms, cutoff) submissions — keyed with the shared
+        :class:`CacheKey` — compute once; every exception lands on the
+        affected futures, never the flusher thread.
         """
         membership: "list[int]" = []
         try:
-            batch = QueryBatch(np.stack(
-                [p.column for p in group], axis=1))
+            batch = QueryBatch.concat(p.batch for p in group)
             generation = int(self._index.generation)
             top_k = group[0].top_k
             key_top_k = -1 if top_k is None else top_k
@@ -282,8 +285,8 @@ class MicroBatchDispatcher:
                     unique[key] = len(unique)
                     firsts.append(i)
                 membership.append(unique[key])
-            sub = QueryBatch(batch.matrix[:, firsts])
-            rankings = self._index.rank_batch(sub, top_k=top_k)
+            rankings = self._index.rank_batch(batch.select(firsts),
+                                              top_k=top_k)
             for pending, m in zip(group, membership):
                 pending.future.set_result(rankings[m].copy())
         except BaseException as error:  # reprolint: disable=R005 — futures carry it

@@ -2,31 +2,40 @@
 
 Scoring one query against rank-``k`` LSI is two small GEMVs; scoring a
 block of ``q`` queries one at a time wastes the hardware the paper's §5
-cost model is fighting for.  :class:`BatchQueryEngine` instead projects
-the whole ``(n × q)`` query block with one GEMM (``Uₖᵀ·Q``), computes
-every cosine with a second GEMM against the index's unit store
+cost model is fighting for.  :class:`BatchQueryEngine` instead folds
+the whole ``(n × q)`` query block into the LSI space with one product,
+computes every cosine with a second GEMM against the index's unit store
 ``doc_unit``, used as given, and takes top-``k`` per query — while
 reproducing the per-query path's rankings *exactly*, including the
 stable ascending-id tie-break of ``np.argsort(kind="stable")``
-(see :func:`stable_top_k`).
+(see :func:`~repro.linalg.dense.stable_top_k`).
+
+A query costs its terms, not the vocabulary.  :class:`QueryBatch`
+holds each query as its nonzero terms — ascending term ids and their
+weights — checked for finiteness once, when the batch is built.  The
+fold reads only the rows of ``Uₖ`` the block touches
+(``Uₖ[rows]ᵀ·Q[rows]``, :func:`~repro.linalg.dense.fold_rows`); a block
+that touches every row multiplies ``Uₖ`` in place, so dense queries
+keep the plain GEMM and its bits.
 
 Scores are float64 cosines, the only precision the engine computes
-in.  The hot path is allocation-free: per-thread scratch buffers hold
-the projected block, the unit queries, and the similarity matrix, so
-repeated batches of one shape run entirely through ``out=`` GEMMs.
+in.  Per-thread scratch buffers hold the projected block, the unit
+queries, and the similarity matrix, so repeated batches of one shape
+run through ``out=`` products; the only other allocations scale with
+the terms a block touches (the gathered rows of ``Uₖ``).
 
 The document GEMM is always one call over the whole store: column
 panels under a cache budget measured 0.98–1.01x of it on 20k- and
 100k-document stores (2-core host) and are not bitwise-identical to it.
 
-:class:`LRUResultCache` memoises rankings keyed on (index version,
-query hash, cutoff), so repeated queries against an unchanged index are
-answered without touching BLAS at all.
+:class:`LRUResultCache` memoises rankings keyed on (index generation,
+the bytes of the query's term ids and weights, cutoff), so repeated
+queries against an unchanged index are answered without touching BLAS
+at all.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import NamedTuple
@@ -34,9 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
-from repro.linalg.dense import ZERO_NORM_TOL, normalize_columns_into
-from repro.utils.validation import check_non_negative_int, check_top_k, \
-    check_vector
+from repro.linalg.dense import ZERO_NORM_TOL, fold_rows, \
+    normalize_columns_into, stable_top_k
+from repro.utils.validation import check_non_negative_int, check_top_k
 
 __all__ = [
     "BatchQueryEngine",
@@ -47,38 +56,26 @@ __all__ = [
 ]
 
 
-def stable_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Top-``top_k`` indices by descending score, stable ties by id.
-
-    Bit-for-bit equivalent to ``np.argsort(-scores, kind="stable")
-    [:top_k]`` but ``O(m + top_k·log top_k)`` instead of
-    ``O(m·log m)``: an ``np.partition`` selects the cutoff value, ties
-    at the boundary are filled in ascending id order (exactly the
-    stable-sort policy), and only the selected candidates are sorted.
-    """
-    scores = np.asarray(scores)
-    n = scores.shape[0]
-    top_k = min(int(top_k), n)
-    if top_k <= 0:
-        return np.empty(0, dtype=np.int64)
-    if top_k >= n:
-        return np.argsort(-scores, kind="stable")
-    cutoff = np.partition(scores, n - top_k)[n - top_k]
-    above = np.flatnonzero(scores > cutoff)
-    ties = np.flatnonzero(scores == cutoff)
-    candidates = np.concatenate([above, ties[:top_k - above.size]])
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order]
-
-
 class QueryBatch:
     """A block of term-space queries, stored as columns.
+
+    Each query is also held as its nonzero terms: ascending term ids and
+    their weights (:meth:`terms`).  Their bytes are the query's
+    result-cache key (:meth:`query_hash`), and their ids tell the engine
+    which rows of ``Uₖ`` the block touches.  A batch is immutable once
+    built.
 
     Args:
         matrix: dense ``(n_terms, q)`` array, one query per column.
 
-    Use :meth:`from_vectors` to assemble a batch from 1-D query
-    vectors.
+    Raises:
+        ShapeError: unless ``matrix`` is 2-D.
+        ValidationError: on a non-finite entry.
+
+    Use :meth:`from_vector` for one 1-D query, which checks only its
+    nonzero entries, and :meth:`from_vectors` to stack several.
+    :meth:`select` and :meth:`concat` build batches from validated ones
+    without checking or copying them again.
     """
 
     def __init__(self, matrix):
@@ -87,10 +84,48 @@ class QueryBatch:
             raise ShapeError(
                 f"query batch must be 2-D (n_terms, q), got shape "
                 f"{block.shape}")
-        if block.size and not np.all(np.isfinite(block)):
+        if block.size and not np.isfinite(block).all():
             raise ValidationError(
                 "query batch contains non-finite entries")
         self._matrix = block
+        self._n_terms, self._n_queries = block.shape
+        # Extracted on first use: a dense block handed straight to the
+        # engine never needs its terms.
+        self._terms: "list | None" = None
+
+    @classmethod
+    def _of_terms(cls, n_terms: int, terms: list,
+                  matrix=None) -> "QueryBatch":
+        """A batch over already-validated ``(ids, weights)`` pairs, one
+        per query; ``matrix`` is rebuilt from them if not given."""
+        batch = cls.__new__(cls)
+        batch._matrix = matrix
+        batch._n_terms, batch._n_queries = n_terms, len(terms)
+        batch._terms = terms
+        return batch
+
+    @classmethod
+    def from_vector(cls, query_vector) -> "QueryBatch":
+        """A one-query batch, checking only the query's nonzero entries.
+
+        Every non-finite entry is nonzero, so this rejects exactly what
+        a scan of the whole vector would, in one pass over its terms.
+
+        Raises:
+            ShapeError: unless ``query_vector`` is 1-D.
+            ValidationError: on a non-finite entry.
+        """
+        vector = np.asarray(query_vector, dtype=np.float64)
+        if vector.ndim != 1:
+            raise ShapeError(
+                f"query_vector must be 1-D, got shape {vector.shape}")
+        ids = (vector != 0).nonzero()[0]
+        weights = vector[ids]
+        if np.count_nonzero(np.isfinite(weights)) < ids.size:
+            raise ValidationError(
+                "query_vector contains non-finite entries")
+        return cls._of_terms(vector.shape[0], [(ids, weights)],
+                             vector[:, None])
 
     @classmethod
     def from_vectors(cls, vectors) -> "QueryBatch":
@@ -99,41 +134,140 @@ class QueryBatch:
         Raises:
             ValidationError: on an empty sequence or a non-finite
                 query vector.
-            ShapeError: when the vectors disagree on term-space size.
+            ShapeError: when a vector is not 1-D or the vectors
+                disagree on term-space size.
         """
-        columns = [check_vector(v, f"vectors[{i}]")
-                   for i, v in enumerate(vectors)]
+        columns = [np.asarray(v, dtype=np.float64) for v in vectors]
         if not columns:
             raise ValidationError("query batch needs at least one query")
+        for i, column in enumerate(columns):
+            if column.ndim != 1:
+                raise ShapeError(
+                    f"vectors[{i}] must be 1-D, got shape {column.shape}")
         lengths = {c.shape[0] for c in columns}
         if len(lengths) > 1:
             raise ShapeError(
                 f"queries live in different term spaces: sizes {sorted(lengths)}")
         return cls(np.stack(columns, axis=1))
 
+    @classmethod
+    def concat(cls, batches) -> "QueryBatch":
+        """The queries of ``batches``, in order, as one batch.
+
+        Joins their validated terms: nothing is checked again, and no
+        dense block is built unless :attr:`matrix` is read.
+
+        Raises:
+            ValidationError: on an empty sequence.
+            ShapeError: when the batches disagree on term-space size.
+        """
+        batches = list(batches)
+        if not batches:
+            raise ValidationError("query batch needs at least one query")
+        sizes = {batch.n_terms for batch in batches}
+        if len(sizes) > 1:
+            raise ShapeError(
+                f"queries live in different term spaces: sizes {sorted(sizes)}")
+        return cls._of_terms(sizes.pop(), [
+            pair for batch in batches for pair in batch._query_terms()])
+
+    def select(self, columns) -> "QueryBatch":
+        """The queries at ``columns``, in that order, as a new batch.
+
+        Shares this batch's validated terms: nothing is checked again,
+        and the dense block is not copied (the new batch rebuilds its
+        own :attr:`matrix` only if it is read).  Selecting every query
+        in order returns this batch.
+        """
+        picked = list(columns)
+        if picked == list(range(self._n_queries)):
+            return self
+        terms = self._query_terms()
+        return self._of_terms(self._n_terms, [terms[i] for i in picked])
+
+    def _query_terms(self) -> list:
+        """Every query's ``(ids, weights)``, extracted once."""
+        if self._terms is None:
+            block = self._matrix.T
+            nonzero = block != 0
+            columns, ids = nonzero.nonzero()
+            weights = block[nonzero]
+            bounds = np.searchsorted(
+                columns, np.arange(self._n_queries + 1)).tolist()
+            self._terms = [(ids[lo:hi], weights[lo:hi])
+                           for lo, hi in zip(bounds, bounds[1:])]
+        return self._terms
+
+    def _touched(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(rows, block)``: the ascending ids of every term the batch
+        uses, and the queries restricted to them, ``(len(rows), q)``.
+
+        A batch that uses every term returns its :attr:`matrix`, so the
+        fold multiplies ``Uₖ`` in place.
+        """
+        terms = self._terms
+        if terms is None:
+            rows = np.flatnonzero(np.any(self._matrix, axis=1))
+        elif self._n_queries == 1:
+            rows = terms[0][0]
+        else:
+            used = np.zeros(self._n_terms, dtype=bool)
+            for ids, _ in terms:
+                used[ids] = True
+            rows = np.flatnonzero(used)
+        if rows.size == self._n_terms:
+            return rows, self.matrix
+        if terms is None:
+            return rows, self._matrix[rows]
+        if self._n_queries == 1:
+            return rows, terms[0][1][:, None]
+        block = np.zeros((rows.size, self._n_queries))
+        for column, (ids, weights) in enumerate(terms):
+            block[np.searchsorted(rows, ids), column] = weights
+        return rows, block
+
     @property
     def matrix(self) -> np.ndarray:
         """The ``(n_terms, q)`` query block (do not mutate)."""
+        if self._matrix is None:
+            block = np.zeros((self._n_terms, self._n_queries))
+            for column, (ids, weights) in enumerate(self._terms):
+                block[ids, column] = weights
+            self._matrix = block
         return self._matrix
 
     @property
     def n_terms(self) -> int:
         """Term-space dimensionality of every query."""
-        return int(self._matrix.shape[0])
+        return self._n_terms
 
     @property
     def n_queries(self) -> int:
         """Number of queries in the block."""
-        return int(self._matrix.shape[1])
+        return self._n_queries
 
     def query(self, i: int) -> np.ndarray:
         """The ``i``-th query as a 1-D vector (a copy)."""
-        return self._matrix[:, int(i)].copy()
+        return self.matrix[:, int(i)].copy()
 
-    def query_hash(self, i: int) -> str:
-        """Content hash of query ``i`` (cache-key component)."""
-        column = np.ascontiguousarray(self._matrix[:, int(i)])
-        return hashlib.sha256(column.tobytes()).hexdigest()
+    def terms(self, i: int) -> "tuple[np.ndarray, np.ndarray]":
+        """Query ``i``'s nonzero terms: ascending ids and their weights
+        (do not mutate).
+
+        Explicit zeros and ``-0.0`` are not terms.
+        """
+        return self._query_terms()[i]
+
+    def query_hash(self, i: int) -> bytes:
+        """Query ``i``'s cache key: the bytes of its term ids, then of
+        their weights.
+
+        Two queries get the same key exactly when their terms are
+        equal, so explicit zeros and ``-0.0`` never split a key.  The
+        key is 16 bytes per term.
+        """
+        ids, weights = self.terms(i)
+        return ids.tobytes() + weights.tobytes()
 
     def __len__(self) -> int:
         """Number of queries (alias of :attr:`n_queries`)."""
@@ -147,25 +281,23 @@ class QueryBatch:
 class CacheKey(NamedTuple):
     """The canonical result-cache key for one (query, cutoff) lookup.
 
-    Every serving layer used to re-derive the ad-hoc
-    ``(generation, sha256(query), top_k)`` tuple by hand;
-    :class:`CacheKey` is that tuple promoted to a named, shared type so
-    the result cache of :class:`~repro.serving.index.ServedIndex` and
-    the micro-batching dispatcher's coalescing key one implementation.
-    The dispatcher's flusher thread and the caller threads rank through
-    one index, so both build keys against the same generation counter.
+    :class:`CacheKey` is the one key type shared by the result cache of
+    :class:`~repro.serving.index.ServedIndex` and the micro-batching
+    dispatcher's coalescing.  The dispatcher's flusher thread and the
+    caller threads rank through one index, so both build keys against
+    the same generation counter.
 
     Attributes:
         generation: the index generation the entry was computed
             against — mutations bump it, so stale rankings are
             unreachable by construction.
-        query_hash: SHA-256 of the query column's bytes
+        query_hash: the bytes of the query's term ids and weights
             (:meth:`QueryBatch.query_hash`).
         top_k: the effective cutoff the ranking was computed at.
     """
 
     generation: int
-    query_hash: str
+    query_hash: bytes
     top_k: int
 
     @classmethod
@@ -369,7 +501,8 @@ class BatchQueryEngine:
         tombstoned documents score exactly 0.
         """
         scratch = self._buffers(batch.n_queries)
-        np.matmul(self._basis.T, batch.matrix, out=scratch.projected)
+        rows, block = batch._touched()
+        fold_rows(self._basis, rows, block, out=scratch.projected)
         norms = normalize_columns_into(scratch.projected, scratch.unit,
                                        zero_tol=ZERO_NORM_TOL)
         sims = scratch.sims
@@ -384,27 +517,44 @@ class BatchQueryEngine:
     def score_batch(self, queries) -> np.ndarray:
         """Cosine scores of every document for every query, ``(q, m)``.
 
-        One GEMM projects the block, a second computes all cosines.
-        Zero-norm queries, zero-vector documents, and tombstoned
-        documents score exactly 0, matching the per-query path.  The
-        returned array is the caller's (a copy of the internal
-        scratch).
+        One product folds the block through the rows of ``Uₖ`` it
+        touches, a GEMM computes all cosines.  Zero-norm queries,
+        zero-vector documents, and tombstoned documents score exactly
+        0, matching the per-query path.  The returned array is the
+        caller's (a copy of the internal scratch).
+
+        Raises:
+            ShapeError: when the queries are not in the index's term
+                space.
+            ValidationError: on a non-finite entry.
         """
         batch = self._as_batch(queries)
         return self._score_into(batch).copy()
 
     def score(self, query_vector) -> np.ndarray:
-        """Cosine scores for one term-space query (length ``m``)."""
-        query = check_vector(query_vector, "query_vector")
-        return self.score_batch(query[:, None])[0]
+        """Cosine scores for one term-space query (length ``m``).
+
+        Raises:
+            ShapeError: unless the query is a 1-D vector over the
+                index's terms.
+            ValidationError: on a non-finite entry.
+        """
+        batch = self._as_batch(QueryBatch.from_vector(query_vector))
+        return self._score_into(batch)[0].copy()
 
     def rank_batch(self, queries, *, top_k=None) -> np.ndarray:
         """Ranked ids per query as a ``(q, top_k_eff)`` array.
 
         ``top_k`` follows the shared policy (``None`` = all), further
         clamped to the number of non-tombstoned documents; tombstoned
-        ids never appear.  This is the allocation-free hot path: the
-        only per-call allocation is the returned id block.
+        ids never appear.  Besides the returned id block, a call
+        allocates only what scales with the terms the block touches.
+
+        Raises:
+            ShapeError: when the queries are not in the index's term
+                space.
+            ValidationError: on a non-finite entry or an invalid
+                ``top_k``.
         """
         batch = self._as_batch(queries)
         top_k = min(check_top_k(top_k, self._n_docs), self.n_active)
@@ -417,9 +567,16 @@ class BatchQueryEngine:
         return out
 
     def rank_documents(self, query_vector, *, top_k=None) -> np.ndarray:
-        """Ranked ids for one query (the batched kernel, q = 1)."""
-        query = check_vector(query_vector, "query_vector")
-        return self.rank_batch(query[:, None], top_k=top_k)[0]
+        """Ranked ids for one query (the batched kernel, q = 1).
+
+        Raises:
+            ShapeError: unless the query is a 1-D vector over the
+                index's terms.
+            ValidationError: on a non-finite entry or an invalid
+                ``top_k``.
+        """
+        return self.rank_batch(QueryBatch.from_vector(query_vector),
+                               top_k=top_k)[0]
 
     def __repr__(self) -> str:
         return (f"BatchQueryEngine(n_terms={self._n_terms}, "

@@ -6,7 +6,10 @@ anything written against the experiment engines runs against it
 unchanged, and adds what production traffic needs:
 
 - ``rank_batch`` — whole query blocks in single GEMMs, with an LRU
-  result cache keyed on (index generation, query hash, cutoff);
+  result cache keyed on (index generation, the bytes of a query's term
+  ids and weights, cutoff).  A query is validated once, on its nonzero
+  terms, and a miss folds through only the rows of ``Uₖ`` it touches,
+  so a text query costs its terms, not the vocabulary;
 - ``add_documents`` / ``remove_documents`` — fold-in and tombstoning
   through an :class:`~repro.serving.writer.IndexWriter`, with monotone
   drift tracking and a refit recommendation;
@@ -48,7 +51,7 @@ from repro.serving.engine import BatchQueryEngine, CacheKey, \
     LRUResultCache, QueryBatch
 from repro.serving.stats import ServingStats
 from repro.serving.writer import IndexWriter
-from repro.utils.validation import check_top_k, check_vector
+from repro.utils.validation import check_top_k
 
 if TYPE_CHECKING:
     from repro.core.two_step import TwoStepLSI
@@ -280,7 +283,13 @@ class ServedIndex:
         return engine
 
     def score(self, query_vector) -> np.ndarray:
-        """Cosine scores of every stored document (tombstoned → 0)."""
+        """Cosine scores of every stored document (tombstoned → 0).
+
+        Raises:
+            ShapeError: unless the query is a 1-D vector over the
+                index's terms.
+            ValidationError: on a non-finite entry.
+        """
         self._queries_served += 1
         return self._engine().score(query_vector)
 
@@ -289,9 +298,15 @@ class ServedIndex:
 
         Consults the LRU result cache first; a miss computes through
         the batched kernel and populates the cache.
+
+        Raises:
+            ShapeError: unless the query is a 1-D vector over the
+                index's terms.
+            ValidationError: on a non-finite entry or an invalid
+                ``top_k``.
         """
-        query = check_vector(query_vector, "query_vector")
-        return self.rank_batch(query[:, None], top_k=top_k)[0]
+        return self.rank_batch(QueryBatch.from_vector(query_vector),
+                               top_k=top_k)[0]
 
     def rank_batch(self, queries, *, top_k=None) -> np.ndarray:
         """Ranked ids for a query block, ``(q, top_k_eff)``.
@@ -306,6 +321,12 @@ class ServedIndex:
                 query vectors.
             top_k: shared cutoff policy (``None`` = all), clamped to
                 the number of active documents.
+
+        Raises:
+            ShapeError: when the queries are not in the index's term
+                space.
+            ValidationError: on a non-finite entry or an invalid
+                ``top_k``.
         """
         # Read before the engine, so no key names a generation newer
         # than the store its ranking came from.
@@ -329,8 +350,8 @@ class ServedIndex:
             else:
                 out[i] = cached
         if missing:
-            sub = QueryBatch(batch.matrix[:, missing])
-            computed = engine.rank_batch(sub, top_k=top_k)
+            computed = engine.rank_batch(batch.select(missing),
+                                         top_k=top_k)
             for row, i in enumerate(missing):
                 out[i] = computed[row]
                 self._cache.put(keys[i], computed[row])

@@ -7,6 +7,8 @@ at the public API boundary instead of deep inside numpy kernels.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.errors import DistributionError, ShapeError, ValidationError
@@ -81,8 +83,12 @@ def check_fraction(value, name: str, *, inclusive_low=True,
     """Return ``value`` as a float in the unit interval [0, 1].
 
     ``inclusive_low``/``inclusive_high`` control whether the endpoints are
-    permitted.
+    permitted.  Only real numbers qualify: a bool or a string is
+    rejected, not converted.
     """
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")

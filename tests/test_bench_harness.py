@@ -468,6 +468,20 @@ class TestCommittedBaseline:
         refit = metrics["incremental_refit[smoke]"]
         assert refit["refit_agreement_ok"] == 1.0
 
+    def test_batched_serving_claims_hold_in_baseline(self):
+        # The batched engine's exactness claims, pinned to the committed
+        # report: dense query blocks (the in-place GEMM) and text-like
+        # blocks of 2-4 terms per query (the touched-rows fold) rank
+        # exactly like the per-query loop.
+        document = load_report(self.BASELINE)
+        entry = next(entry for entry in document["results"]
+                     if entry["benchmark"]
+                     == "serving_batched_queries[smoke]")
+        assert entry["metrics"]["batched_matches_looped"] == 1.0
+        assert entry["metrics"]["sparse_batched_matches_looped"] == 1.0
+        assert "sparse_batched_matches_looped" \
+            not in entry["time_metrics"]
+
     def test_text_pipeline_claim_holds_in_baseline(self):
         # The text front end's acceptance claim, pinned to the committed
         # report: fit, fold-in transform and query vectors equal the

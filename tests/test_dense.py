@@ -8,6 +8,7 @@ from repro.linalg.dense import (
     angle_between,
     cosine_similarity,
     cosine_similarity_matrix,
+    fold_rows,
     gram_matrix,
     normalize_columns,
     orthonormalize_columns,
@@ -18,6 +19,40 @@ from repro.linalg.dense import (
     relative_error,
     spectral_norm,
 )
+
+
+class TestFoldRows:
+    """The touched-rows query fold shared by LSIModel and the engine."""
+
+    @pytest.mark.parametrize("n_queries", [None, 1, 5])
+    @pytest.mark.parametrize("nonzeros", [1, 3, 40])
+    def test_matches_dense_product(self, rng, n_queries, nonzeros):
+        basis = rng.standard_normal((60, 7))
+        shape = (60,) if n_queries is None else (60, n_queries)
+        queries = np.zeros(shape)
+        for _ in range(4):
+            rows = rng.choice(60, size=nonzeros, replace=False)
+            queries[rows] = rng.integers(1, 4, size=(nonzeros,)
+                                         + shape[1:])
+        rows = np.flatnonzero(np.any(queries.reshape(60, -1), axis=1))
+        folded = fold_rows(basis, rows, queries[rows])
+        assert folded.shape == (7,) + shape[1:]
+        np.testing.assert_allclose(folded, basis.T @ queries,
+                                   rtol=0, atol=1e-12)
+
+    def test_every_row_multiplies_in_place(self, rng):
+        # A dense block takes the plain product, bit for bit.
+        basis = rng.standard_normal((30, 5))
+        block = rng.random((30, 4))
+        out = np.empty((5, 4))
+        assert fold_rows(basis, np.arange(30), block, out=out) is out
+        assert np.array_equal(out, np.matmul(basis.T, block))
+
+    def test_no_rows_is_zero(self, rng):
+        basis = rng.standard_normal((30, 5))
+        rows = np.zeros(0, dtype=np.intp)
+        assert np.array_equal(fold_rows(basis, rows, np.zeros(0)),
+                              np.zeros(5))
 
 
 class TestGramAndNormalize:

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lsi import LSIModel
+from repro.corpus import Vocabulary, build_zipfian_separable_model, \
+    generate_corpus
+from repro.corpus.pipeline import TextPipeline
+from repro.corpus.text import render_corpus
 from repro.errors import (
     PersistenceError,
     ShapeError,
@@ -142,6 +146,171 @@ class TestQueryBatch:
         second = QueryBatch(np.stack([column, rng.random(6)], axis=1))
         assert first.query_hash(0) == second.query_hash(0)
         assert second.query_hash(0) != second.query_hash(1)
+
+
+#: Query entries: explicit zeros, ``-0.0``, and a few weights.
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, 1e-300])
+
+
+@st.composite
+def _query_blocks(draw):
+    """Small dense blocks with repeated columns and, half the time, one
+    non-finite entry anywhere."""
+    n_terms = draw(st.integers(1, 6))
+    distinct = draw(st.lists(
+        st.lists(_ENTRIES, min_size=n_terms, max_size=n_terms),
+        min_size=1, max_size=3))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1),
+                          min_size=1, max_size=5))
+    block = np.array([distinct[j] for j in order]).T
+    if draw(st.booleans()):
+        row = draw(st.integers(0, n_terms - 1))
+        column = draw(st.integers(0, block.shape[1] - 1))
+        block[row, column] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf]))
+    return block
+
+
+class TestSparseQueryBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(block=_query_blocks(), data=st.data())
+    def test_terms_keys_and_selection(self, block, data):
+        n_queries = block.shape[1]
+        if not np.isfinite(block).all():
+            with pytest.raises(ValidationError):
+                QueryBatch(block)
+            for column in block.T:
+                if not np.isfinite(column).all():
+                    with pytest.raises(ValidationError):
+                        QueryBatch.from_vector(column)
+            return
+        batch = QueryBatch(block)
+        pairs = []
+        for i, column in enumerate(block.T):
+            ids = np.flatnonzero(column)
+            got_ids, got_weights = batch.terms(i)
+            assert np.array_equal(got_ids, ids)
+            assert np.array_equal(got_weights, column[ids])
+            pairs.append((ids.tolist(), column[ids].tolist()))
+            single = QueryBatch.from_vector(column)
+            assert single.query_hash(0) == batch.query_hash(i)
+        for i in range(n_queries):
+            for j in range(n_queries):
+                assert (batch.query_hash(i) == batch.query_hash(j)) \
+                    == (pairs[i] == pairs[j])
+        picked = data.draw(st.lists(st.integers(0, n_queries - 1),
+                                    min_size=1, max_size=6))
+        joined = QueryBatch.concat(QueryBatch.from_vector(block[:, j])
+                                   for j in picked)
+        for sub in (batch.select(picked), joined):
+            assert sub.n_queries == len(picked)
+            for row, j in enumerate(picked):
+                assert sub.query_hash(row) == batch.query_hash(j)
+                for got, expected in zip(sub.terms(row), batch.terms(j)):
+                    assert np.array_equal(got, expected)
+            assert np.array_equal(sub.matrix, block[:, picked])
+
+    def test_select_everything_in_order_is_the_batch(self, queries):
+        batch = QueryBatch(queries)
+        assert batch.select(range(queries.shape[1])) is batch
+
+    def test_concat_rejects_mixed_term_spaces(self):
+        with pytest.raises(ShapeError):
+            QueryBatch.concat([QueryBatch.from_vector(np.ones(3)),
+                               QueryBatch.from_vector(np.ones(4))])
+
+
+def _text_queries(model, vocabulary, count, seed):
+    """``count`` queries of 2–4 primary terms of one topic, with
+    repeats, like the benchmark's query pool and Zipf stream."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for _ in range(count // 4):
+        topic = model.topics[int(rng.integers(len(model.topics)))]
+        primary = np.array(sorted(topic.primary_terms))
+        terms = rng.choice(primary, size=int(rng.integers(2, 5)),
+                           replace=False)
+        pool.append(" ".join(vocabulary.term(int(t)) for t in terms))
+    return [pool[int(i)] for i in rng.zipf(1.3, size=count) % len(pool)]
+
+
+@pytest.fixture(scope="module")
+def text_index(tmp_path_factory):
+    """A pipeline, the LSI model it fits, a saved bundle of that model,
+    and 500 text queries over it."""
+    model = build_zipfian_separable_model(300, 5, seed=3)
+    vocabulary = Vocabulary.synthetic(300)
+    texts = render_corpus(generate_corpus(model, 150, seed=4), vocabulary,
+                          seed=5)
+    pipeline = TextPipeline(stem=True)
+    lsi = LSIModel.fit(pipeline.fit_transform(texts), 8, seed=1)
+    path = ServedIndex(lsi).save(tmp_path_factory.mktemp("text") / "b")
+    queries = _text_queries(model, vocabulary, 500, seed=6)
+    return pipeline, lsi, path, queries
+
+
+class TestSparseServing:
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    @pytest.mark.parametrize("capacity", [256, 0],
+                             ids=["cache", "no-cache"])
+    def test_text_rankings_match_plain_model(self, text_index, mmap,
+                                             capacity):
+        pipeline, lsi, path, queries = text_index
+        vectors = [pipeline.query_vector(text) for text in queries]
+        expected = [lsi.rank_documents(v, top_k=10) for v in vectors]
+        config = ServingConfig(mmap=mmap, cache_capacity=capacity)
+        index = ServedIndex.load(path, config=config)
+        for vector, ranking in zip(vectors, expected):
+            assert np.array_equal(index.rank_documents(vector, top_k=10),
+                                  ranking)
+        index = ServedIndex.load(path, config=config)
+        for start in range(0, len(vectors), 32):
+            ranked = index.rank_batch(vectors[start:start + 32], top_k=10)
+            for row, ranking in enumerate(expected[start:start + 32]):
+                assert np.array_equal(ranked[row], ranking)
+        stats = index.stats()
+        assert stats.cache_hits + stats.cache_misses == len(vectors)
+        assert (stats.cache_hits > 0) == (capacity > 0)
+
+    def test_one_miss_per_distinct_query_per_generation(self, text_index,
+                                                        rng):
+        pipeline, _, path, queries = text_index
+        stream = queries[:120]
+        distinct = len(set(stream))
+        assert distinct < len(stream)
+        index = ServedIndex.load(path)
+        for generation in range(2):
+            for i, text in enumerate(stream):
+                vector = pipeline.query_vector(text)
+                if i % 2:
+                    # An explicit -0.0 is not a term: it must not split
+                    # the query's key.
+                    vector[vector == 0] = -0.0
+                index.rank_documents(vector, top_k=5)
+            stats = index.stats()
+            assert stats.cache_misses == distinct * (generation + 1)
+            assert stats.cache_hits == (len(stream) - distinct) \
+                * (generation + 1)
+            index.add_documents(rng.random((index.n_terms, 2)))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([0.0, np.nan, 1.0]), ValidationError),
+        (np.array([np.inf, 0.0, 0.0]), ValidationError),
+        (np.array([0.0, 0.0, -np.inf]), ValidationError),
+        (np.zeros((3, 1)), ShapeError),
+        (np.zeros(4), ShapeError),
+        (np.zeros(2), ShapeError),
+    ], ids=["nan", "inf", "-inf", "2-D", "too-long", "too-short"])
+    def test_bad_single_query_raises(self, bad, error):
+        model = LSIModel.fit(np.eye(3) + 0.5, 2, engine="exact")
+        index = ServedIndex(model)
+        engine = BatchQueryEngine(
+            model.term_basis, *normalize_columns(model.document_vectors()))
+        for call in (index.rank_documents, index.score,
+                     engine.rank_documents, engine.score):
+            with pytest.raises(error):
+                call(bad)
+        assert index.stats().cache_misses == 0
 
 
 class TestBatchedEquivalence:
@@ -614,8 +783,10 @@ class TestBundleRejection:
         ("unabsorbed_energy", -5.0),
         ("unabsorbed_energy", float("nan")),
         ("stats", {"queries_served": "x"}),
+        ("stats", {"drift": "abc"}),
     ], ids=["threshold-above-one", "threshold-string",
-            "negative-energy", "nan-energy", "string-counter"])
+            "negative-energy", "nan-energy", "string-counter",
+            "string-drift"])
     def test_bad_manifest_value_rejected(self, served, key, value,
                                          mmap, tmp_path, capsys):
         from repro.cli import main
@@ -632,6 +803,13 @@ class TestBundleRejection:
         # serve-stats still prints the raw manifest.
         assert main(["serve-stats", str(path), "--json"]) == 0
         assert key in json.loads(capsys.readouterr().out)
+        # The text report checks the values by the loader's rules and
+        # names the bad one instead of failing on it mid-report.
+        assert main(["serve-stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid manifest value" in captured.err
+        assert key in captured.err
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_legacy_schema_refused(self, served, version, tmp_path,

@@ -68,6 +68,10 @@ class TestServingConfig:
         {"max_wait_ms": -1.0},
         {"stream_oversample": -1},
         {"drift_threshold": 2.0},
+        # Not numbers: each used to be converted or stored as given.
+        {"drift_threshold": "abc"},
+        {"drift_threshold": True},
+        {"drift_threshold": "0.5"},
     ])
     def test_bad_values_raise(self, fields):
         with pytest.raises(ValidationError):

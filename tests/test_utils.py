@@ -90,6 +90,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             check_fraction(float("nan"), "x")
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", "abc",
+                                     None])
+    def test_fraction_rejects_non_numbers(self, bad):
+        # Checked before any conversion: float() would accept a bool or
+        # a numeric string, and raise a bare ValueError on "abc".
+        with pytest.raises(ValidationError, match="must be a number"):
+            check_fraction(bad, "x")
+
     def test_matrix_checks(self):
         assert check_matrix([[1, 2]], "m").shape == (1, 2)
         with pytest.raises(ShapeError):
