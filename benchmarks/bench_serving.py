@@ -14,7 +14,10 @@ Five families:
   seconds, post-load peak RSS and how much the load grew it, asserting
   bit-identical rankings;
 - ``serving_bundle_roundtrip`` — save → load → rank reproduces the
-  in-memory rankings exactly, plus wall-clock for both directions;
+  in-memory rankings exactly, plus wall-clock for both directions, for
+  a freshly fitted index and again, eager and mapped, after a dense
+  and a CSR fold-in and a removal, whose store is a view of a wider
+  buffer;
 - ``serving_foldin_drift`` — fold document batches into an index fitted
   on a subset and check the drift metric is monotone non-decreasing and
   crosses a low refit threshold;
@@ -276,13 +279,14 @@ def bench_serving_mmap_coldstart(params, seed):
 @benchmark(name="serving_bundle_roundtrip", tags=("serving",),
            sizes={"smoke": {"n_terms": 400, "n_topics": 8,
                             "n_documents": 300, "rank": 8,
-                            "n_queries": 16},
+                            "n_queries": 16, "fold_width": 20},
                   "full": {"n_terms": 1500, "n_topics": 12,
                            "n_documents": 1000, "rank": 12,
-                           "n_queries": 64}},
+                           "n_queries": 64, "fold_width": 50}},
            time_metrics=("save_seconds", "load_seconds"))
 def bench_serving_bundle_roundtrip(params, seed):
-    """S2: save → load reproduces in-memory rankings exactly."""
+    """S2: save → load reproduces in-memory rankings exactly, fitted
+    and after fold-ins and a removal."""
     import tempfile
 
     matrix = separable_matrix(params["n_terms"], params["n_topics"],
@@ -291,18 +295,34 @@ def bench_serving_bundle_roundtrip(params, seed):
     queries = _query_block(params["n_terms"], params["n_queries"],
                            seed + 1)
     before = index.rank_batch(queries, top_k=20)
+    width = params["fold_width"]
+    folds = separable_matrix(params["n_terms"], params["n_topics"],
+                             2 * width, seed + 2)
 
     with tempfile.TemporaryDirectory() as tmp:
         bundle_path = Path(tmp) / "bundle"
         saved = measure(lambda: index.save(bundle_path))
         loaded = measure(lambda: ServedIndex.load(bundle_path))
         after = loaded.result.rank_batch(queries, top_k=20)
+        index.add_documents(
+            folds.select_columns(np.arange(width)).to_dense())
+        index.add_documents(
+            folds.select_columns(np.arange(width, 2 * width)))
+        index.remove_documents(int(before[0, 0]))
+        folded = index.rank_batch(queries, top_k=20)
+        folded_path = index.save(Path(tmp) / "folded")
+        reloaded = [ServedIndex.load(folded_path,
+                                     config=ServingConfig(mmap=mmap))
+                    .rank_batch(queries, top_k=20)
+                    for mmap in (False, True)]
     return {
         "save_seconds": saved.mean_seconds,
         "load_seconds": loaded.mean_seconds,
         "roundtrip_rankings_exact":
             bool(np.array_equal(before, after)),
-        "n_documents": index.n_documents,
+        "folded_roundtrip_rankings_exact":
+            all(np.array_equal(folded, ranks) for ranks in reloaded),
+        "n_documents": params["n_documents"],
     }
 
 

@@ -236,10 +236,10 @@ def _print_writer_state(manifest, stats) -> None:
     the drift number, and the remaining headroom to the configured
     ``drift_threshold``.
     """
-    n_documents = int(manifest.get("n_documents") or 0)
-    n_original = int(manifest.get("n_original") or n_documents)
+    n_documents = manifest.get("n_documents") or 0
+    n_original = manifest.get("n_original") or n_documents
     folded = max(0, n_documents - n_original)
-    tombstoned = int(manifest.get("n_tombstoned") or 0)
+    tombstoned = manifest.get("n_tombstoned") or 0
     unabsorbed = float(manifest.get("unabsorbed_energy") or 0.0)
     captured = manifest.get("captured_energy")
     threshold = manifest.get("drift_threshold")
@@ -276,16 +276,15 @@ def _command_serve_stats(args) -> int:
     A directory that is not a schema-4 bundle exits 2 with the reason.
     With ``--verify``, checksum failures are reported per file (name
     plus expected/actual digest) and the command exits 2.  The text
-    report checks the manifest's writer state and counters by the
-    loader's rules and exits 2 naming the first bad value; ``--json``
-    prints the manifest as it is.
+    report checks the manifest's fields by the loader's rules
+    (:func:`~repro.serving.bundle.check_manifest`) and exits 2 naming
+    the first bad one; ``--json`` prints the manifest as it is.
     """
     import json
 
     from repro.errors import PersistenceError, ValidationError
-    from repro.serving.bundle import check_manifest_values, \
-        checksum_failures, read_manifest
-    from repro.serving.stats import ServingStats
+    from repro.serving.bundle import check_manifest, checksum_failures, \
+        read_manifest
 
     try:
         manifest = read_manifest(args.bundle)
@@ -304,11 +303,8 @@ def _command_serve_stats(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2 if failures else 0
 
-    stats = ServingStats.from_dict(manifest.get("stats") or {})
     try:
-        check_manifest_values(manifest.get("drift_threshold"),
-                              manifest.get("unabsorbed_energy", 0.0),
-                              stats)
+        stats = check_manifest(manifest)
     except ValidationError as error:
         print(f"bundle {args.bundle} has an invalid manifest value: "
               f"{error}", file=sys.stderr)

@@ -25,22 +25,29 @@ pages —
 and skips checksum verification, since hashing every byte would defeat
 the point; eager reads always verify.
 
-``write_bundle`` never truncates a file in place.  It writes each file
-under a temporary name and renames it over the old one, the manifest
-last, so a process that still maps the old file keeps reading the old
-bytes.
+``write_bundle`` writes each ``.npy`` itself, with the bytes
+``np.save`` would write, straight from the writer's arrays: a store
+that is a view of a wider, appendable buffer goes out row by row, not
+through a contiguous copy, and each file is hashed as it is written.
+Nothing a save reads is written to, since no write touches a column of
+a store the writer has published.  ``write_bundle`` never truncates a
+file in place either.  It writes each file under a temporary name and
+renames it over the old one, the manifest last, so a process that
+still maps the old file keeps reading the old bytes.
 
 Loading is strict: a missing or unparsable manifest, a foreign
 ``format`` marker, a ``schema_version`` other than 4, a checksum
 mismatch, shape disagreement between manifest and arrays, or a
-manifest value out of its range (the manifest has no checksum) all
-raise :class:`~repro.errors.PersistenceError`.  Manifest keys the
-reader does not use are ignored.
+manifest field of the wrong JSON type or out of its range
+(:func:`check_manifest`; the manifest has no checksum) all raise
+:class:`~repro.errors.PersistenceError`.
+Manifest keys the reader does not use are ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -61,6 +68,7 @@ __all__ = [
     "BUNDLE_SCHEMA_VERSION",
     "ChecksumMismatch",
     "IndexBundle",
+    "check_manifest",
     "check_manifest_values",
     "checksum_failures",
     "environment_fingerprint",
@@ -88,7 +96,6 @@ _ARRAYS = ("u", "singular_values", "frobenius_norm_sq", "doc_unit",
 #: are O(k)/O(m) vectors loaded eagerly even under ``mmap``.
 _LARGE_ARRAYS = ("u", "doc_unit")
 
-
 def _check_real(value, name: str) -> float:
     """``value`` as a float, requiring a real number (not a bool)."""
     if isinstance(value, bool) \
@@ -101,9 +108,8 @@ def check_manifest_values(drift_threshold, unabsorbed_energy,
                           stats: ServingStats) -> None:
     """The rules a bundle's writer state and counters must meet.
 
-    The manifest has no checksum, so :class:`IndexBundle` checks these
-    values on every load, and ``repro serve-stats`` checks a manifest's
-    own values with this function before it reports them.
+    :class:`IndexBundle` checks its own values with this function, and
+    :func:`check_manifest` a manifest's.
 
     Args:
         drift_threshold: a number in ``[0, 1]``, or ``None``.
@@ -131,6 +137,43 @@ def check_manifest_values(drift_threshold, unabsorbed_energy,
                     f"{name} must be a bool, got {value!r}")
         else:
             check_non_negative_int(value, name)
+
+
+def check_manifest(manifest: dict) -> ServingStats:
+    """The rules a manifest's fields must meet; return its counters.
+
+    The manifest has no checksum, so a load checks every field it
+    reads with this function, and ``repro serve-stats`` checks a
+    manifest with it before it reports one.  Each field is checked
+    where present and not null: the counts (``rank``, ``n_terms``,
+    ``n_documents``, ``n_original``, ``n_tombstoned``) must be
+    non-negative integers, ``captured_energy`` a number, ``stats`` and
+    ``env`` objects and ``vocabulary`` an array; the writer state and
+    the counters must then meet :func:`check_manifest_values`.
+
+    Args:
+        manifest: a parsed manifest (see :func:`read_manifest`).
+
+    Raises:
+        ValidationError: naming the first field that breaks its rule.
+    """
+    for key in ("rank", "n_terms", "n_documents", "n_original",
+                "n_tombstoned"):
+        if manifest.get(key) is not None:
+            check_non_negative_int(manifest[key], f"manifest {key}")
+    if manifest.get("captured_energy") is not None:
+        _check_real(manifest["captured_energy"], "manifest captured_energy")
+    for key, kind, name in (("stats", dict, "object"),
+                            ("env", dict, "object"),
+                            ("vocabulary", list, "array")):
+        value = manifest.get(key)
+        if value is not None and not isinstance(value, kind):
+            raise ValidationError(
+                f"manifest {key} must be a JSON {name}, got {value!r}")
+    stats = ServingStats.from_dict(manifest.get("stats") or {})
+    check_manifest_values(manifest.get("drift_threshold"),
+                          manifest.get("unabsorbed_energy", 0.0), stats)
+    return stats
 
 
 def environment_fingerprint() -> dict:
@@ -300,9 +343,7 @@ def _replacing(target: Path):
 
     The bytes go to a temporary name beside ``target``, which is then
     renamed over it: a process that maps the old file keeps its old
-    bytes, and an error leaves ``target`` untouched.  Callers write
-    through the handle because ``np.save`` appends ``.npy`` to any
-    other name.
+    bytes, and an error leaves ``target`` untouched.
     """
     staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
@@ -313,10 +354,39 @@ def _replacing(target: Path):
         staging.unlink(missing_ok=True)
 
 
+def _write_npy(handle, array: np.ndarray) -> str:
+    """Write ``array`` to ``handle`` as ``np.save`` does; return the
+    ``sha256:<hex>`` digest of the bytes written.
+
+    numpy writes the header.  The data goes out straight from the
+    array; a strided one (a store that is a view of a wider buffer)
+    goes out row by row, where ``np.save`` would take its buffered
+    copy.  Each chunk is hashed as it goes out, so the file is never
+    read back.
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array))
+    if array.flags.c_contiguous:
+        chunks = [array]
+    elif array.flags.f_contiguous:
+        chunks = [array.T]  # np.save writes Fortran order's bytes as is
+    else:
+        chunks = [np.ascontiguousarray(row) for row in array]
+    digest = hashlib.sha256(header.getvalue())
+    handle.write(header.getvalue())
+    for chunk in chunks:
+        digest.update(chunk)
+        handle.write(chunk)
+    return f"sha256:{digest.hexdigest()}"
+
+
 def write_bundle(path, bundle: IndexBundle) -> Path:
     """Persist ``bundle`` to directory ``path`` (created if needed).
 
-    Writes one ``.npy`` per array, straight from the bundle's arrays.
+    Writes one ``.npy`` per array, straight from the bundle's arrays,
+    with the bytes ``np.save`` would write, and records each file's
+    digest as its bytes go out.
 
     Returns the bundle directory.  Overwrites an existing bundle at the
     same path by renaming each new file over the old one, the manifest
@@ -343,10 +413,9 @@ def write_bundle(path, bundle: IndexBundle) -> Path:
     }
     checksums = {}
     for name in _ARRAYS:
-        array_path = directory / f"{name}.npy"
-        with _replacing(array_path) as handle:
-            np.save(handle, np.asarray(arrays[name]), allow_pickle=False)
-        checksums[f"{name}.npy"] = sha256_file(array_path)
+        with _replacing(directory / f"{name}.npy") as handle:
+            checksums[f"{name}.npy"] = _write_npy(
+                handle, np.asarray(arrays[name]))
 
     version_digest = hashlib.sha256(
         "".join(checksums[key] for key in sorted(checksums))
@@ -424,7 +493,9 @@ def checksum_failures(directory, manifest: dict
         payload is intact), in manifest array order.
     """
     directory = Path(directory)
-    recorded = manifest.get("checksums") or {}
+    recorded = manifest.get("checksums")
+    if not isinstance(recorded, dict):
+        recorded = {}
     failures = []
     for name in (f"{array}.npy" for array in _ARRAYS):
         array_path = directory / name
@@ -499,6 +570,7 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
     arrays = _load_npy_arrays(directory, mmap=mmap)
     vocabulary = manifest.get("vocabulary")
     try:
+        stats = check_manifest(manifest)
         bundle = IndexBundle(
             u=arrays["u"],
             singular_values=arrays["singular_values"],
@@ -510,7 +582,7 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
             tombstones=tuple(int(d) for d in arrays["tombstones"]),
             unabsorbed_energy=manifest.get("unabsorbed_energy", 0.0),
             drift_threshold=manifest.get("drift_threshold"),
-            stats=ServingStats.from_dict(manifest.get("stats") or {}),
+            stats=stats,
             vocabulary=tuple(vocabulary) if vocabulary else None,
             index_version=str(manifest.get("index_version", "")),
             created_at=str(manifest.get("created_at", "")),
@@ -523,7 +595,7 @@ def read_bundle(path, *, mmap: bool = False) -> IndexBundle:
                 "n_documents": bundle.n_documents}
     for key, actual in expected.items():
         recorded = manifest.get(key)
-        if recorded is not None and int(recorded) != actual:
+        if recorded is not None and recorded != actual:
             raise PersistenceError(
                 f"bundle {directory} manifest/array mismatch: manifest "
                 f"says {key}={recorded}, arrays say {actual}")

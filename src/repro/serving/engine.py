@@ -27,6 +27,9 @@ the terms a block touches (the gathered rows of ``Uₖ``).
 The document GEMM is always one call over the whole store: column
 panels under a cache budget measured 0.98–1.01x of it on 20k- and
 100k-document stores (2-core host) and are not bitwise-identical to it.
+The store may be a ``(k, m)`` view of a wider buffer, as a served
+index's store is once it takes fold-ins; BLAS scores it in place, with
+the bits of a contiguous copy from 4 columns up.
 
 :class:`LRUResultCache` memoises rankings keyed on (index generation,
 the bytes of the query's term ids and weights, cutoff), so repeated
@@ -406,8 +409,8 @@ class BatchQueryEngine:
         tombstones: ids excluded from rankings (their scores report 0).
 
     Scoring is float64, and rankings equal the per-query path's.
-    float64 arrays, read-only maps included, are used as they are,
-    without a copy.
+    float64 arrays, read-only maps and views of wider buffers included,
+    are used as they are, without a copy.
     """
 
     def __init__(self, term_basis, doc_unit, doc_norms, *, tombstones=()):

@@ -32,9 +32,11 @@ state: its :class:`~repro.serving.writer.IndexWriter`, whose document
 store ``(doc_unit, doc_norms)`` is the only copy of the documents.  A
 load hands the bundle's arrays to the writer as they are, every engine
 scores the writer's arrays without copying them, and a save writes
-them as they are; so a mapped index keeps serving and mutating over
-read-only maps.  Saves publish new files by rename, so they never
-truncate a file a reader maps.
+them as they are.  No write touches a column of a store the writer has
+published: a fold-in fills spare columns past it, so an engine built
+before the fold-in still ranks its own generation, and a mapped index
+keeps serving and mutating over read-only maps.  Saves publish new
+files by rename, so they never truncate a file a reader maps.
 """
 
 from __future__ import annotations
@@ -224,9 +226,9 @@ class ServedIndex:
     def mmapped(self) -> bool:
         """Whether the document store is still a bundle's mapped file.
 
-        True from a load with ``config.mmap=True`` until a fold-in or
-        a refit replaces the store; a removal keeps it, since it only
-        masks ids.
+        True from a load with ``config.mmap=True`` until a fold-in
+        copies the store into an appendable buffer or a refit replaces
+        it; a removal keeps it, since it only masks ids.
         """
         return isinstance(self._writer.store[0], np.memmap)
 
@@ -450,7 +452,8 @@ class ServedIndex:
     def save(self, path) -> Path:
         """Persist the index as a bundle directory; returns the path.
 
-        The writer's arrays are written as they are, not copied.
+        The writer's arrays are written as they are, not copied (a
+        store with spare columns row by row).
         Saving over a bundle that this index or another one maps is
         safe: :func:`~repro.serving.bundle.write_bundle` renames new
         files over the old ones, and the maps keep the old bytes.

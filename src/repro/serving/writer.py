@@ -39,10 +39,22 @@ fitted ``Vₖᵀ = Σ⁻¹·(doc_unit·doc_norms)`` on demand, and incremental
 refits start from it, so they give the same bits with or without a
 save and load in between.
 
-The writer never edits its arrays in place: updates concatenate onto
-the store and refits replace the factors and store outright.  That is
-what lets :meth:`IndexWriter.from_state` adopt a bundle's read-only
-memory maps as they are.
+The store is appendable.  The writer holds it in a C-ordered
+``(k, capacity)`` buffer and a ``(capacity,)`` norms buffer and
+publishes their leading ``m`` columns; a fold-in projects and
+normalises its ``p`` columns into the spare ones and publishes the
+longer views, so it costs what it adds.  When the spare room runs out
+the buffer grows to fit the fold plus an eighth of the store, which
+copies the store: appending ``n`` columns one at a time copies it
+O(log n) times.  Builds, refits and loads install exact, contiguous
+stores, so the first fold-in after one of them copies too.
+
+No write touches a column that a published store covers: a fold-in
+writes only past the end of every view handed out, a removal touches
+no column, and a refit installs new arrays.  That is what lets
+:meth:`IndexWriter.from_state` adopt a bundle's read-only memory maps
+as they are, and an engine built on one store keep ranking it while
+later fold-ins fill the buffer behind it.
 """
 
 from __future__ import annotations
@@ -63,6 +75,13 @@ from repro.utils.validation import check_fraction, \
     check_non_negative_int, check_rank
 
 __all__ = ["IndexWriter"]
+
+#: A growing store reserves spare room for ``1/_GROWTH_DIVISOR`` of its
+#: columns beyond the fold that outgrew it.  Geometric growth keeps the
+#: copies O(log n) over n appends.  The fraction stays small because
+#: numpy advises huge pages for arrays of 4 MB and up, so the spare
+#: columns of a large C-ordered buffer are resident too.
+_GROWTH_DIVISOR = 8
 
 
 def _normalize_in_place(columns: np.ndarray) -> np.ndarray:
@@ -127,11 +146,18 @@ class IndexWriter:
 
     def _adopt(self, u, singular_values, frobenius_norm_sq, store,
                n_original) -> None:
-        """Serve these arrays as they are, with an empty fold buffer."""
+        """Serve these arrays as they are, with an empty fold buffer.
+
+        The store is its own buffer, with no spare room: the first
+        fold-in copies it into one that has some.
+        """
         self._u = u
         self._singular_values = singular_values
         self._frobenius_norm_sq = float(frobenius_norm_sq)
         self._store = store
+        # (doc_unit, doc_norms) of which the store is the leading
+        # columns; columns past them are spare room for fold-ins.
+        self._store_buffer = store
         self._n_original = int(n_original)
         self._view: "LSIModel | None" = None
         # Fold-in columns, verbatim, for refit() to merge into the
@@ -191,8 +217,11 @@ class IndexWriter:
         """The read-only document store ``(doc_unit, doc_norms)``.
 
         ``doc_unit`` is ``(k, m)``, every stored vector at unit length;
-        ``doc_norms`` their lengths.  Writes replace the pair in one
-        assignment, so another thread never reads a mixed pair.
+        ``doc_norms`` their lengths.  After a fold-in both are views of
+        wider buffers (``doc_unit``'s row stride exceeds ``m``).  No
+        write touches the columns a returned pair covers, and writes
+        replace the pair in one assignment, so another thread never
+        reads a mixed pair.
         """
         return self._store
 
@@ -239,7 +268,9 @@ class IndexWriter:
                 columns.
 
         Each column is projected (``Uₖᵀ·c``), normalised on its own and
-        appended to the store.  Its out-of-subspace energy is added to
+        written into the spare columns of the store's buffer, which
+        grows (a copy of the store) only when it has no room for them.
+        Its out-of-subspace energy is added to
         the drift numerator, so drift never decreases on an add.  The
         columns themselves are buffered (term space, verbatim) so the
         next ``refit()`` can absorb them into the basis incrementally;
@@ -271,15 +302,28 @@ class IndexWriter:
         captured = np.sum(projected * projected, axis=0)
         self._fold_energy += float(
             np.sum(np.maximum(total - captured, 0.0)))
-        norms = _normalize_in_place(projected)
-        doc_unit, doc_norms = self._store
-        first = int(doc_unit.shape[1])
-        self._store = (np.concatenate([doc_unit, projected], axis=1),
-                       np.concatenate([doc_norms, norms]))
+        first = self.n_documents
+        end = first + projected.shape[1]
+        unit, norms = self._store_buffer
+        if end > unit.shape[1]:
+            # No spare room below 8 columns, so every store with spare
+            # columns is at least 9 wide: OpenBLAS's GEMV scores a
+            # strided store of 3 or fewer columns with other bits than
+            # the contiguous store a save and load give back.
+            capacity = end + first // _GROWTH_DIVISOR
+            doc_unit, doc_norms = self._store
+            unit = np.empty((doc_unit.shape[0], capacity))
+            unit[:, :first] = doc_unit
+            norms = np.empty(capacity)
+            norms[:first] = doc_norms
+            self._store_buffer = (unit, norms)
+        if end > first:  # even an empty write fails on a read-only map
+            norms[first:end] = _normalize_in_place(projected)
+            unit[:, first:end] = projected
+            self._store = (unit[:, :end], norms[:end])
         self._fold_buffer.append(stored)
         self._fold_ins += projected.shape[1]
-        return np.arange(first, first + projected.shape[1],
-                         dtype=np.int64)
+        return np.arange(first, end, dtype=np.int64)
 
     def remove_documents(self, doc_ids) -> None:
         """Tombstone documents (fold-out).
@@ -538,7 +582,8 @@ class IndexWriter:
         The writer adopts the basis, spectrum and store as they are —
         nothing is copied or computed, so restoring from a bundle's
         read-only memory maps touches no page of them.  That is safe
-        because the writer never edits its arrays in place.
+        because no write touches a column of a published store: the
+        first fold-in copies the adopted store into a new buffer.
 
         Bundles do not persist the term-space fold buffer, so the
         restored ``unabsorbed_energy`` lands in the non-fold bucket

@@ -482,6 +482,20 @@ class TestCommittedBaseline:
         assert "sparse_batched_matches_looped" \
             not in entry["time_metrics"]
 
+    def test_roundtrip_claims_hold_in_baseline(self):
+        # Save → load exactness, pinned to the committed report: for a
+        # fitted index, and, eager and mapped, for one whose store took
+        # a dense and a CSR fold-in (a view of a wider buffer) and a
+        # removal.
+        document = load_report(self.BASELINE)
+        entry = next(entry for entry in document["results"]
+                     if entry["benchmark"]
+                     == "serving_bundle_roundtrip[smoke]")
+        assert entry["metrics"]["roundtrip_rankings_exact"] == 1.0
+        assert entry["metrics"]["folded_roundtrip_rankings_exact"] == 1.0
+        assert "folded_roundtrip_rankings_exact" \
+            not in entry["time_metrics"]
+
     def test_text_pipeline_claim_holds_in_baseline(self):
         # The text front end's acceptance claim, pinned to the committed
         # report: fit, fold-in transform and query vectors equal the

@@ -833,7 +833,10 @@ class TestStreamedPeakRss:
         # stays well under the eager fit's.  The scale bench gates the
         # real < 0.5x claim on a 10x corpus; this asserts the same
         # inequality on a ~160 MB synthetic one.  Fresh subprocesses
-        # because peak RSS is a process high-water mark.
+        # because peak RSS is a process high-water mark.  The eager arm
+        # peaks at np.hstack, before its fit starts; the randomized
+        # engine reaches that peak as Lanczos does, in a fraction of
+        # Lanczos's time on this flat-spectrum matrix.
         child = r"""
 import resource, sys
 import numpy as np
@@ -862,7 +865,7 @@ def blocks():
 
 if sys.argv[1] == "eager":
     full = np.hstack(list(blocks()))
-    LSIModel.fit(full, RANK, engine="lanczos", seed=0)
+    LSIModel.fit(full, RANK, engine="randomized", seed=0)
 else:
     LSIModel.fit_streamed(blocks(), RANK, oversample=8)
 print(peak_rss_kb())

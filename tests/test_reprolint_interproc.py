@@ -403,6 +403,57 @@ class TestR120Probes:
             """)
         assert codes(lint_tree(tmp_path, ["R120"])) == []
 
+    def test_exception_caught_around_the_call_is_not_raised(
+            self, tmp_path):
+        write(tmp_path, ERRORS_MODULE, filename="errors.py")
+        write(tmp_path, """\
+            from errors import ConvergenceError, ShapeError, \\
+                ValidationError
+
+            def _inner(x):
+                if x:
+                    raise ShapeError("bad")
+                raise ConvergenceError("slow")
+
+            def outer(x):
+                \"\"\"Do a thing.
+
+                Raises:
+                    ConvergenceError: from the inner step.
+                \"\"\"
+                try:
+                    return _inner(x)
+                except ValidationError as error:
+                    raise ConvergenceError("wrapped") from error
+            """)
+        assert codes(lint_tree(tmp_path, ["R120"])) == []
+        # The handler covers only the try body: the same call after it
+        # still raises ShapeError through to outer's callers.
+        write(tmp_path, """\
+            from errors import ConvergenceError, ShapeError, \\
+                ValidationError
+
+            def _inner(x):
+                if x:
+                    raise ShapeError("bad")
+                raise ConvergenceError("slow")
+
+            def outer(x):
+                \"\"\"Do a thing.
+
+                Raises:
+                    ConvergenceError: from the inner step.
+                \"\"\"
+                try:
+                    _inner(x)
+                except ValidationError as error:
+                    raise ConvergenceError("wrapped") from error
+                return _inner(x)
+            """)
+        result = lint_tree(tmp_path, ["R120"])
+        assert codes(result) == ["R120"]
+        assert "ShapeError" in result.violations[0].message
+
     def test_unresolvable_try_body_is_left_alone(self, tmp_path):
         write(tmp_path, ERRORS_MODULE, filename="errors.py")
         write(tmp_path, """\

@@ -1,10 +1,14 @@
 """Tests for the serving layer: bundles, batching, fold-in, facade."""
 
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lsi import LSIModel
@@ -35,7 +39,8 @@ from repro.serving import (
     read_manifest,
     stable_top_k,
 )
-from repro.serving.bundle import MANIFEST_NAME, sha256_file
+from repro.serving.bundle import MANIFEST_NAME, IndexBundle, \
+    sha256_file, write_bundle
 from repro.utils.validation import check_top_k
 
 ENGINES = ("lanczos", "subspace", "randomized", "exact")
@@ -669,6 +674,187 @@ class TestStoreProperties:
         assert np.array_equal(writer.store[1], doc_norms)
 
 
+@st.composite
+def served_histories(draw):
+    """An index of one to 12 documents at rank 1, 3 or 8, then
+    interleaved fold-ins of 1–60 dense or CSR columns, removals,
+    queries of 1–5 columns and incremental refits."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    n_documents = draw(st.integers(1, 12))
+    rank = draw(st.sampled_from([1, 3, 8]))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("fold"), st.integers(1, 60), st.booleans()),
+        st.tuples(st.just("remove"), st.integers(1, 3)),
+        st.tuples(st.just("query"), st.sampled_from([1, 2, 3, 5])),
+        st.tuples(st.just("refit"))), min_size=1, max_size=8))
+    return seed, n_documents, rank, steps
+
+
+def _fold(index, columns):
+    """Fold ``columns`` into ``index``; whether the store kept its
+    buffer (shares memory with the store before the fold-in)."""
+    before = index._writer.store
+    index.add_documents(columns)
+    after = index._writer.store
+    return all(np.shares_memory(a, b) for a, b in zip(before, after))
+
+
+class TestAppendableStore:
+    @given(served_histories())
+    @example((0, 1, 8, [("fold", 1, False), ("fold", 1, True),
+                        ("query", 1), ("fold", 2, False), ("refit",),
+                        ("fold", 1, True), ("remove", 1)]))
+    @settings(max_examples=40, deadline=None)
+    def test_live_index_scores_like_its_reloads(self, case):
+        # Fold-ins write into spare columns of a wider buffer, so the
+        # live store is a strided view while a reload is contiguous;
+        # both must score every query block with the same bits.
+        seed, n_documents, rank, steps = case
+        local = np.random.default_rng(seed)
+        # Factors rather than a fit, so a store can be narrower than
+        # the rank: OpenBLAS's GEMV gives a strided store of 3 or fewer
+        # columns other bits than a contiguous one only from k = 4 up.
+        basis, _ = np.linalg.qr(local.standard_normal((24, rank)))
+        spectrum = np.sort(local.random(rank) + 0.5)[::-1]
+        rows = local.standard_normal((rank, n_documents))
+        index = ServedIndex(LSIModel(SVDResult(
+            basis, spectrum, rows, float(np.sum(spectrum ** 2)) + 1.0)))
+        queries = local.random((24, 5))
+        queries[queries < 0.4] = 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            for step in steps:
+                if step[0] == "fold":
+                    block = local.random((24, step[1]))
+                    block[block < 0.5] = 0.0
+                    index.add_documents(CSRMatrix.from_dense(block)
+                                        if step[2] else block)
+                elif step[0] == "remove":
+                    live = [d for d in range(index.n_documents)
+                            if d not in index.tombstones]
+                    doomed = local.choice(live, size=min(
+                        step[1], len(live) - 1), replace=False)
+                    if doomed.size:
+                        index.remove_documents(doomed.tolist())
+                elif step[0] == "query":
+                    index.rank_batch(queries[:, :step[1]], top_k=3)
+                else:
+                    index.refit()
+                path = index.save(Path(tmp) / "b")
+                for mmap in (False, True):
+                    reloaded = ServedIndex.load(
+                        path, config=ServingConfig(mmap=mmap))
+                    for width in (1, 2, 3, 5):
+                        block = queries[:, :width]
+                        assert np.array_equal(
+                            reloaded._engine().score_batch(block),
+                            index._engine().score_batch(block))
+                        assert np.array_equal(reloaded.rank_batch(block),
+                                              index.rank_batch(block))
+                    for column in queries.T:
+                        assert np.array_equal(reloaded.score(column),
+                                              index.score(column))
+
+    def test_engine_taken_before_a_fold_in_ranks_its_generation(
+            self, model, queries, rng):
+        index = ServedIndex(model)
+        index.add_documents(rng.random((model.n_terms, 4)))
+        engine = index._engine()
+        ranked = engine.rank_batch(queries)
+        scores = engine.score_batch(queries)
+        # 34 documents in a 37-column buffer: these fill its spare room.
+        assert _fold(index, rng.random((model.n_terms, 3)))
+        assert engine.n_documents == 34
+        assert np.array_equal(engine.rank_batch(queries), ranked)
+        assert np.array_equal(engine.score_batch(queries), scores)
+        assert index._engine().n_documents == 37
+
+    def test_only_growth_and_first_fold_ins_copy_the_store(
+            self, model, rng, tmp_path):
+        built = ServedIndex(model)
+        loaded = ServedIndex.load(built.save(tmp_path / "b"),
+                                  config=ServingConfig(mmap=True))
+        refitted = ServedIndex(model)
+        refitted.add_documents(rng.random((model.n_terms, 2)))
+        refitted.refit()
+        for index in (built, loaded, refitted):
+            # The first fold-in after a build, load or refit copies the
+            # store into a buffer with room for an eighth more ...
+            assert not _fold(index, rng.random((model.n_terms, 2)))
+            # ... which later fold-ins fill without copying ...
+            for _ in range(3):
+                assert _fold(index, rng.random((model.n_terms, 1)))
+            # ... until one outgrows it.
+            assert not _fold(index, rng.random((model.n_terms, 5)))
+            assert _fold(index, rng.random((model.n_terms, 1)))
+
+    @pytest.mark.parametrize("sparse", [False, True],
+                             ids=["dense", "csr"])
+    def test_empty_fold_into_a_mapped_store(self, model, tmp_path,
+                                            sparse):
+        # Zero columns write nothing, so the read-only map an index
+        # adopted on load stays its store.
+        index = ServedIndex.load(ServedIndex(model).save(tmp_path / "b"),
+                                 config=ServingConfig(mmap=True))
+        empty = np.zeros((model.n_terms, 0))
+        ids = index.add_documents(CSRMatrix.from_dense(empty)
+                                  if sparse else empty)
+        assert ids.dtype == np.int64 and ids.size == 0
+        assert index.mmapped
+        assert index.n_documents == model.n_documents
+
+    def test_single_column_appends_copy_logarithmically(self, model, rng):
+        index = ServedIndex(model)
+        copies = sum(not _fold(index, column[:, None])
+                     for column in rng.random((2000, model.n_terms)))
+        # Each copy leaves room for an eighth of the store beyond the
+        # fold, so the store grows by more than 9/8 between copies.
+        bound = 1 + math.log(index.n_documents / model.n_documents) \
+            / math.log(9 / 8)
+        assert copies <= bound
+
+
+class TestBundleBytes:
+    ARRAYS = ("u", "singular_values", "frobenius_norm_sq", "doc_unit",
+              "doc_norms", "tombstones")
+
+    def _bundle(self, rng, store):
+        k, wide = 4, 30
+        buffer = rng.random((k, wide))
+        doc_unit = {"contiguous": buffer[:, :25].copy(),
+                    "padded": buffer[:, :25],
+                    "empty": buffer[:, :0]}[store]
+        m = doc_unit.shape[1]
+        return IndexBundle(
+            # LAPACK hands back Fortran-ordered bases.
+            u=np.asfortranarray(rng.random((9, k))),
+            singular_values=rng.random(k), frobenius_norm_sq=3.0,
+            doc_unit=doc_unit, doc_norms=rng.random(wide)[:m],
+            n_original=m)
+
+    def _expected(self, bundle):
+        arrays = {name: getattr(bundle, name) for name in self.ARRAYS}
+        arrays["frobenius_norm_sq"] = np.float64(bundle.frobenius_norm_sq)
+        arrays["tombstones"] = np.zeros(0, dtype=np.int64)
+        saved = {}
+        for name, array in arrays.items():
+            out = io.BytesIO()
+            np.save(out, array, allow_pickle=False)
+            saved[f"{name}.npy"] = out.getvalue()
+        return saved
+
+    @pytest.mark.parametrize("store", ["contiguous", "padded", "empty"])
+    def test_files_are_np_save_bytes(self, rng, tmp_path, store):
+        # Contiguous, Fortran-ordered, strided, 0-d and empty arrays
+        # all get np.save's bytes, and the digests recorded on the way
+        # out are the files' own.
+        bundle = self._bundle(rng, store)
+        path = write_bundle(tmp_path / "b", bundle)
+        checksums = read_manifest(path)["checksums"]
+        for name, expected in self._expected(bundle).items():
+            assert (path / name).read_bytes() == expected
+            assert checksums[name] == sha256_file(path / name)
+
+
 class TestBundleRoundTrip:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_roundtrip_preserves_rankings_dense(
@@ -810,6 +996,63 @@ class TestBundleRejection:
         assert captured.out == ""
         assert "invalid manifest value" in captured.err
         assert key in captured.err
+
+    @pytest.mark.parametrize("mmap", [False, True],
+                             ids=["eager", "mmap"])
+    @pytest.mark.parametrize("key, value", [
+        ("stats", 5),
+        ("stats", "abc"),
+        ("stats", [1]),
+        ("n_documents", "abc"),
+        ("rank", "x"),
+        ("n_tombstoned", "x"),
+        ("captured_energy", "x"),
+        ("env", 5),
+        ("vocabulary", 5),
+    ], ids=["stats-number", "stats-string", "stats-list",
+            "n_documents-string", "rank-string", "n_tombstoned-string",
+            "captured_energy-string", "env-number", "vocabulary-number"])
+    def test_bad_manifest_shape_rejected(self, served, key, value, mmap,
+                                         tmp_path, capsys):
+        from repro.cli import main
+
+        # A field of the wrong JSON type fails the load and the text
+        # report through one shared check, as the value rules do,
+        # instead of escaping as TypeError/ValueError or loading as
+        # zero counters.
+        path = served.save(tmp_path / "b")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest[key] = value
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match=f"manifest {key} "
+                           f"must be"):
+            ServedIndex.load(path, config=ServingConfig(mmap=mmap))
+        assert main(["serve-stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid manifest value" in captured.err
+        assert key in captured.err
+
+    def test_malformed_checksums_record_no_digest(self, served, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+
+        # A checksums field that is not an object records no digest:
+        # verification names every file instead of crashing, and a
+        # mapped load, which skips verification, still serves.
+        path = served.save(tmp_path / "b")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["checksums"] = 5
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError,
+                           match="6 file.*no recorded checksum"):
+            ServedIndex.load(path)
+        mapped = ServedIndex.load(path, config=ServingConfig(mmap=True))
+        assert mapped.n_documents == served.n_documents
+        for extra in ([], ["--json"]):
+            assert main(["serve-stats", str(path), "--verify",
+                         *extra]) == 2
+            assert "no recorded checksum" in "".join(capsys.readouterr())
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_legacy_schema_refused(self, served, version, tmp_path,

@@ -37,8 +37,8 @@ R113   Lock/blocking discipline (interprocedural): blocking calls
        order across functions, and workers submitted under a lock
        they themselves acquire (scoped via ``r113-scope``).
 R120   Exception-contract flow (interprocedural): transitively
-       raised taxonomy exceptions missing from ``Raises:``
-       docstrings, public APIs raising builtins outside the
+       raised taxonomy exceptions, less those caught around the
+       call, missing from ``Raises:`` docstrings, public APIs raising builtins outside the
        ``repro.errors`` taxonomy, and provably unreachable
        ``except`` clauses (scoped via ``r120-scope``).
 =====  ==============================================================

@@ -27,7 +27,8 @@ Two rule families run on the resolved graph:
   a worker submitted to a pool while the submitter holds a lock the
   worker also acquires;
 - **R120 exception-contract flow** — transitively raised taxonomy
-  exceptions missing from an existing ``Raises:`` docstring section;
+  exceptions missing from an existing ``Raises:`` docstring section
+  (less what an enclosing ``try`` catches at the call site);
   public APIs directly raising taxonomy exceptions with no ``Raises:``
   section at all; public APIs raising builtin exceptions outside the
   project's ``errors`` taxonomy; ``except`` clauses provably
@@ -244,7 +245,8 @@ class CallGraph:
 
         Keys are taxonomy class ids or ``("b", builtin-name)`` pairs;
         unresolved raise references and unresolved callees contribute
-        nothing (fail-open).
+        nothing (fail-open).  What a callee raises inside a ``try``
+        whose handler catches it (the type or an ancestor) stays there.
         """
         memo = self._raises_memo
         if fid in memo:
@@ -261,8 +263,13 @@ class CallGraph:
                 keys.add(key)
         for call in summary.get("calls", ()):
             resolved = self._resolve_call(fid, call)
-            if resolved is not None:
-                keys |= self.raises_closure(resolved)
+            if resolved is None:
+                continue
+            handled = [self.exception_key(module, ref)
+                       for ref in call.get("handled", ())]
+            keys |= {key for key in self.raises_closure(resolved)
+                     if not any(self.key_matches(key, caught)
+                                for caught in handled)}
         memo[fid] = frozenset(keys)
         return memo[fid]
 

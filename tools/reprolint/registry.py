@@ -158,7 +158,8 @@ CATALOGUE = {
         "description": (
             "Exception-contract flow on the project call graph: "
             "taxonomy exceptions a public API can raise transitively "
-            "but its Raises: docstring section omits; public APIs "
+            "(and does not catch around the call) but its Raises: "
+            "docstring section omits; public APIs "
             "raising taxonomy exceptions with no Raises: section at "
             "all; public APIs raising builtin exceptions outside the "
             "repro.errors taxonomy; and except clauses no resolved "

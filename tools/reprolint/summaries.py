@@ -17,7 +17,8 @@ the summary records what the project pass needs:
   origin (``np.zeros`` → ``numpy.zeros``), a bare local name, a
   ``self.method`` reference carrying the enclosing class, or a method
   on a variable whose class was inferred from a constructor call —
-  each with the lock tokens held at the call site;
+  each with the lock tokens held at the call site and the exception
+  types the ``except`` clauses of enclosing ``try`` bodies catch;
 - **locks** — ``threading.Lock``/``RLock`` tokens acquired via
   ``with`` (instance attributes, module globals, function locals),
   the nested acquisition order pairs, and the blocking operations /
@@ -348,6 +349,8 @@ class _EffectWalker:
         self.submits: list = []
         self.raises: list = []
         self.trys: list = []
+        # Caught-type references of the enclosing try bodies' handlers.
+        self.handled: list = []
 
     # -- token / type helpers ------------------------------------------
 
@@ -406,7 +409,11 @@ class _EffectWalker:
                 continue
             if isinstance(stmt, ast.Try):
                 self._record_try(stmt)
+                caught = [ref for handler in stmt.handlers
+                          for ref in self._caught_refs(handler.type)]
+                self.handled.extend(caught)
                 self.walk(stmt.body, held)
+                del self.handled[len(self.handled) - len(caught):]
                 for handler in stmt.handlers:
                     self.walk(handler.body, held)
                 self.walk(stmt.orelse, held)
@@ -478,10 +485,11 @@ class _EffectWalker:
                                      "worker": worker,
                                      "held": sorted(held)})
         if ref["kind"] in ("origin", "local", "self", "var"):
-            self.calls.append({"line": call.lineno,
-                               "col": call.col_offset,
-                               "ref": ref,
-                               "held": sorted(held)})
+            record = {"line": call.lineno, "col": call.col_offset,
+                      "ref": ref, "held": sorted(held)}
+            if self.handled:
+                record["handled"] = list(self.handled)
+            self.calls.append(record)
 
     def _blocking_op(self, call: ast.Call, ref: dict) -> "str | None":
         if ref["kind"] == "origin":
