@@ -1,6 +1,6 @@
-"""Benches S1–S3, S5 and S8: the serving layer.
+"""Benches S1–S3, S5, S8 and S9: the serving layer.
 
-Five families:
+Six families:
 
 - ``serving_batched_queries`` — the tentpole perf claim: ranking a
   query block through :class:`~repro.serving.engine.BatchQueryEngine`'s
@@ -24,7 +24,13 @@ Five families:
 - ``serving_microbatch_dispatch`` — the micro-batching dispatcher:
   single-query submissions coalesced into batches under
   ``max_batch``/``max_wait_ms``, recording throughput, mean flush
-  size, and exactness against direct ranking.
+  size, and exactness against direct ranking;
+- ``serving_two_stage_scan`` — the certified two-stage top-k: an engine
+  over an in-memory store scans a float32 copy and rescores its
+  candidates in float64, and must rank exactly like an engine over the
+  same store mapped from disk, which scans in float64.  The store holds
+  duplicated, zero and tombstoned documents; the per-miss times of both
+  engines and their ratio are recorded.
 
 The ``scale`` sizes serve from :func:`harness.fixtures.
 synthetic_index_factors` instead of fitting LSI — at 100k documents
@@ -404,4 +410,72 @@ def bench_serving_microbatch_dispatch(params, seed):
         "timeout_flushes": stats.timeout_flushes,
         "coalesced": stats.coalesced,
         "dispatch_exact": bool(exact),
+    }
+
+
+@benchmark(name="serving_two_stage_scan", tags=("serving", "perf"),
+           sizes={"smoke": {"n_terms": 400, "rank": 16,
+                            "n_documents": 4200, "n_queries": 48},
+                  "full": {"n_terms": 2000, "rank": 64,
+                           "n_documents": 8000, "n_queries": 128},
+                  "scale": {"n_terms": 4096, "rank": 96,
+                            "n_documents": 20_000, "n_queries": 256}},
+           time_metrics=("float64_miss_us", "float32_miss_us",
+                         "miss_speedup"))
+def bench_serving_two_stage_scan(params, seed):
+    """S9: a float32 scan plus float64 rescoring ranks exactly like a
+    float64 scan of the same store, and costs less per cache miss."""
+    import tempfile
+
+    n_docs = params["n_documents"]
+    svd = synthetic_index_factors(params["n_terms"], params["rank"],
+                                  n_docs, seed)
+    vectors = svd.singular_values[:, None] * svd.vt
+    # The last eighth repeats the first (exact ties), and a few
+    # documents are zero vectors.
+    vectors[:, n_docs - n_docs // 8:] = vectors[:, :n_docs // 8]
+    rng = as_generator(seed + 1)
+    vectors[:, rng.choice(n_docs, size=n_docs // 50,
+                          replace=False)] = 0.0
+    doc_unit, doc_norms = normalize_columns(vectors)
+    tombstones = rng.choice(n_docs, size=n_docs // 50,
+                            replace=False).tolist()
+    queries = _sparse_query_block(params["n_terms"], params["n_queries"],
+                                  seed + 2)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc_unit.npy"
+        np.save(path, doc_unit)
+        # Same store, same bits: a mapped store is scanned in float64,
+        # an in-memory one this size through a float32 copy.
+        engines = {
+            "float32": BatchQueryEngine(svd.u, doc_unit, doc_norms,
+                                        tombstones=tombstones),
+            "float64": BatchQueryEngine(svd.u,
+                                        np.load(path, mmap_mode="r"),
+                                        doc_norms, tombstones=tombstones),
+        }
+        exact = all(
+            np.array_equal(engines["float32"].rank_batch(block, top_k=k),
+                           engines["float64"].rank_batch(block, top_k=k))
+            for block, k in ((queries, 1), (queries, 10),
+                             (queries, 100), (queries[:, :8], None)))
+        misses = {
+            name: measure(
+                lambda engine=engine: np.stack(
+                    [engine.rank_documents(query, top_k=10)
+                     for query in queries.T]),
+                warmup=1, repeats=3)
+            for name, engine in engines.items()}
+        engines.clear()
+    per_miss = {name: timing.mean_seconds / queries.shape[1] * 1e6
+                for name, timing in misses.items()}
+    exact = exact and np.array_equal(misses["float32"].result,
+                                     misses["float64"].result)
+    return {
+        "float64_miss_us": per_miss["float64"],
+        "float32_miss_us": per_miss["float32"],
+        "miss_speedup": per_miss["float64"]
+        / max(per_miss["float32"], 1e-12),
+        "two_stage_rankings_exact": bool(exact),
     }

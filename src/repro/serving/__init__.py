@@ -10,9 +10,10 @@ retrieval service needs:
   by every layer below;
 - :mod:`repro.serving.bundle` — versioned, checksummed on-disk index
   bundles holding one copy of the document store, loaded strictly;
-- :mod:`repro.serving.engine` — batched float64 query execution (whole
-  query blocks in single GEMMs), exact stable top-``k`` extraction, the
-  shared :class:`CacheKey`, and an LRU result cache;
+- :mod:`repro.serving.engine` — batched query execution (whole query
+  blocks in single GEMMs), a certified two-stage top-``k`` whose
+  rankings are one float64 kernel's with ascending-id ties, the shared
+  :class:`CacheKey`, and an LRU result cache;
 - :mod:`repro.serving.writer` — incremental fold-in and tombstoning
   with monotone Eckart–Young drift accounting and refit recommendation;
 - :mod:`repro.serving.stats` — the per-index counters behind

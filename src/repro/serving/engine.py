@@ -4,11 +4,10 @@ Scoring one query against rank-``k`` LSI is two small GEMVs; scoring a
 block of ``q`` queries one at a time wastes the hardware the paper's §5
 cost model is fighting for.  :class:`BatchQueryEngine` instead folds
 the whole ``(n × q)`` query block into the LSI space with one product,
-computes every cosine with a second GEMM against the index's unit store
-``doc_unit``, used as given, and takes top-``k`` per query — while
-reproducing the per-query path's rankings *exactly*, including the
-stable ascending-id tie-break of ``np.argsort(kind="stable")``
-(see :func:`~repro.linalg.dense.stable_top_k`).
+scans every document with a second GEMM, and takes top-``k`` per query
+by descending float64 cosine with ascending-id ties, the policy of
+``np.argsort(kind="stable")`` (see
+:func:`~repro.linalg.dense.stable_top_k`).
 
 A query costs its terms, not the vocabulary.  :class:`QueryBatch`
 holds each query as its nonzero terms — ascending term ids and their
@@ -18,18 +17,55 @@ fold reads only the rows of ``Uₖ`` the block touches
 that touches every row multiplies ``Uₖ`` in place, so dense queries
 keep the plain GEMM and its bits.
 
-Scores are float64 cosines, the only precision the engine computes
-in.  Per-thread scratch buffers hold the projected block, the unit
-queries, and the similarity matrix, so repeated batches of one shape
-run through ``out=`` products; the only other allocations scale with
-the terms a block touches (the gathered rows of ``Uₖ``).
+A finite ``top_k`` is ranked in two stages, the move the paper's §5
+makes for the decomposition as a whole: do the bulk of the work in a
+cheaper representation with a proven distortion bound, then do exact
+work only where it matters.
 
-The document GEMM is always one call over the whole store: column
-panels under a cache budget measured 0.98–1.01x of it on 20k- and
-100k-document stores (2-core host) and are not bitwise-identical to it.
-The store may be a ``(k, m)`` view of a wider buffer, as a served
-index's store is once it takes fold-ins; BLAS scores it in place, with
-the bits of a contiguous copy from 4 columns up.
+1. *Scan.*  One GEMM scores every document, against a float32 copy of
+   ``doc_unit`` when the engine holds one (half the bytes to read) and
+   against ``doc_unit`` itself otherwise.  :func:`_scan_error_bound`
+   bounds how far a scan score can sit from the document's ranking
+   score, so every document that can reach the top ``top_k`` scans
+   within twice that bound of the ``top_k``-th scan score.  Those are
+   the candidates.
+2. *Rank.*  ``stable_top_k`` sorts the candidates by scan score, and
+   each run of adjacent scores closer than the window is re-sorted by
+   the float64 cosines of :func:`_cosines`, the one ranking kernel,
+   ties by ascending id.  Candidates in different runs scan more than
+   the window apart, so their cosines keep the scan's order, and the
+   kernel runs only where the scan cannot decide.
+
+A ranking is therefore the kernel's order over every active document,
+ties by ascending id: it does not depend on which scan ran, on where a
+document sits in the store, or on how BLAS blocked or threaded the
+scan.  (The fold is one product per block, so a query's folded vector
+can still differ in its last bit between blocks of different widths,
+and with it the order of two documents whose cosines tie to that bit.)
+A full ranking (``top_k=None``) scans in float64, sorts every active
+document without a stable sort, since every tie lies in a run the
+kernel re-sorts, and re-sorts its runs.
+:meth:`BatchQueryEngine.score` and
+:meth:`~BatchQueryEngine.score_batch` return the float64 scan's
+cosines, which can differ from ranking scores in the last bit.
+
+The engine makes its float32 copy at construction, when its store is
+held in memory and has at least ``2¹⁶`` elements: one conversion per
+engine, and half the store again in memory.  A memory-mapped store (a
+cold start) and a small one are scanned in float64 as given, without a
+copy.
+
+Per-thread scratch buffers hold the projected block, the unit queries,
+and the scan scores, so repeated batches of one shape run through
+``out=`` products; the only other allocations scale with the terms a
+block touches and with the candidates.
+
+The scan GEMM is always one call over the whole store: column panels
+under a cache budget measured 0.98–1.01x of it on 20k- and
+100k-document stores (2-core host).  The store may be a ``(k, m)`` view
+of a wider buffer, as a served index's store is once it takes fold-ins;
+BLAS scans it in place, with the bits of a contiguous copy from 4
+columns up.
 
 :class:`LRUResultCache` memoises rankings keyed on (index generation,
 the bytes of the query's term ids and weights, cutoff), so repeated
@@ -39,6 +75,7 @@ at all.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import NamedTuple
@@ -57,6 +94,88 @@ __all__ = [
     "QueryBatch",
     "stable_top_k",
 ]
+
+#: An engine copies an in-memory store of at least this many elements
+#: to float32 for its scan.  Below it a float64 scan costs a few µs,
+#: and converting at every engine build would cost more than it saves.
+_SCAN_COPY_MIN_ELEMENTS = 1 << 16
+
+_FLOAT64_ROUNDOFF = 2.0 ** -53
+
+
+def _scan_error_bound(rank: int, dtype) -> float:
+    """A bound on ``|scan score − ranking score|`` for one document.
+
+    Both scores are cosines of a unit query ``q`` and a unit document
+    column ``d`` with ``k = rank`` coordinates: the scan's from a BLAS
+    product in ``dtype`` (float32 or float64), the ranking score from
+    :func:`_cosines` in float64.  Write ``u`` for the scan's unit
+    roundoff (``2⁻²⁴`` in float32, ``2⁻⁵³`` in float64), ``v = 2⁻⁵³``
+    for the kernel's, and ``γₙ(u) = n·u / (1 − n·u)``.
+
+    - A float32 scan rounds its inputs, ``q̂ᵢ = qᵢ(1 + αᵢ)`` and
+      ``d̂ᵢ = dᵢ(1 + βᵢ)`` with ``|αᵢ|, |βᵢ| ≤ u``, so
+      ``|q̂·d̂ − q·d| ≤ (2u + u²)·Σ|qᵢdᵢ|``.  A float64 scan rounds
+      nothing.
+    - A ``k``-term dot product summed in any order, with or without
+      fused multiply-adds, lies within ``γₖ(u)·Σ|q̂ᵢd̂ᵢ|`` of its
+      exact value (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, §3.1), however BLAS blocks, vectorises or threads
+      it.  The kernel's own sum lies within ``γₖ(v)·Σ|qᵢdᵢ|`` of
+      ``q·d``.
+    - ``Σ|qᵢdᵢ| ≤ ‖q‖·‖d‖`` (Cauchy–Schwarz), and a normalised column's
+      norm is within ``(k + 2)·v`` of 1.  The factor ``1 + 2⁻²⁰``
+      covers those norms and the ``(1 + u)²`` between ``Σ|q̂ᵢd̂ᵢ|`` and
+      ``Σ|qᵢdᵢ|``.
+    - Underflow, flushed to zero or not, moves a float32 input,
+      product or partial sum by at most ``2⁻¹²⁶``, so the sum by at
+      most ``8k·2⁻¹²⁶ = k·2⁻¹²³``; float64 underflow moves it far less.
+    - Zeroing zero documents and zero-norm queries, and clipping both
+      scores to [−1, 1], widens no gap between them.
+
+    So the bound is ``((2u + u²) + γₖ(u) + γₖ(v))·(1 + 2⁻²⁰) + k·2⁻¹²³``
+    for a float32 scan, about ``(k + 2)·2⁻²⁴``, and
+    ``2·γₖ(v)·(1 + 2⁻²⁰) + k·2⁻¹²³`` for a float64 scan, about
+    ``k·2⁻⁵²``.
+    """
+    def gamma(n, unit):
+        return n * unit / (1.0 - n * unit)
+
+    unit = float(np.finfo(dtype).eps) / 2.0
+    relative = gamma(rank, unit) + gamma(rank, _FLOAT64_ROUNDOFF)
+    if unit > _FLOAT64_ROUNDOFF:
+        relative += 2.0 * unit + unit * unit
+    return relative * (1.0 + 2.0 ** -20) + rank * 2.0 ** -123
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_window(rank: int, dtype) -> float:
+    """How far below a cutoff scan score a candidate may sit.
+
+    Twice :func:`_scan_error_bound`: a document whose scan score is
+    more than that below ``top_k`` others' has a ranking score below
+    all of theirs.  Two units of the scan's roundoff more cover
+    rounding the cutoff, or a gap between two scores, in the scan's
+    precision.
+    """
+    return 2.0 * _scan_error_bound(rank, dtype) \
+        + float(np.finfo(dtype).eps)
+
+
+def _cosines(doc_unit, ids, query) -> np.ndarray:
+    """The ranking kernel: ``doc_unit[:, ids]ᵀ·query`` in float64.
+
+    It gathers the columns into the rows of a C-ordered ``(c, k)``
+    array, multiplies each row by the query and sums it with numpy's
+    pairwise summation, whose order depends on ``k`` alone.  So a
+    document's bits do not depend on the other candidates, on its place
+    among them, or on where it sits in the store.  A BLAS product over
+    gathered columns does not promise that: a GEMV gave other bits to
+    columns at the ragged edge of its blocking.
+    """
+    gathered = np.ascontiguousarray(doc_unit.T[ids])
+    np.multiply(gathered, query, out=gathered)
+    return gathered.sum(axis=1)
 
 
 class QueryBatch:
@@ -384,21 +503,25 @@ class _BatchScratch(threading.local):
     because a micro-batching dispatcher's flusher thread and the caller
     threads score through one index's engine at once, and a shared
     similarity buffer would race.
+
+    ``scans`` maps a scan's dtype to its ``(unit queries, scores)``
+    buffers, made on the first scan in that dtype: a float64 scan reads
+    the float64 unit queries themselves.
     """
 
-    n_queries = -1
-    projected = None
-    unit = None
-    sims = None
+    def __init__(self) -> None:
+        # threading.local runs this once in every thread that uses it.
+        self.n_queries = -1
+        self.projected = self.unit = np.empty((0, 0))
+        self.scans: "dict[np.dtype, tuple[np.ndarray, np.ndarray]]" = {}
 
 
 class BatchQueryEngine:
     """Projects and cosine-ranks query blocks in single GEMMs.
 
     The engine is a read-only view over an index generation's document
-    store, which it scores as given: the serving layer hands it the
-    writer's arrays and discards the engine whenever the writer
-    mutates the store.
+    store: the serving layer hands it the writer's arrays and discards
+    the engine whenever the writer mutates the store.
 
     Args:
         term_basis: the ``(n, k)`` orthonormal LSI basis ``Uₖ``.
@@ -408,12 +531,17 @@ class BatchQueryEngine:
             norm is at most ``ZERO_NORM_TOL`` scores 0.
         tombstones: ids excluded from rankings (their scores report 0).
 
-    Scoring is float64, and rankings equal the per-query path's.
+    Rankings are the float64 ranking kernel's order, ties by ascending
+    id, whichever scan found the candidates (see the module notes).
     float64 arrays, read-only maps and views of wider buffers included,
-    are used as they are, without a copy.
+    are used as they are, without a copy.  When ``doc_unit`` is held
+    in memory (not an ``np.memmap``) and has at least ``2¹⁶`` elements,
+    the engine also keeps a float32 copy of it to scan.
     """
 
     def __init__(self, term_basis, doc_unit, doc_norms, *, tombstones=()):
+        # Before np.asarray, which turns a map into a plain ndarray.
+        mapped = isinstance(doc_unit, np.memmap)
         basis = np.asarray(term_basis, dtype=np.float64)
         unit = np.asarray(doc_unit, dtype=np.float64)
         norms = np.asarray(doc_norms)
@@ -429,18 +557,21 @@ class BatchQueryEngine:
         self._basis = basis
         self._doc_unit = unit
         self._doc_zero = norms <= ZERO_NORM_TOL
-        self._tombstones = frozenset(int(d) for d in tombstones)
+        self._zero_ids = np.flatnonzero(self._doc_zero)
+        dead = sorted({int(d) for d in tombstones})
         n_docs = int(unit.shape[1])
-        bad = [d for d in self._tombstones if not 0 <= d < n_docs]
+        bad = [d for d in dead if not 0 <= d < n_docs]
         if bad:
             raise ValidationError(
-                f"tombstoned ids {sorted(bad)} out of range for "
+                f"tombstoned ids {bad} out of range for "
                 f"{n_docs} documents")
-        self._dead = np.zeros(n_docs, dtype=bool)
-        if self._tombstones:
-            self._dead[sorted(self._tombstones)] = True
+        self._dead = np.array(dead, dtype=np.int64)
         self._n_docs = n_docs
         self._n_terms = int(basis.shape[0])
+        self._scan_unit = (unit.astype(np.float32)
+                           if not mapped
+                           and unit.size >= _SCAN_COPY_MIN_ELEMENTS
+                           else unit)
         self._scratch = _BatchScratch()
 
     @classmethod
@@ -468,7 +599,7 @@ class BatchQueryEngine:
     @property
     def n_active(self) -> int:
         """Documents eligible to appear in rankings."""
-        return self._n_docs - len(self._tombstones)
+        return self._n_docs - self._dead.size
 
     def _as_batch(self, queries) -> QueryBatch:
         """Coerce an array / vector sequence into a :class:`QueryBatch`."""
@@ -484,47 +615,64 @@ class BatchQueryEngine:
                 f"{self._n_terms}")
         return batch
 
-    def _buffers(self, n_queries: int) -> _BatchScratch:
-        """This thread's scratch, (re)allocated when the width changes."""
+    def _score_into(self, batch: QueryBatch, store: np.ndarray):
+        """Fold ``batch`` and score it against ``store``, which is
+        ``doc_unit`` or its float32 copy, in this thread's scratch.
+
+        Returns ``(scores, unit, zero)``: the ``(q, m)`` scores in the
+        store's dtype (owned by the scratch, so valid until the next
+        call on this thread), the float64 unit queries ``(k, q)``, and
+        which queries have zero norm.  Zero-norm queries and zero
+        documents score exactly 0, and every score is clipped to
+        [−1, 1]; tombstones are the caller's.
+        """
         scratch = self._scratch
+        n_queries = batch.n_queries
         if scratch.n_queries != n_queries:
             rank = self._basis.shape[1]
             scratch.projected = np.empty((rank, n_queries))
             scratch.unit = np.empty((rank, n_queries))
-            scratch.sims = np.empty((n_queries, self._n_docs))
+            scratch.scans = {}
             scratch.n_queries = n_queries
-        return scratch
-
-    def _score_into(self, batch: QueryBatch) -> np.ndarray:
-        """Score ``batch`` into this thread's scratch buffers.
-
-        Returns the ``(q, m)`` similarity view (owned by the scratch —
-        valid until the next call on this thread).  Semantics match
-        :meth:`score_batch`: zero-norm queries, zero documents, and
-        tombstoned documents score exactly 0.
-        """
-        scratch = self._buffers(batch.n_queries)
         rows, block = batch._touched()
         fold_rows(self._basis, rows, block, out=scratch.projected)
         norms = normalize_columns_into(scratch.projected, scratch.unit,
                                        zero_tol=ZERO_NORM_TOL)
-        sims = scratch.sims
-        np.matmul(scratch.unit.T, self._doc_unit, out=sims)
-        sims[norms <= ZERO_NORM_TOL, :] = 0.0
-        sims[:, self._doc_zero] = 0.0
-        np.clip(sims, -1.0, 1.0, out=sims)
-        if self._tombstones:
-            sims[:, self._dead] = 0.0
-        return sims
+        buffers = scratch.scans.get(store.dtype)
+        if buffers is None:
+            queries = scratch.unit if store.dtype == scratch.unit.dtype \
+                else np.empty(scratch.unit.shape, dtype=store.dtype)
+            buffers = scratch.scans[store.dtype] = (
+                queries, np.empty((n_queries, self._n_docs),
+                                  dtype=store.dtype))
+        queries, scores = buffers
+        if queries is not scratch.unit:
+            np.copyto(queries, scratch.unit)
+        np.matmul(queries.T, store, out=scores)
+        zero = norms <= ZERO_NORM_TOL
+        scores[zero, :] = 0.0
+        if self._zero_ids.size:
+            scores[:, self._zero_ids] = 0.0
+        np.clip(scores, -1.0, 1.0, out=scores)
+        return scores, scratch.unit, zero
+
+    def _scores(self, batch: QueryBatch) -> np.ndarray:
+        """The float64 scan with tombstones scoring 0, as a scratch
+        view (see :meth:`_score_into`)."""
+        scores = self._score_into(batch, self._doc_unit)[0]
+        if self._dead.size:
+            scores[:, self._dead] = 0.0
+        return scores
 
     def score_batch(self, queries) -> np.ndarray:
         """Cosine scores of every document for every query, ``(q, m)``.
 
         One product folds the block through the rows of ``Uₖ`` it
-        touches, a GEMM computes all cosines.  Zero-norm queries,
-        zero-vector documents, and tombstoned documents score exactly
-        0, matching the per-query path.  The returned array is the
-        caller's (a copy of the internal scratch).
+        touches, a float64 GEMM computes all cosines.  Zero-norm
+        queries, zero-vector documents, and tombstoned documents score
+        exactly 0, matching the per-query path.  A score can differ
+        from the ranking kernel's in the last bit.  The returned array
+        is the caller's (a copy of the internal scratch).
 
         Raises:
             ShapeError: when the queries are not in the index's term
@@ -532,7 +680,7 @@ class BatchQueryEngine:
             ValidationError: on a non-finite entry.
         """
         batch = self._as_batch(queries)
-        return self._score_into(batch).copy()
+        return self._scores(batch).copy()
 
     def score(self, query_vector) -> np.ndarray:
         """Cosine scores for one term-space query (length ``m``).
@@ -543,15 +691,19 @@ class BatchQueryEngine:
             ValidationError: on a non-finite entry.
         """
         batch = self._as_batch(QueryBatch.from_vector(query_vector))
-        return self._score_into(batch)[0].copy()
+        return self._scores(batch)[0].copy()
 
     def rank_batch(self, queries, *, top_k=None) -> np.ndarray:
         """Ranked ids per query as a ``(q, top_k_eff)`` array.
 
         ``top_k`` follows the shared policy (``None`` = all), further
         clamped to the number of non-tombstoned documents; tombstoned
-        ids never appear.  Besides the returned id block, a call
-        allocates only what scales with the terms the block touches.
+        ids never appear.  A finite cutoff scans the float32 copy when
+        the engine holds one, a full ranking the float64 store; either
+        way the ranking is the ranking kernel's order, ties by
+        ascending id.  Besides the returned id block, a call allocates
+        only what scales with the terms the block touches and with the
+        candidates.
 
         Raises:
             ShapeError: when the queries are not in the index's term
@@ -561,13 +713,62 @@ class BatchQueryEngine:
         """
         batch = self._as_batch(queries)
         top_k = min(check_top_k(top_k, self._n_docs), self.n_active)
-        scores = self._score_into(batch)
-        if self._tombstones:
+        full = top_k == self.n_active
+        store = self._doc_unit if full else self._scan_unit
+        scores, unit, zero = self._score_into(batch, store)
+        if self._dead.size:
             scores[:, self._dead] = -np.inf
+        window = _scan_window(self._basis.shape[1], store.dtype)
         out = np.empty((batch.n_queries, top_k), dtype=np.int64)
         for row in range(batch.n_queries):
-            out[row] = stable_top_k(scores[row], top_k)
+            out[row] = self._rank(scores[row], None if zero[row]
+                                  else unit[:, row], top_k, full, window)
         return out
+
+    def _rank(self, scan, query, top_k: int, full: bool, window: float):
+        """Stage two: one query's top ``top_k`` ids from its scan row.
+
+        The candidates are every document within ``window`` of the
+        ``top_k``-th scan score (every active one when ``full``).
+        They are sorted by scan score, and each run of adjacent scores
+        closer than ``window`` is re-sorted by the ranking kernel, ties
+        by ascending id.  Documents in different runs scan more than
+        ``window`` apart, so their ranking scores are in the scan's
+        order: the result is the kernel's order.  A zero-norm ``query``
+        (``None``) ties every active document at 0: its ranking is
+        their ids, ascending.
+        """
+        if query is None:
+            return stable_top_k(scan, top_k)
+        if not full:
+            n_docs = scan.shape[0]
+            cutoff = np.partition(scan, n_docs - top_k)[n_docs - top_k]
+            ids = np.flatnonzero(scan >= cutoff - window)
+            order = ids[stable_top_k(scan[ids], ids.size)]
+        else:
+            # Every tie lies in a run that is re-sorted below, so a
+            # full ranking need not pay for a stable sort.
+            order = np.argsort(-scan)[:top_k]
+        if order.size < 2:
+            return order[:top_k]
+        # Descending scores: gaps[i] = scan(i + 1) − scan(i) ≤ 0.
+        gaps = np.diff(scan[order])
+        if gaps.max() < -window:
+            return order[:top_k]
+        close = gaps >= -window
+        member = np.zeros(order.size, dtype=bool)
+        member[:-1] = close
+        member[1:] |= close
+        members = np.flatnonzero(member)
+        # Consecutive members form one group: sorting two touching runs
+        # together leaves them in the same order.
+        groups = np.cumsum(np.diff(members, prepend=-2) > 1)
+        ids = order[members]
+        scores = _cosines(self._doc_unit, ids, query)
+        scores[self._doc_zero[ids]] = 0.0
+        np.clip(scores, -1.0, 1.0, out=scores)
+        order[members] = ids[np.lexsort((ids, -scores, groups))]
+        return order[:top_k]
 
     def rank_documents(self, query_vector, *, top_k=None) -> np.ndarray:
         """Ranked ids for one query (the batched kernel, q = 1).
@@ -584,4 +785,4 @@ class BatchQueryEngine:
     def __repr__(self) -> str:
         return (f"BatchQueryEngine(n_terms={self._n_terms}, "
                 f"k={self._basis.shape[1]}, m={self._n_docs}, "
-                f"tombstoned={len(self._tombstones)})")
+                f"tombstoned={self._dead.size})")

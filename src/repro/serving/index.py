@@ -31,12 +31,13 @@ Whether built, fitted, or loaded (mapped or not), an index holds one
 state: its :class:`~repro.serving.writer.IndexWriter`, whose document
 store ``(doc_unit, doc_norms)`` is the only copy of the documents.  A
 load hands the bundle's arrays to the writer as they are, every engine
-scores the writer's arrays without copying them, and a save writes
-them as they are.  No write touches a column of a store the writer has
-published: a fold-in fills spare columns past it, so an engine built
-before the fold-in still ranks its own generation, and a mapped index
-keeps serving and mutating over read-only maps.  Saves publish new
-files by rename, so they never truncate a file a reader maps.
+ranks from the writer's arrays (an engine over a large in-memory store
+scans its own float32 copy), and a save writes them as they are.  No
+write touches a column of a store the writer has published: a fold-in
+fills spare columns past it, so an engine built before the fold-in
+still ranks its own generation, and a mapped index keeps serving and
+mutating over read-only maps.  Saves publish new files by rename, so
+they never truncate a file a reader maps.
 """
 
 from __future__ import annotations
@@ -264,9 +265,11 @@ class ServedIndex:
     def _engine(self) -> BatchQueryEngine:
         """The query engine for the current generation (lazily built).
 
-        Every engine scores the writer's float64 basis and store as
-        they are, without a copy, so a mapped index reads no document
-        page until a GEMM touches it.
+        Every engine ranks from the writer's float64 basis and store
+        as they are.  An engine over an in-memory store of at least
+        ``2¹⁶`` elements also scans a float32 copy it makes itself; a
+        mapped store is scanned in place, so a mapped index reads no
+        document page until a GEMM touches it.
 
         The generation is read before the store: a write that lands
         during the build then leaves the engine tagged with the older
@@ -416,8 +419,14 @@ class ServedIndex:
         return model
 
     def _bump(self) -> None:
-        """Advance the generation and drop stale cache entries."""
+        """Advance the generation and drop stale cache entries.
+
+        Also drops the superseded engine, so its store (and float32
+        copy) is not kept alive until the next query; a reader that
+        already holds it keeps its own reference.
+        """
         self._generation += 1
+        self._engine_state = None
         self._cache.clear()
 
     # ------------------------------------------------------------------

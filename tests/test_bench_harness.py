@@ -496,6 +496,19 @@ class TestCommittedBaseline:
         assert "folded_roundtrip_rankings_exact" \
             not in entry["time_metrics"]
 
+    def test_two_stage_claim_holds_in_baseline(self):
+        # The two-stage top-k's acceptance claim, pinned to the
+        # committed report: a float32 scan plus float64 rescoring ranks
+        # exactly like a float64 scan of the same store; the per-miss
+        # timings stay ungated time metrics.
+        document = load_report(self.BASELINE)
+        entry = next(entry for entry in document["results"]
+                     if entry["benchmark"]
+                     == "serving_two_stage_scan[smoke]")
+        assert entry["metrics"]["two_stage_rankings_exact"] == 1.0
+        assert set(entry["time_metrics"]) == {
+            "float64_miss_us", "float32_miss_us", "miss_speedup"}
+
     def test_text_pipeline_claim_holds_in_baseline(self):
         # The text front end's acceptance claim, pinned to the committed
         # report: fit, fold-in transform and query vectors equal the
@@ -529,8 +542,9 @@ class TestScaleBaseline:
 
     def test_gated_serving_claims_hold_in_baseline(self):
         # The serving acceptance claims, pinned to the committed report:
-        # mmap cold start is small and bit-identical, and the streamed
-        # fit stays under its memory cap.
+        # mmap cold start is small and bit-identical, the streamed fit
+        # stays under its memory cap, and the two-stage top-k ranks
+        # exactly like a float64 scan.
         document = load_report(self.BASELINE)
         metrics = {entry["benchmark"]: entry["metrics"]
                    for entry in document["results"]}
@@ -542,6 +556,8 @@ class TestScaleBaseline:
         assert capped["rss_ratio"] < 0.5
         assert capped["streamed_rss_under_half"] == 1.0
         assert capped["streamed_agreement_ok"] == 1.0
+        two_stage = metrics["serving_two_stage_scan[scale]"]
+        assert two_stage["two_stage_rankings_exact"] == 1.0
 
 
 class TestMarkdownSummary:

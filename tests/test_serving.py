@@ -1,10 +1,13 @@
 """Tests for the serving layer: bundles, batching, fold-in, facade."""
 
+import gc
 import io
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.ir.retriever import Retriever
-from repro.linalg.dense import normalize_columns
+from repro.linalg.dense import ZERO_NORM_TOL, normalize_columns
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import SVDResult
 from repro.serving import (
@@ -39,6 +42,7 @@ from repro.serving import (
     read_manifest,
     stable_top_k,
 )
+from repro.serving import engine as engine_module
 from repro.serving.bundle import MANIFEST_NAME, IndexBundle, \
     sha256_file, write_bundle
 from repro.utils.validation import check_top_k
@@ -366,6 +370,223 @@ class TestBatchedEquivalence:
                 model.term_basis,
                 *normalize_columns(model.document_vectors()),
                 tombstones=(999,))
+
+
+def _with_copy(basis, doc_unit, doc_norms, tombstones=()):
+    """An engine that scans a float32 copy whatever its store's size."""
+    with mock.patch.object(engine_module, "_SCAN_COPY_MIN_ELEMENTS", 0):
+        engine = BatchQueryEngine(basis, doc_unit, doc_norms,
+                                  tombstones=tombstones)
+    assert engine._scan_unit.dtype == np.float32
+    return engine
+
+
+def _ranking_scores(doc_unit, doc_norms, ids, query):
+    """The ranking kernel's cosines, 0 for zero documents, clipped."""
+    scores = engine_module._cosines(doc_unit, ids, query)
+    scores[doc_norms[ids] <= ZERO_NORM_TOL] = 0.0
+    return np.clip(scores, -1.0, 1.0)
+
+
+def _kernel_orders(engine, batch, doc_unit, doc_norms, tombstones):
+    """Each query's ids in the ranking kernel's stable order over every
+    active document, from the engine's own folded queries."""
+    _, unit, zero = engine._score_into(batch, engine._doc_unit)
+    unit, zero = unit.copy(), zero.copy()
+    active = np.setdiff1d(np.arange(doc_unit.shape[1]), tombstones)
+    orders = []
+    for column in range(batch.n_queries):
+        scores = np.zeros(active.size) if zero[column] else \
+            _ranking_scores(doc_unit, doc_norms, active, unit[:, column])
+        orders.append(active[np.argsort(-scores, kind="stable")])
+    return orders
+
+
+@st.composite
+def ranking_stores(draw):
+    """A seed, a rank of 1–100, 1–300 documents, 1–4 queries, and
+    whether to plant exact ties, zero documents, tombstones, a
+    zero-norm query and all-positive vectors."""
+    return (draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 100)),
+            draw(st.integers(1, 300)), draw(st.integers(1, 4)),
+            draw(st.fixed_dictionaries({
+                flag: st.booleans() for flag in (
+                    "ties", "zeros", "tombstones", "zero_query",
+                    "positive")})))
+
+
+def _ranking_case(seed, rank, n_docs, n_queries, flags):
+    """``(basis, doc_unit, doc_norms, tombstones, queries)`` for one
+    drawn store."""
+    local = np.random.default_rng(seed)
+    n_terms = rank + int(local.integers(0, 12))
+    basis, _ = np.linalg.qr(local.standard_normal((n_terms, rank)))
+    docs = local.standard_normal((rank, n_docs)) \
+        * 10.0 ** local.uniform(-3, 3, size=n_docs)
+    if flags["positive"]:
+        docs = np.abs(docs)
+    if flags["ties"] and n_docs > 1:
+        copies = local.integers(0, n_docs, size=(2, 1 + n_docs // 4))
+        docs[:, copies[0]] = docs[:, copies[1]]
+    if flags["zeros"]:
+        # Zero documents: some exactly zero, some of norm below
+        # ZERO_NORM_TOL, whose unit columns stay tiny but nonzero.
+        zeros = local.integers(0, n_docs, size=1 + n_docs // 8)
+        docs[:, zeros] = 1e-15 * local.standard_normal((rank, zeros.size))
+        docs[:, zeros[::2]] = 0.0
+    doc_unit, doc_norms = normalize_columns(docs)
+    tombstones = ()
+    if flags["tombstones"] and n_docs > 1:
+        tombstones = tuple(sorted(set(local.integers(
+            0, n_docs, size=int(local.integers(1, n_docs))).tolist())))
+    queries = local.standard_normal((n_terms, n_queries))
+    if flags["positive"]:
+        queries = np.abs(queries)
+    queries[local.random(queries.shape) < 0.3] = 0.0
+    if flags["zero_query"]:
+        queries[:, local.integers(0, n_queries)] = 0.0
+    return basis, doc_unit, doc_norms, tombstones, queries
+
+
+class TestTwoStageRanking:
+    @given(ranking_stores())
+    @example((0, 1, 1, 1, dict.fromkeys(
+        ("ties", "zeros", "tombstones", "zero_query", "positive"),
+        False)))
+    @example((7, 100, 300, 4, dict.fromkeys(
+        ("ties", "zeros", "tombstones", "zero_query", "positive"),
+        True)))
+    @settings(max_examples=60, deadline=None)
+    def test_rankings_are_the_kernels_stable_order(self, case):
+        basis, doc_unit, doc_norms, tombstones, queries = \
+            _ranking_case(*case)
+        batch = QueryBatch(queries)
+        engines = (BatchQueryEngine(basis, doc_unit, doc_norms,
+                                    tombstones=tombstones),
+                   _with_copy(basis, doc_unit, doc_norms, tombstones))
+        assert engines[0]._scan_unit.dtype == np.float64
+        orders = _kernel_orders(engines[0], batch, doc_unit, doc_norms,
+                                tombstones)
+        n_active = orders[0].size
+        for top_k in [*range(1, n_active + 1), None]:
+            expected = np.stack([order[:top_k] for order in orders])
+            for engine in engines:
+                assert np.array_equal(
+                    engine.rank_batch(batch, top_k=top_k), expected)
+        for top_k in {1, max(1, n_active // 2), None}:
+            for engine in engines:
+                for column, order in zip(queries.T, orders):
+                    assert np.array_equal(
+                        engine.rank_documents(column, top_k=top_k),
+                        order[:top_k])
+
+    @pytest.mark.parametrize("family", [
+        "random", "widely-scaled", "all-positive", "near-underflow"])
+    def test_scan_error_is_within_the_bound(self, family):
+        local = np.random.default_rng(29)
+        for rank in (1, 2, 3, 5, 8, 17, 64, 96, 127, 256, 512):
+            shape = (rank, 64)
+            if family == "random":
+                docs = local.standard_normal((rank, 400))
+                raw = local.standard_normal(shape)
+            elif family == "widely-scaled":
+                docs = local.standard_normal((rank, 400)) \
+                    * 10.0 ** local.uniform(-12, 12, size=(rank, 400))
+                raw = local.standard_normal(shape) \
+                    * 10.0 ** local.uniform(-12, 12, size=shape)
+            elif family == "all-positive":
+                docs = local.random((rank, 400)) + 0.5
+                raw = local.random(shape) + 0.5
+            else:
+                # One coordinate near 1, the rest float32 subnormals.
+                docs = 10.0 ** local.uniform(-45, -37, size=(rank, 400))
+                docs[local.integers(0, rank, size=400),
+                     np.arange(400)] = 1.0
+                raw = 10.0 ** local.uniform(-45, -37, size=shape)
+                raw[local.integers(0, rank, size=64), np.arange(64)] = 1.0
+            doc_unit, doc_norms = normalize_columns(docs)
+            # An identity basis folds each query to itself.
+            engine = _with_copy(np.eye(rank), doc_unit, doc_norms)
+            ids = np.arange(doc_unit.shape[1])
+            for dtype in (np.float32, np.float64):
+                store = engine._scan_unit if dtype == np.float32 \
+                    else engine._doc_unit
+                scan, unit, _ = engine._score_into(QueryBatch(raw), store)
+                scan = scan.astype(np.float64)
+                final = np.stack([
+                    _ranking_scores(doc_unit, doc_norms, ids, query)
+                    for query in unit.T])
+                bound = engine_module._scan_error_bound(rank, dtype)
+                assert np.max(np.abs(scan - final)) <= bound, \
+                    (family, rank, dtype)
+
+    def test_the_bound_is_about_k_plus_two_float32_units(self):
+        for rank in (1, 96, 512):
+            bound = engine_module._scan_error_bound(rank, np.float32)
+            assert (rank + 2) * 2.0 ** -24 < bound \
+                < (rank + 2) * 2.0 ** -24 * 1.001
+            bound = engine_module._scan_error_bound(rank, np.float64)
+            assert 2 * rank * 2.0 ** -53 < bound \
+                < 2 * rank * 2.0 ** -53 * 1.001
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 130),
+           st.integers(1, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_bits_ignore_the_candidate_set(self, seed, rank,
+                                                  n_docs):
+        local = np.random.default_rng(seed)
+        doc_unit, _ = normalize_columns(
+            local.standard_normal((rank, n_docs)))
+        # The same columns at an offset inside a wider buffer.
+        offset = int(local.integers(1, 9))
+        wide = np.zeros((rank, n_docs + 16))
+        wide[:, offset:offset + n_docs] = doc_unit
+        view = wide[:, offset:offset + n_docs]
+        query = normalize_columns(local.standard_normal((rank, 1)))[0][:, 0]
+        alone = np.array([engine_module._cosines(doc_unit, [d], query)[0]
+                          for d in range(n_docs)])
+        for _ in range(6):
+            ids = local.permutation(n_docs)[:int(local.integers(
+                1, n_docs + 1))]
+            for store in (doc_unit, view):
+                assert np.array_equal(
+                    engine_module._cosines(store, ids, query), alone[ids])
+
+    def test_copy_only_for_a_large_in_memory_store(self, tmp_path):
+        local = np.random.default_rng(17)
+        rank, n_docs = 16, 4096           # exactly 2¹⁶ elements
+        basis, _ = np.linalg.qr(local.standard_normal((40, rank)))
+        rows = local.standard_normal((rank, n_docs))
+        rows[:, 100:140] = rows[:, :40]   # exact ties
+        rows[:, 200:210] = 0.0            # zero documents
+        spectrum = np.sort(local.random(rank) + 0.5)[::-1]
+        index = ServedIndex(LSIModel(SVDResult(
+            basis, spectrum, rows, float(np.sum(spectrum ** 2)) + 1.0)))
+        index.remove_documents([0, 7, 4095])
+        path = index.save(tmp_path / "b")
+        eager, mapped = (ServedIndex.load(
+            path, config=ServingConfig(mmap=mmap, cache_capacity=0))
+            for mmap in (False, True))
+        assert eager._engine()._scan_unit.dtype == np.float32
+        assert mapped.mmapped
+        assert mapped._engine()._scan_unit.dtype == np.float64
+        doc_unit, doc_norms = index._writer.store
+        small = BatchQueryEngine(basis, doc_unit[:, :-1],
+                                 doc_norms[:-1])
+        assert small._scan_unit.dtype == np.float64
+        small_copy = _with_copy(basis, doc_unit[:, :-1], doc_norms[:-1])
+        queries = local.random((40, 7))
+        queries[queries < 0.5] = 0.0
+        for top_k in (1, 10, 100, 4000, None):
+            expected = eager.rank_batch(queries, top_k=top_k)
+            assert np.array_equal(mapped.rank_batch(queries, top_k=top_k),
+                                  expected)
+            assert np.array_equal(
+                small.rank_batch(queries, top_k=top_k),
+                small_copy.rank_batch(queries, top_k=top_k))
+            for column, row in zip(queries.T, expected):
+                assert np.array_equal(
+                    mapped.rank_documents(column, top_k=top_k), row)
 
 
 class TestLRUResultCache:
@@ -1248,6 +1469,22 @@ class TestServedIndex:
         assert np.array_equal(index.rank_documents(query), old_ranking)
         assert index.score(query).shape == (model.n_documents + 3,)
         assert np.array_equal(index.rank_documents(query), new_ranking)
+
+    @pytest.mark.parametrize("write", ["add", "remove", "refit"])
+    def test_a_write_drops_the_superseded_engine(self, model,
+                                                 dense_matrix, queries,
+                                                 rng, write):
+        index = ServedIndex(model)
+        index.rank_documents(queries[:, 0], top_k=3)
+        engine = weakref.ref(index._engine())
+        if write == "add":
+            index.add_documents(rng.random((model.n_terms, 2)))
+        elif write == "remove":
+            index.remove_documents([0])
+        else:
+            index.refit(dense_matrix, engine="exact")
+        gc.collect()
+        assert engine() is None
 
     def test_concurrent_readers_share_one_engine(self, rng):
         import sys
