@@ -22,7 +22,6 @@ __all__ = [
     "fold_rows",
     "gram_matrix",
     "normalize_columns",
-    "normalize_columns_into",
     "orthonormalize_columns",
     "pairwise_angles",
     "principal_angles",
@@ -59,44 +58,6 @@ def normalize_columns(
     norms = np.linalg.norm(matrix, axis=0)
     safe = np.where(norms > zero_tol, norms, 1.0)
     return matrix / safe, norms
-
-
-def normalize_columns_into(matrix, out, *,
-                           zero_tol: float = ZERO_NORM_TOL) -> np.ndarray:
-    """Allocation-free :func:`normalize_columns` into a scratch buffer.
-
-    The serving hot path calls this once per query batch with a
-    preallocated ``out`` of the batch's shape, so repeated batches of
-    one shape normalise without touching the allocator.  Unlike
-    :func:`normalize_columns` the input is *not* coerced to float64:
-    the computation runs in ``matrix``'s own dtype, and for float64
-    inputs the written values are bit-identical to the allocating
-    version.
-
-    Args:
-        matrix: dense ``(n, p)`` array to normalise (not modified).
-        out: writable ``(n, p)`` array of the same dtype receiving the
-            unit columns; may alias ``matrix``.
-        zero_tol: columns with norm at or below this stay zero vectors.
-
-    Returns:
-        The original column norms, shape ``(p,)``, in ``matrix``'s
-        dtype.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ShapeError(
-            f"matrix must be 2-D, got shape {matrix.shape}")
-    if out.shape != matrix.shape or out.dtype != matrix.dtype:
-        raise ShapeError(
-            f"out (shape {out.shape}, dtype {out.dtype}) does not "
-            f"match matrix (shape {matrix.shape}, dtype "
-            f"{matrix.dtype})")
-    norms = np.linalg.norm(matrix, axis=0)
-    safe = np.where(norms > zero_tol, norms,
-                    matrix.dtype.type(1.0))
-    np.divide(matrix, safe, out=out)
-    return norms
 
 
 def orthonormalize_columns(matrix, *, zero_tol: float = ZERO_NORM_TOL,
@@ -232,13 +193,12 @@ def stable_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
     if top_k <= 0:
         return np.empty(0, dtype=np.int64)
     if top_k >= n:
-        return np.argsort(-scores, kind="stable")
+        return (-scores).argsort(kind="stable")
     cutoff = np.partition(scores, n - top_k)[n - top_k]
-    above = np.flatnonzero(scores > cutoff)
-    ties = np.flatnonzero(scores == cutoff)
+    above = (scores > cutoff).nonzero()[0]
+    ties = (scores == cutoff).nonzero()[0]
     candidates = np.concatenate([above, ties[:top_k - above.size]])
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order]
+    return candidates[(-scores[candidates]).argsort(kind="stable")]
 
 
 def angle_between(u, v) -> float:

@@ -83,8 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
-from repro.linalg.dense import ZERO_NORM_TOL, fold_rows, \
-    normalize_columns_into, stable_top_k
+from repro.linalg.dense import ZERO_NORM_TOL, fold_rows, stable_top_k
 from repro.utils.validation import check_non_negative_int, check_top_k
 
 __all__ = [
@@ -625,6 +624,14 @@ class BatchQueryEngine:
         which queries have zero norm.  Zero-norm queries and zero
         documents score exactly 0, and every score is clipped to
         [−1, 1]; tombstones are the caller's.
+
+        On a small store a text query's fold and scan take a few µs
+        each, no more than numpy's Python wrappers around a ufunc, so
+        this skips the wrappers: ``np.sqrt(np.add.reduce(p * p,
+        axis=0))`` is what ``np.linalg.norm(p, axis=0)`` computes, bit
+        for bit, and the ``ndarray.clip`` method runs ``np.clip``'s
+        ufunc in one pass (``np.maximum`` then ``np.minimum`` would
+        take two, slower on a large store).
         """
         scratch = self._scratch
         n_queries = batch.n_queries
@@ -635,26 +642,33 @@ class BatchQueryEngine:
             scratch.scans = {}
             scratch.n_queries = n_queries
         rows, block = batch._touched()
-        fold_rows(self._basis, rows, block, out=scratch.projected)
-        norms = normalize_columns_into(scratch.projected, scratch.unit,
-                                       zero_tol=ZERO_NORM_TOL)
+        projected = fold_rows(self._basis, rows, block,
+                              out=scratch.projected)
+        unit = scratch.unit
+        # The squares go through ``unit``, which the division overwrites.
+        norms = np.sqrt(np.add.reduce(
+            np.multiply(projected, projected, out=unit), axis=0))
+        zero = norms <= ZERO_NORM_TOL
+        some_zero = np.count_nonzero(zero)
+        np.divide(projected, np.where(zero, 1.0, norms) if some_zero
+                  else norms, out=unit)
         buffers = scratch.scans.get(store.dtype)
         if buffers is None:
-            queries = scratch.unit if store.dtype == scratch.unit.dtype \
-                else np.empty(scratch.unit.shape, dtype=store.dtype)
+            queries = unit if store.dtype == unit.dtype \
+                else np.empty(unit.shape, dtype=store.dtype)
             buffers = scratch.scans[store.dtype] = (
                 queries, np.empty((n_queries, self._n_docs),
                                   dtype=store.dtype))
         queries, scores = buffers
-        if queries is not scratch.unit:
-            np.copyto(queries, scratch.unit)
+        if queries is not unit:
+            queries[...] = unit
         np.matmul(queries.T, store, out=scores)
-        zero = norms <= ZERO_NORM_TOL
-        scores[zero, :] = 0.0
+        if some_zero:
+            scores[zero] = 0.0
         if self._zero_ids.size:
             scores[:, self._zero_ids] = 0.0
-        np.clip(scores, -1.0, 1.0, out=scores)
-        return scores, scratch.unit, zero
+        scores.clip(-1.0, 1.0, out=scores)
+        return scores, unit, zero
 
     def _scores(self, batch: QueryBatch) -> np.ndarray:
         """The float64 scan with tombstones scoring 0, as a scratch
@@ -741,19 +755,20 @@ class BatchQueryEngine:
         if query is None:
             return stable_top_k(scan, top_k)
         if not full:
-            n_docs = scan.shape[0]
-            cutoff = np.partition(scan, n_docs - top_k)[n_docs - top_k]
-            ids = np.flatnonzero(scan >= cutoff - window)
+            kth = scan.shape[0] - top_k
+            cutoff = np.partition(scan, kth)[kth]
+            ids = (scan >= cutoff - window).nonzero()[0]
             order = ids[stable_top_k(scan[ids], ids.size)]
         else:
             # Every tie lies in a run that is re-sorted below, so a
             # full ranking need not pay for a stable sort.
-            order = np.argsort(-scan)[:top_k]
+            order = (-scan).argsort()[:top_k]
         if order.size < 2:
             return order[:top_k]
         # Descending scores: gaps[i] = scan(i + 1) − scan(i) ≤ 0.
-        gaps = np.diff(scan[order])
-        if gaps.max() < -window:
+        ordered = scan[order]
+        gaps = ordered[1:] - ordered[:-1]
+        if np.maximum.reduce(gaps) < -window:
             return order[:top_k]
         close = gaps >= -window
         member = np.zeros(order.size, dtype=bool)

@@ -317,8 +317,16 @@ class ServedIndex:
         """Ranked ids for a query block, ``(q, top_k_eff)``.
 
         Cached queries are answered from the LRU cache; the remaining
-        columns are projected and ranked in single GEMMs.  Results are
-        identical to calling :meth:`rank_documents` per query.
+        columns are projected and ranked in single GEMMs.  Each ranking
+        is the ranking kernel's order, ties by ascending id, for the
+        query as its block folded it.  The misses fold in one BLAS
+        product, so a query's folded vector can differ in its last bit
+        from the one :meth:`rank_documents` folds for it alone, and
+        depends on which other queries missed with it.  Two documents
+        whose cosines tie to that bit can then swap places between the
+        two calls; rankings without such near-ties are the same.  The
+        ROADMAP item "one fold per query" would make a ranking depend on
+        the query and the store alone.
 
         Args:
             queries: a :class:`~repro.serving.engine.QueryBatch`, a
@@ -343,23 +351,27 @@ class ServedIndex:
         self._batches_served += 1
         self._queries_served += batch.n_queries
 
+        cache = self._cache
         out = np.empty((batch.n_queries, top_k), dtype=np.int64)
         missing = []
         keys = []
         for i in range(batch.n_queries):
-            key = CacheKey.for_query(generation, batch, i, top_k)
-            keys.append(key)
-            cached = self._cache.get(key)
+            key = CacheKey(generation, batch.query_hash(i), top_k)
+            cached = cache.get(key)
             if cached is None:
                 missing.append(i)
+                keys.append(key)
             else:
                 out[i] = cached
-        if missing:
-            computed = engine.rank_batch(batch.select(missing),
-                                         top_k=top_k)
-            for row, i in enumerate(missing):
-                out[i] = computed[row]
-                self._cache.put(keys[i], computed[row])
+        if not missing:
+            return out
+        misses = batch.select(missing)
+        computed = engine.rank_batch(misses, top_k=top_k)
+        for key, ranking in zip(keys, computed):
+            cache.put(key, ranking)
+        if misses is batch:
+            return computed
+        out[missing] = computed
         return out
 
     # ------------------------------------------------------------------

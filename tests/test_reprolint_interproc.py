@@ -114,8 +114,8 @@ class TestCallGraphResolution:
         ImportMap into linalg/ on the real tree."""
         package_roots = {"repro": "src/repro"}
         records = {}
-        for rel in ("src/repro/serving/engine.py",
-                    "src/repro/linalg/dense.py",
+        for rel in ("src/repro/serving/writer.py",
+                    "src/repro/linalg/operator.py",
                     "src/repro/utils/validation.py",
                     "src/repro/errors.py"):
             tree = ast.parse((REPO_ROOT / rel).read_text())
@@ -129,12 +129,13 @@ class TestCallGraphResolution:
             record.imports = ()
             records[rel] = record
         graph = build_call_graph(records, package_roots)
-        fid = "repro.serving.engine.BatchQueryEngine._score_into"
+        fid = "repro.serving.writer.IndexWriter.add_documents"
         assert fid in graph.functions
         resolved = {graph._resolve_call(fid, call)
                     for call in graph.functions[fid]["calls"]}
-        assert "repro.linalg.dense.normalize_columns_into" in resolved
-        # ...and the raise flows back across the module boundary.
+        assert "repro.linalg.operator.as_operator" in resolved
+        # ...and the raise flows back across the module boundary:
+        # add_documents raises no ShapeError itself, MatrixOperator does.
         closure = graph.raises_closure(fid)
         assert "repro.errors.ShapeError" in closure
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -349,6 +350,14 @@ class TestBatchedEquivalence:
             model.term_basis, *normalize_columns(model.document_vectors()))
         assert np.all(engine.score(np.zeros(model.n_terms)) == 0.0)
 
+    def test_scores_clip_to_plus_and_minus_one(self):
+        # The scan's cosine of this column's unit vector with itself
+        # rounds to 1 + 2⁻⁵² (OpenBLAS 0.3.31); the clip makes it 1.
+        column = np.random.default_rng(2).standard_normal((3, 1))
+        engine = BatchQueryEngine(np.eye(3), *normalize_columns(column))
+        assert engine.score(column[:, 0]).tolist() == [1.0]
+        assert engine.score(-column[:, 0]).tolist() == [-1.0]
+
     def test_tombstoned_documents_never_ranked(self, model, queries):
         engine = BatchQueryEngine(
             model.term_basis, *normalize_columns(model.document_vectors()),
@@ -444,7 +453,10 @@ def _ranking_case(seed, rank, n_docs, n_queries, flags):
         queries = np.abs(queries)
     queries[local.random(queries.shape) < 0.3] = 0.0
     if flags["zero_query"]:
-        queries[:, local.integers(0, n_queries)] = 0.0
+        # A zero-norm query: exactly zero, or folding to a norm below
+        # ZERO_NORM_TOL, whose unit vector stays tiny but nonzero.
+        queries[:, local.integers(0, n_queries)] *= local.choice(
+            [0.0, 1e-15])
     return basis, doc_unit, doc_norms, tombstones, queries
 
 
@@ -587,6 +599,74 @@ class TestTwoStageRanking:
             for column, row in zip(queries.T, expected):
                 assert np.array_equal(
                     mapped.rank_documents(column, top_k=top_k), row)
+
+
+def _served_from_bundle(path, *, mmap, capacity):
+    """A loaded index whose engine scans a float32 copy when eager and
+    the mapped float64 store when not, whatever the store's size."""
+    index = ServedIndex.load(path, config=ServingConfig(
+        mmap=mmap, cache_capacity=capacity))
+    with mock.patch.object(engine_module, "_SCAN_COPY_MIN_ELEMENTS", 0):
+        scan_dtype = index._engine()._scan_unit.dtype
+    assert scan_dtype == (np.float64 if mmap else np.float32)
+    return index
+
+
+class TestServedRanking:
+    @given(ranking_stores())
+    @example((7, 100, 300, 4, dict.fromkeys(
+        ("ties", "zeros", "tombstones", "zero_query", "positive"),
+        True)))
+    @settings(max_examples=25, deadline=None)
+    def test_misses_and_hits_are_the_kernels_order(self, case):
+        basis, doc_unit, doc_norms, tombstones, queries = \
+            _ranking_case(*case)
+        rank = basis.shape[1]
+        bundle = IndexBundle(
+            u=basis, singular_values=np.ones(rank),
+            frobenius_norm_sq=float(rank), doc_unit=doc_unit,
+            doc_norms=doc_norms, n_original=doc_unit.shape[1],
+            tombstones=tombstones)
+        with tempfile.TemporaryDirectory() as directory, \
+                warnings.catch_warnings():
+            # Zero-norm queries included, serving divides no 0 by 0.
+            warnings.simplefilter("error", RuntimeWarning)
+            path = write_bundle(Path(directory) / "b", bundle)
+            for mmap in (False, True):
+                for capacity in (256, 0):
+                    # One index ranks query by query, the other the
+                    # block: a block folds its misses in one product.
+                    single, block = (
+                        _served_from_bundle(path, mmap=mmap,
+                                            capacity=capacity)
+                        for _ in range(2))
+                    engine = single._engine()
+                    for column in queries.T:
+                        order, = _kernel_orders(
+                            engine, QueryBatch.from_vector(column),
+                            doc_unit, doc_norms, tombstones)
+                        for top_k in (1, 10, None):
+                            for _ in ("miss", "hit"):
+                                assert np.array_equal(
+                                    single.rank_documents(
+                                        column, top_k=top_k),
+                                    order[:top_k])
+                    orders = _kernel_orders(
+                        block._engine(), QueryBatch(queries), doc_unit,
+                        doc_norms, tombstones)
+                    for top_k in (1, 10, None):
+                        expected = np.stack(
+                            [order[:top_k] for order in orders])
+                        for _ in ("miss", "hit"):
+                            assert np.array_equal(
+                                block.rank_batch(queries, top_k=top_k),
+                                expected)
+                    for index in (single, block):
+                        hits = index.stats().cache_hits
+                        if capacity:
+                            assert hits >= 3 * queries.shape[1]
+                        else:
+                            assert hits == 0
 
 
 class TestLRUResultCache:
