@@ -22,9 +22,8 @@ Six families:
   on a subset and check the drift metric is monotone non-decreasing and
   crosses a low refit threshold;
 - ``serving_microbatch_dispatch`` — the micro-batching dispatcher:
-  single-query submissions coalesced into batches under
-  ``max_batch``/``max_wait_ms``, recording throughput, mean flush
-  size, and exactness against direct ranking;
+  single-query submissions coalesced into batches, recording
+  throughput, mean flush size, and exactness against direct ranking;
 - ``serving_two_stage_scan`` — the certified two-stage top-k: an engine
   over an in-memory store scans a float32 copy and rescores its
   candidates in float64, and must rank exactly like an engine over the
@@ -371,12 +370,10 @@ def bench_serving_foldin_drift(params, seed):
 @benchmark(name="serving_microbatch_dispatch", tags=("serving",),
            sizes={"smoke": {"n_terms": 400, "n_topics": 8,
                             "n_documents": 400, "rank": 8,
-                            "n_queries": 96, "max_batch": 16,
-                            "max_wait_ms": 2.0},
+                            "n_queries": 96},
                   "full": {"n_terms": 1500, "n_topics": 12,
                            "n_documents": 1200, "rank": 12,
-                           "n_queries": 256, "max_batch": 32,
-                           "max_wait_ms": 2.0}},
+                           "n_queries": 256}},
            time_metrics=("dispatch_seconds", "dispatch_qps"))
 def bench_serving_microbatch_dispatch(params, seed):
     """S8: the dispatcher coalesces singles into exact batched ranks."""
@@ -385,11 +382,9 @@ def bench_serving_microbatch_dispatch(params, seed):
     queries = _query_block(params["n_terms"], params["n_queries"],
                            seed + 1)
     top_k = 10
-    config = ServingConfig(max_batch=params["max_batch"],
-                           max_wait_ms=params["max_wait_ms"])
 
     start = time.perf_counter()
-    with MicroBatchDispatcher(index, config=config) as dispatcher:
+    with MicroBatchDispatcher(index) as dispatcher:
         futures = [dispatcher.submit(queries[:, i], top_k=top_k)
                    for i in range(queries.shape[1])]
         results = [future.result() for future in futures]
@@ -406,8 +401,6 @@ def bench_serving_microbatch_dispatch(params, seed):
         "dispatch_qps": queries.shape[1] / max(elapsed, 1e-12),
         "batches_flushed": stats.batches,
         "mean_flush_size": stats.completed / max(stats.batches, 1),
-        "size_flushes": stats.size_flushes,
-        "timeout_flushes": stats.timeout_flushes,
         "coalesced": stats.coalesced,
         "dispatch_exact": bool(exact),
     }

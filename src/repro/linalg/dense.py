@@ -114,7 +114,7 @@ def project_onto_basis(vectors, basis) -> np.ndarray:
     raise ShapeError(f"vectors must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def fold_rows(basis, rows, values, *, out=None) -> np.ndarray:
+def fold_rows(basis, rows, values) -> np.ndarray:
     """``basisᵀ·x`` for columns ``x`` that are zero outside ``rows``.
 
     The query fold of LSI (``q ↦ Uₖᵀ·q``) at the cost the paper's §5
@@ -128,13 +128,12 @@ def fold_rows(basis, rows, values, *, out=None) -> np.ndarray:
         rows: ascending distinct row ids the columns touch.
         values: the columns restricted to ``rows``: ``(len(rows),)``
             or ``(len(rows), q)``.
-        out: optional preallocated ``(k,)`` / ``(k, q)`` result.
 
     Returns:
         ``(k,)`` or ``(k, q)``, matching ``values``.
     """
     touched = basis if len(rows) == basis.shape[0] else basis[rows]
-    return np.matmul(touched.T, values, out=out)
+    return np.matmul(touched.T, values)
 
 
 def reconstruct_from_basis(coordinates, basis) -> np.ndarray:

@@ -6,8 +6,7 @@ sound?"; this package answers "can you run it?".  It wraps a fitted
 retrieval service needs:
 
 - :mod:`repro.serving.config` — :class:`ServingConfig`, the one frozen
-  policy object (caching, mmap, micro-batching, streaming fits) shared
-  by every layer below;
+  policy object (caching, mmap, drift, streaming fits);
 - :mod:`repro.serving.bundle` — versioned, checksummed on-disk index
   bundles holding one copy of the document store, loaded strictly;
 - :mod:`repro.serving.engine` — batched query execution (whole query
@@ -22,12 +21,13 @@ retrieval service needs:
   the pieces together behind the shared
   :class:`~repro.ir.retriever.Retriever` protocol;
 - :mod:`repro.serving.dispatch` — :class:`MicroBatchDispatcher`, the
-  latency-bounded queue coalescing single queries into batches.
+  queue coalescing single queries into batches.
 
 One index serves several threads at once: the dispatcher's flusher
 ranks through the same :class:`ServedIndex` that caller threads query
-directly, which is why :class:`LRUResultCache` holds a lock and
-:class:`BatchQueryEngine` keeps its scratch buffers per thread.
+directly.  Readers take no lock beyond :class:`LRUResultCache`'s, since
+a :class:`BatchQueryEngine` holds no mutable state; writes take the
+index's writer lock and run one at a time.
 """
 
 from repro.serving.bundle import (

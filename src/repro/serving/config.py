@@ -1,17 +1,12 @@
 """One frozen configuration object for the whole serving stack.
 
 The serving layer grew its knobs one at a time: ``ServedIndex`` took
-``cache_capacity=...``; ``load`` added ``mmap=...`` on top.  The
-micro-batching dispatcher would have had to re-thread that kwarg
-sprawl.  :class:`ServingConfig` collapses it into a single frozen
-dataclass accepted by
-:class:`~repro.serving.index.ServedIndex` and
-:class:`~repro.serving.dispatch.MicroBatchDispatcher`:
+``cache_capacity=...``; ``load`` added ``mmap=...`` on top.
+:class:`ServingConfig` collapses them into a single frozen dataclass
+accepted by :class:`~repro.serving.index.ServedIndex`:
 
-- one object describes caching, cold-start, micro-batching, and
-  streaming-fit policy; a dispatcher built without one inherits its
-  index's, because its flusher thread ranks through the same index the
-  caller threads query;
+- one object describes caching, cold-start, drift and streaming-fit
+  policy;
 - ``config=`` is the only way in: the entry points take no per-field
   kwargs, so a stray ``cache_capacity=4`` is a :class:`TypeError`
   rather than a silently ignored setting;
@@ -28,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
 from repro.utils.validation import check_fraction, check_non_negative_int, \
     check_positive_int
 
@@ -48,11 +42,6 @@ class ServingConfig:
         drift_threshold: fold-in drift past which a refit is
             recommended (``None`` disables the recommendation).
             Loading a bundle keeps the bundle's persisted threshold.
-        max_batch: dispatcher queue depth that forces a flush — the
-            largest micro-batch the dispatcher will coalesce.
-        max_wait_ms: longest a queued query may wait for co-riders
-            before the dispatcher flushes anyway (0 = flush on every
-            submit).
         stream_block_size: column width of the blocks the streaming
             fit (``ServedIndex.fit_streamed``) and the incremental
             ``refit()`` merge decompose at a time — the knob that
@@ -64,8 +53,6 @@ class ServingConfig:
     mmap: bool = False
     cache_capacity: int = 256
     drift_threshold: "float | None" = 0.1
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
     stream_block_size: int = 256
     stream_oversample: int = 8
 
@@ -73,13 +60,6 @@ class ServingConfig:
         check_non_negative_int(self.cache_capacity, "cache_capacity")
         if self.drift_threshold is not None:
             check_fraction(self.drift_threshold, "drift_threshold")
-        check_positive_int(self.max_batch, "max_batch")
-        if not isinstance(self.max_wait_ms, (int, float)) \
-                or isinstance(self.max_wait_ms, bool) \
-                or self.max_wait_ms < 0:
-            raise ValidationError(
-                f"ServingConfig.max_wait_ms must be a non-negative "
-                f"number, got {self.max_wait_ms!r}")
         check_positive_int(self.stream_block_size, "stream_block_size")
         check_non_negative_int(self.stream_oversample,
                                "stream_oversample")

@@ -1,4 +1,4 @@
-"""Latency-bounded micro-batching in front of a served index.
+"""Micro-batching in front of a served index.
 
 The batched kernel (:mod:`repro.serving.engine`) amortises projection
 and normalisation across a whole query block, but callers arrive one
@@ -9,19 +9,13 @@ queue into :class:`~repro.serving.engine.QueryBatch` blocks and ranks
 them through the underlying index (a
 :class:`~repro.serving.index.ServedIndex`, or anything with
 ``rank_batch`` and a ``generation``).  Callers may keep querying that
-index directly while the flusher ranks through it, so the index's
-result cache takes a lock and its engine keeps per-thread scratch
-buffers.
+index directly while the flusher ranks through it.
 
-Two knobs bound the trade (both live on
-:class:`~repro.serving.config.ServingConfig`):
-
-- ``max_batch`` — a flush fires as soon as this many queries wait, so
-  a burst never builds an unboundedly large GEMM;
-- ``max_wait_ms`` — the longest any query may wait for co-riders
-  before the flusher runs with whatever it has (0 = flush on every
-  submit; batching then only happens when queries arrive faster than
-  the index ranks them).
+The flusher never waits for co-riders.  It ranks whatever queued while
+it was ranking the previous flush, at most :data:`_MAX_FLUSH` queries
+at a time, so a lone query flushes at once and queries batch only when
+they arrive faster than the index ranks them (the measurements behind
+that policy are in ``docs/SERVING.md``).
 
 Queries flush in arrival order, grouped by requested ``top_k`` (a
 block shares one cutoff).  Each query is validated once, on its nonzero
@@ -40,18 +34,20 @@ for a post-mutation submission flushed after the bump.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import DispatcherClosedError, ValidationError
-from repro.serving.config import ServingConfig
 from repro.serving.engine import CacheKey, QueryBatch
 from repro.utils.validation import check_top_k
 
 __all__ = ["DispatchStats", "MicroBatchDispatcher"]
+
+#: The most queries one flush ranks, so a burst never builds an
+#: unbounded block.
+_MAX_FLUSH = 32
 
 
 @dataclass(frozen=True)
@@ -65,35 +61,25 @@ class DispatchStats:
         batches: flushes that reached the index.
         coalesced: queries answered by sharing another identical
             query's computed row instead of their own.
-        size_flushes: flushes triggered by the queue reaching
-            ``max_batch``.
-        timeout_flushes: flushes triggered by the ``max_wait_ms``
-            deadline.
-        close_flushes: flushes triggered by :meth:`close` draining
-            the queue.
     """
 
     submitted: int = 0
     completed: int = 0
     batches: int = 0
     coalesced: int = 0
-    size_flushes: int = 0
-    timeout_flushes: int = 0
-    close_flushes: int = 0
 
 
 class _Pending:
     """One queued query, as a validated one-query batch, awaiting a
     flush."""
 
-    __slots__ = ("batch", "top_k", "future", "enqueued")
+    __slots__ = ("batch", "top_k", "future")
 
     def __init__(self, batch: QueryBatch, top_k: "int | None",
-                 future: "Future[np.ndarray]", enqueued: float):
+                 future: "Future[np.ndarray]"):
         self.batch = batch
         self.top_k = top_k
         self.future = future
-        self.enqueued = enqueued
 
 
 class MicroBatchDispatcher:
@@ -104,19 +90,10 @@ class MicroBatchDispatcher:
             ``rank_batch(queries, top_k=...)``, ``generation``,
             ``n_terms``, and ``n_documents``, such as
             :class:`~repro.serving.index.ServedIndex`.
-        config: the :class:`~repro.serving.config.ServingConfig`
-            supplying ``max_batch`` and ``max_wait_ms`` (``None`` =
-            the index's own config when it has one, else defaults).
     """
 
-    def __init__(self, index, *,
-                 config: "ServingConfig | None" = None):
-        if config is None:
-            config = getattr(index, "config", None) or ServingConfig()
+    def __init__(self, index):
         self._index = index
-        self._config = config
-        self._max_batch = config.max_batch
-        self._max_wait = config.max_wait_ms / 1000.0
         self._cond = threading.Condition()
         self._queue: "list[_Pending]" = []
         self._closed = False
@@ -124,9 +101,6 @@ class MicroBatchDispatcher:
         self._completed = 0
         self._batches = 0
         self._coalesced = 0
-        self._size_flushes = 0
-        self._timeout_flushes = 0
-        self._close_flushes = 0
         self._worker = threading.Thread(
             target=self._run, name="repro-dispatch", daemon=True)
         self._worker.start()
@@ -134,11 +108,6 @@ class MicroBatchDispatcher:
     # ------------------------------------------------------------------
     # Public surface
     # ------------------------------------------------------------------
-
-    @property
-    def config(self) -> ServingConfig:
-        """The serving policy the dispatcher batches under."""
-        return self._config
 
     def submit(self, query_vector, *, top_k=None
                ) -> "Future[np.ndarray]":
@@ -172,8 +141,7 @@ class MicroBatchDispatcher:
                 raise DispatcherClosedError(
                     "dispatcher is closed; no further queries "
                     "accepted")
-            self._queue.append(_Pending(query, top_k, future,
-                                        time.monotonic()))
+            self._queue.append(_Pending(query, top_k, future))
             self._submitted += 1
             self._cond.notify_all()
         return future
@@ -185,10 +153,7 @@ class MicroBatchDispatcher:
                 submitted=self._submitted,
                 completed=self._completed,
                 batches=self._batches,
-                coalesced=self._coalesced,
-                size_flushes=self._size_flushes,
-                timeout_flushes=self._timeout_flushes,
-                close_flushes=self._close_flushes)
+                coalesced=self._coalesced)
 
     def close(self) -> None:
         """Flush everything still queued, then stop (idempotent).
@@ -217,53 +182,35 @@ class MicroBatchDispatcher:
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
-        """Background loop: wait for work, pick a flush, run it."""
+        """Background loop: wait for work, take a flush, run it."""
         while True:
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
                 if not self._queue:
                     return  # closed and drained
-                # Wait out the batching window: until the head's
-                # deadline, an early size trigger, or close.
-                while True:
-                    if self._closed \
-                            or len(self._queue) >= self._max_batch:
-                        break
-                    now = time.monotonic()
-                    deadline = self._queue[0].enqueued \
-                        + self._max_wait
-                    if now >= deadline:
-                        break
-                    self._cond.wait(timeout=deadline - now)
-                group, reason = self._take_group_locked()
-            self._flush(group, reason)
+                group = self._take_group_locked()
+            self._flush(group)
 
-    def _take_group_locked(self) -> "tuple[list[_Pending], str]":
-        """Pop the next flushable group (same ``top_k`` as the head).
+    def _take_group_locked(self) -> "list[_Pending]":
+        """Pop the next flush: up to :data:`_MAX_FLUSH` queries with
+        the head's ``top_k``.
 
-        Caller holds the lock.  Queries with a different cutoff stay
-        queued in order and keep their own deadlines.
+        Caller holds the lock.  Queries with a different cutoff, and
+        any past the limit, stay queued in order.
         """
         head_top_k = self._queue[0].top_k
         group = []
         rest = []
         for pending in self._queue:
-            if pending.top_k == head_top_k \
-                    and len(group) < self._max_batch:
+            if pending.top_k == head_top_k and len(group) < _MAX_FLUSH:
                 group.append(pending)
             else:
                 rest.append(pending)
         self._queue = rest
-        if len(group) >= self._max_batch:
-            reason = "size"
-        elif self._closed:
-            reason = "close"
-        else:
-            reason = "timeout"
-        return group, reason
+        return group
 
-    def _flush(self, group: "list[_Pending]", reason: str) -> None:
+    def _flush(self, group: "list[_Pending]") -> None:
         """Rank one coalesced group and resolve its futures.
 
         The submitted batches are joined, not checked again.  Identical
@@ -280,7 +227,7 @@ class MicroBatchDispatcher:
             unique: "dict[CacheKey, int]" = {}
             firsts = []
             for i in range(len(group)):
-                key = CacheKey.for_query(generation, batch, i, key_top_k)
+                key = CacheKey(generation, batch.query_hash(i), key_top_k)
                 if key not in unique:
                     unique[key] = len(unique)
                     firsts.append(i)
@@ -297,9 +244,3 @@ class MicroBatchDispatcher:
             self._batches += 1
             self._completed += len(group)
             self._coalesced += max(0, len(group) - len(set(membership)))
-            if reason == "size":
-                self._size_flushes += 1
-            elif reason == "close":
-                self._close_flushes += 1
-            else:
-                self._timeout_flushes += 1

@@ -55,10 +55,10 @@ engine, and half the store again in memory.  A memory-mapped store (a
 cold start) and a small one are scanned in float64 as given, without a
 copy.
 
-Per-thread scratch buffers hold the projected block, the unit queries,
-and the scan scores, so repeated batches of one shape run through
-``out=`` products; the only other allocations scale with the terms a
-block touches and with the candidates.
+An engine holds no mutable state: each call allocates its own fold,
+unit queries and scan scores, so threads share one engine without a
+lock, and the arrays :meth:`~BatchQueryEngine.score` and
+:meth:`~BatchQueryEngine.score_batch` return are the caller's.
 
 The scan GEMM is always one call over the whole store: column panels
 under a cache budget measured 0.98–1.01x of it on 20k- and
@@ -421,19 +421,13 @@ class CacheKey(NamedTuple):
     query_hash: bytes
     top_k: int
 
-    @classmethod
-    def for_query(cls, generation: int, batch: "QueryBatch", i: int,
-                  top_k: int) -> "CacheKey":
-        """The key for query ``i`` of ``batch`` at one generation."""
-        return cls(int(generation), batch.query_hash(i), int(top_k))
-
 
 class LRUResultCache:
     """A bounded least-recently-used cache of ranking results.
 
-    Keys are :class:`CacheKey` values (build them with
-    :meth:`CacheKey.for_query`); values are ranked-id arrays, copied on
-    the way in and out.
+    Keys are :class:`CacheKey` values
+    (``CacheKey(generation, batch.query_hash(i), top_k)``); values are
+    ranked-id arrays, copied on the way in and out.
     ``capacity=0`` disables caching (every lookup misses, nothing is
     stored).
 
@@ -493,28 +487,6 @@ class LRUResultCache:
                 f"misses={self.misses})")
 
 
-class _BatchScratch(threading.local):
-    """Per-thread scratch buffers for one query-block shape.
-
-    One engine serves one immutable index generation, so the only
-    thing that varies call to call is the batch width ``q``; buffers
-    are rebuilt when ``q`` changes and reused otherwise.  Thread-local
-    because a micro-batching dispatcher's flusher thread and the caller
-    threads score through one index's engine at once, and a shared
-    similarity buffer would race.
-
-    ``scans`` maps a scan's dtype to its ``(unit queries, scores)``
-    buffers, made on the first scan in that dtype: a float64 scan reads
-    the float64 unit queries themselves.
-    """
-
-    def __init__(self) -> None:
-        # threading.local runs this once in every thread that uses it.
-        self.n_queries = -1
-        self.projected = self.unit = np.empty((0, 0))
-        self.scans: "dict[np.dtype, tuple[np.ndarray, np.ndarray]]" = {}
-
-
 class BatchQueryEngine:
     """Projects and cosine-ranks query blocks in single GEMMs.
 
@@ -571,7 +543,6 @@ class BatchQueryEngine:
                            if not mapped
                            and unit.size >= _SCAN_COPY_MIN_ELEMENTS
                            else unit)
-        self._scratch = _BatchScratch()
 
     @classmethod
     def from_precomputed(cls, term_basis, doc_unit, doc_norms, *,
@@ -616,13 +587,12 @@ class BatchQueryEngine:
 
     def _score_into(self, batch: QueryBatch, store: np.ndarray):
         """Fold ``batch`` and score it against ``store``, which is
-        ``doc_unit`` or its float32 copy, in this thread's scratch.
+        ``doc_unit`` or its float32 copy.
 
         Returns ``(scores, unit, zero)``: the ``(q, m)`` scores in the
-        store's dtype (owned by the scratch, so valid until the next
-        call on this thread), the float64 unit queries ``(k, q)``, and
-        which queries have zero norm.  Zero-norm queries and zero
-        documents score exactly 0, and every score is clipped to
+        store's dtype, the float64 unit queries ``(k, q)``, and which
+        queries have zero norm, all new arrays.  Zero-norm queries and
+        zero documents score exactly 0, and every score is clipped to
         [−1, 1]; tombstones are the caller's.
 
         On a small store a text query's fold and scan take a few µs
@@ -633,36 +603,16 @@ class BatchQueryEngine:
         ufunc in one pass (``np.maximum`` then ``np.minimum`` would
         take two, slower on a large store).
         """
-        scratch = self._scratch
-        n_queries = batch.n_queries
-        if scratch.n_queries != n_queries:
-            rank = self._basis.shape[1]
-            scratch.projected = np.empty((rank, n_queries))
-            scratch.unit = np.empty((rank, n_queries))
-            scratch.scans = {}
-            scratch.n_queries = n_queries
         rows, block = batch._touched()
-        projected = fold_rows(self._basis, rows, block,
-                              out=scratch.projected)
-        unit = scratch.unit
-        # The squares go through ``unit``, which the division overwrites.
-        norms = np.sqrt(np.add.reduce(
-            np.multiply(projected, projected, out=unit), axis=0))
+        projected = fold_rows(self._basis, rows, block)
+        norms = np.sqrt(np.add.reduce(projected * projected, axis=0))
         zero = norms <= ZERO_NORM_TOL
         some_zero = np.count_nonzero(zero)
-        np.divide(projected, np.where(zero, 1.0, norms) if some_zero
-                  else norms, out=unit)
-        buffers = scratch.scans.get(store.dtype)
-        if buffers is None:
-            queries = unit if store.dtype == unit.dtype \
-                else np.empty(unit.shape, dtype=store.dtype)
-            buffers = scratch.scans[store.dtype] = (
-                queries, np.empty((n_queries, self._n_docs),
-                                  dtype=store.dtype))
-        queries, scores = buffers
-        if queries is not unit:
-            queries[...] = unit
-        np.matmul(queries.T, store, out=scores)
+        unit = projected / (np.where(zero, 1.0, norms) if some_zero
+                            else norms)
+        queries = unit if store.dtype == unit.dtype \
+            else unit.astype(store.dtype)
+        scores = np.matmul(queries.T, store)
         if some_zero:
             scores[zero] = 0.0
         if self._zero_ids.size:
@@ -671,8 +621,8 @@ class BatchQueryEngine:
         return scores, unit, zero
 
     def _scores(self, batch: QueryBatch) -> np.ndarray:
-        """The float64 scan with tombstones scoring 0, as a scratch
-        view (see :meth:`_score_into`)."""
+        """The float64 scan with tombstones scoring 0 (see
+        :meth:`_score_into`)."""
         scores = self._score_into(batch, self._doc_unit)[0]
         if self._dead.size:
             scores[:, self._dead] = 0.0
@@ -685,16 +635,14 @@ class BatchQueryEngine:
         touches, a float64 GEMM computes all cosines.  Zero-norm
         queries, zero-vector documents, and tombstoned documents score
         exactly 0, matching the per-query path.  A score can differ
-        from the ranking kernel's in the last bit.  The returned array
-        is the caller's (a copy of the internal scratch).
+        from the ranking kernel's in the last bit.
 
         Raises:
             ShapeError: when the queries are not in the index's term
                 space.
             ValidationError: on a non-finite entry.
         """
-        batch = self._as_batch(queries)
-        return self._scores(batch).copy()
+        return self._scores(self._as_batch(queries))
 
     def score(self, query_vector) -> np.ndarray:
         """Cosine scores for one term-space query (length ``m``).
@@ -705,7 +653,7 @@ class BatchQueryEngine:
             ValidationError: on a non-finite entry.
         """
         batch = self._as_batch(QueryBatch.from_vector(query_vector))
-        return self._scores(batch)[0].copy()
+        return self._scores(batch)[0]
 
     def rank_batch(self, queries, *, top_k=None) -> np.ndarray:
         """Ranked ids per query as a ``(q, top_k_eff)`` array.
@@ -715,9 +663,7 @@ class BatchQueryEngine:
         ids never appear.  A finite cutoff scans the float32 copy when
         the engine holds one, a full ranking the float64 store; either
         way the ranking is the ranking kernel's order, ties by
-        ascending id.  Besides the returned id block, a call allocates
-        only what scales with the terms the block touches and with the
-        candidates.
+        ascending id.
 
         Raises:
             ShapeError: when the queries are not in the index's term

@@ -20,12 +20,16 @@ unchanged, and adds what production traffic needs:
   query;
 - one :class:`~repro.serving.config.ServingConfig` carrying every
   serving-time policy — cache sizing, mmap loading, drift and
-  streaming-fit settings — shared verbatim with the micro-batching
-  dispatcher, whose flusher thread ranks through the index while
-  caller threads query it directly (hence the locked result cache and
-  the engine's per-thread scratch);
+  streaming-fit settings;
 - ``stats`` — the :class:`~repro.serving.stats.ServingStats` counters
-  behind ``repro serve-stats``.
+  behind ``repro serve-stats``, exact under concurrent callers.
+
+Several threads may use one index at once, as a micro-batching
+dispatcher's flusher and its callers do.  Readers take no lock of the
+index's: an engine holds no mutable state and serves one generation's
+arrays, and the result cache locks itself.  Writes — ``add_documents``,
+``remove_documents``, ``refit`` and the snapshot ``save`` takes — hold
+one writer lock, so they run one at a time and none is lost.
 
 Whether built, fitted, or loaded (mapped or not), an index holds one
 state: its :class:`~repro.serving.writer.IndexWriter`, whose document
@@ -42,6 +46,7 @@ they never truncate a file a reader maps.
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -107,6 +112,10 @@ class ServedIndex:
         # pairs one generation with another generation's engine.
         self._engine_state: "tuple[int, BatchQueryEngine] | None" = None
         self._base_version = base_version
+        # Held by every write and by save's snapshot, never by a reader.
+        self._write_lock = threading.Lock()
+        # Guards the two counters below, which every reader updates.
+        self._count_lock = threading.Lock()
         self._queries_served = 0
         self._batches_served = 0
         self._base_stats = (base_stats if base_stats is not None
@@ -295,7 +304,8 @@ class ServedIndex:
                 index's terms.
             ValidationError: on a non-finite entry.
         """
-        self._queries_served += 1
+        with self._count_lock:
+            self._queries_served += 1
         return self._engine().score(query_vector)
 
     def rank_documents(self, query_vector, *, top_k=None) -> np.ndarray:
@@ -348,8 +358,9 @@ class ServedIndex:
         batch = engine._as_batch(queries)
         top_k = min(check_top_k(top_k, engine.n_documents),
                     engine.n_active)
-        self._batches_served += 1
-        self._queries_served += batch.n_queries
+        with self._count_lock:
+            self._batches_served += 1
+            self._queries_served += batch.n_queries
 
         cache = self._cache
         out = np.empty((batch.n_queries, top_k), dtype=np.int64)
@@ -382,16 +393,19 @@ class ServedIndex:
         """Fold new documents in; returns their assigned ids.
 
         Bumps the index generation, so cached rankings for the previous
-        corpus can never be served against the new one.
+        corpus can never be served against the new one.  Waits for any
+        other write to finish first, a refit included.
         """
-        ids = self._writer.add_documents(columns)
-        self._bump()
+        with self._write_lock:
+            ids = self._writer.add_documents(columns)
+            self._bump()
         return ids
 
     def remove_documents(self, doc_ids) -> None:
         """Tombstone documents; they stop appearing in rankings."""
-        self._writer.remove_documents(doc_ids)
-        self._bump()
+        with self._write_lock:
+            self._writer.remove_documents(doc_ids)
+            self._bump()
 
     def refit(self, matrix=None, *, rank=None,
               engine: "str | None" = None, seed=None,
@@ -424,14 +438,16 @@ class ServedIndex:
                 "block_size", self._config.stream_block_size)
             engine_kwargs.setdefault(
                 "oversample", self._config.stream_oversample)
-        model = self._writer.refit(
-            matrix, rank=rank, engine=engine, seed=seed,
-            **engine_kwargs)
-        self._bump()
+        with self._write_lock:
+            model = self._writer.refit(
+                matrix, rank=rank, engine=engine, seed=seed,
+                **engine_kwargs)
+            self._bump()
         return model
 
     def _bump(self) -> None:
-        """Advance the generation and drop stale cache entries.
+        """Advance the generation and drop stale cache entries (the
+        caller holds the writer lock).
 
         Also drops the superseded engine, so its store (and float32
         copy) is not kept alive until the next query; a reader that
@@ -453,9 +469,11 @@ class ServedIndex:
         """
         base = self._base_stats
         writer = self._writer
+        with self._count_lock:
+            queries, batches = self._queries_served, self._batches_served
         return ServingStats(
-            queries_served=base.queries_served + self._queries_served,
-            batches_served=base.batches_served + self._batches_served,
+            queries_served=base.queries_served + queries,
+            batches_served=base.batches_served + batches,
             cache_hits=base.cache_hits + self._cache.hits,
             cache_misses=base.cache_misses + self._cache.misses,
             cache_evictions=base.cache_evictions
@@ -474,25 +492,29 @@ class ServedIndex:
         """Persist the index as a bundle directory; returns the path.
 
         The writer's arrays are written as they are, not copied (a
-        store with spare columns row by row).
+        store with spare columns row by row).  The writer lock is held
+        while the state is read, so the bundle holds the state between
+        two writes, and released before any file is written: no later
+        write touches the arrays the snapshot holds.
         Saving over a bundle that this index or another one maps is
         safe: :func:`~repro.serving.bundle.write_bundle` renames new
         files over the old ones, and the maps keep the old bytes.
         """
-        writer = self._writer
-        doc_unit, doc_norms = writer.store
-        bundle = IndexBundle(
-            u=writer.term_basis,
-            singular_values=writer.singular_values,
-            frobenius_norm_sq=writer.frobenius_norm_sq,
-            doc_unit=doc_unit,
-            doc_norms=doc_norms,
-            n_original=writer.n_original,
-            tombstones=writer.tombstones,
-            unabsorbed_energy=writer.unabsorbed_energy,
-            drift_threshold=writer.drift_threshold,
-            stats=self.stats(),
-            vocabulary=self._vocabulary)
+        with self._write_lock:
+            writer = self._writer
+            doc_unit, doc_norms = writer.store
+            bundle = IndexBundle(
+                u=writer.term_basis,
+                singular_values=writer.singular_values,
+                frobenius_norm_sq=writer.frobenius_norm_sq,
+                doc_unit=doc_unit,
+                doc_norms=doc_norms,
+                n_original=writer.n_original,
+                tombstones=writer.tombstones,
+                unabsorbed_energy=writer.unabsorbed_energy,
+                drift_threshold=writer.drift_threshold,
+                stats=self.stats(),
+                vocabulary=self._vocabulary)
         return write_bundle(path, bundle)
 
     @classmethod

@@ -44,9 +44,8 @@ class TestFoldRows:
         # A dense block takes the plain product, bit for bit.
         basis = rng.standard_normal((30, 5))
         block = rng.random((30, 4))
-        out = np.empty((5, 4))
-        assert fold_rows(basis, np.arange(30), block, out=out) is out
-        assert np.array_equal(out, np.matmul(basis.T, block))
+        assert np.array_equal(fold_rows(basis, np.arange(30), block),
+                              np.matmul(basis.T, block))
 
     def test_no_rows_is_zero(self, rng):
         basis = rng.standard_normal((30, 5))

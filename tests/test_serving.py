@@ -1571,7 +1571,7 @@ class TestServedIndex:
         import threading
 
         # A dispatcher's flusher and its callers rank through one
-        # engine at once; per-thread scratch keeps their buffers apart.
+        # engine at once; it holds no state a call writes.
         model = LSIModel.fit(rng.random((64, 3000)), 16, engine="exact")
         index = ServedIndex(model,
                             config=ServingConfig(cache_capacity=0))

@@ -3,6 +3,7 @@ the micro-batching dispatcher."""
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from repro.linalg.dense import normalize_columns
 from repro.serving import (
     BatchQueryEngine,
     CacheKey,
+    DispatchStats,
     MicroBatchDispatcher,
     QueryBatch,
     ServedIndex,
     ServingConfig,
 )
+from repro.serving.dispatch import _MAX_FLUSH
 
 
 @pytest.fixture
@@ -54,7 +57,9 @@ class TestServingConfig:
         config = ServingConfig()
         assert config.mmap is False
         assert config.cache_capacity == 256
-        assert config.max_batch == 32 and config.max_wait_ms == 2.0
+        assert config.drift_threshold == 0.1
+        assert config.stream_block_size == 256
+        assert config.stream_oversample == 8
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -62,10 +67,10 @@ class TestServingConfig:
 
     @pytest.mark.parametrize("fields", [
         {"stream_block_size": 0},
-        {"max_wait_ms": True},
+        {"stream_block_size": True},
         {"cache_capacity": -1},
-        {"max_batch": 0},
-        {"max_wait_ms": -1.0},
+        {"cache_capacity": 4.0},
+        {"stream_oversample": "8"},
         {"stream_oversample": -1},
         {"drift_threshold": 2.0},
         # Not numbers: each used to be converted or stored as given.
@@ -77,11 +82,10 @@ class TestServingConfig:
         with pytest.raises(ValidationError):
             ServingConfig(**fields)
 
-    def test_fields_are_the_seven_policy_knobs(self):
+    def test_fields_are_the_five_policy_knobs(self):
         assert tuple(f.name for f in dataclasses.fields(ServingConfig)) \
             == ("mmap", "cache_capacity", "drift_threshold",
-                "max_batch", "max_wait_ms", "stream_block_size",
-                "stream_oversample")
+                "stream_block_size", "stream_oversample")
 
 
 def _saved_bundle(model, tmp_path):
@@ -118,6 +122,16 @@ class TestRemovedSurface:
                      ServingConfig(dtype="float32"),
                      TypeError, "dtype", id="config-dtype"),
         pytest.param(lambda model, matrix, tmp_path:
+                     ServingConfig(max_batch=32),
+                     TypeError, "max_batch", id="config-max-batch"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     ServingConfig(max_wait_ms=2.0),
+                     TypeError, "max_wait_ms", id="config-max-wait-ms"),
+        pytest.param(lambda model, matrix, tmp_path:
+                     MicroBatchDispatcher(ServedIndex(model),
+                                          config=ServingConfig()),
+                     TypeError, "config", id="dispatcher-config"),
+        pytest.param(lambda model, matrix, tmp_path:
                      BatchQueryEngine(
                          model.term_basis,
                          *normalize_columns(model.document_vectors()),
@@ -140,13 +154,13 @@ class TestCacheKey:
     def test_same_query_same_key(self, queries):
         batch = QueryBatch(queries)
         dup = QueryBatch(queries.copy())
-        assert CacheKey.for_query(3, batch, 1, 5) \
-            == CacheKey.for_query(3, dup, 1, 5)
+        assert CacheKey(3, batch.query_hash(1), 5) \
+            == CacheKey(3, dup.query_hash(1), 5)
 
     def test_kind_and_generation_never_alias(self, queries):
         batch = QueryBatch(queries)
-        base = CacheKey.for_query(3, batch, 0, 5)
-        assert base != CacheKey.for_query(4, batch, 0, 5)
+        base = CacheKey(3, batch.query_hash(0), 5)
+        assert base != CacheKey(4, batch.query_hash(0), 5)
 
 
 # ----------------------------------------------------------------------
@@ -154,10 +168,34 @@ class TestCacheKey:
 # ----------------------------------------------------------------------
 
 
+class _GatedIndex:
+    """A served index whose first ``rank_batch`` waits for ``release``.
+
+    While the flusher waits there, the test queues submissions behind
+    that flush and knows exactly which flush each one rides.
+    """
+
+    def __init__(self, index):
+        self._index = index
+        self.n_terms = index.n_terms
+        self.n_documents = index.n_documents
+        self.generation = index.generation
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.widths = []
+
+    def rank_batch(self, queries, *, top_k=None):
+        self.widths.append(queries.n_queries)
+        if len(self.widths) == 1:
+            self.entered.set()
+            if not self.release.wait(timeout=10):
+                raise TimeoutError("the test never released the gate")
+        return self._index.rank_batch(queries, top_k=top_k)
+
+
 class TestMicroBatchDispatcher:
     def test_results_match_direct_ranking(self, served, queries):
-        config = ServingConfig(max_batch=4, max_wait_ms=1.0)
-        with MicroBatchDispatcher(served, config=config) as dispatcher:
+        with MicroBatchDispatcher(served) as dispatcher:
             futures = [dispatcher.submit(queries[:, i], top_k=3)
                        for i in range(queries.shape[1])]
             results = [f.result(timeout=10) for f in futures]
@@ -166,60 +204,86 @@ class TestMicroBatchDispatcher:
                 ranking, served.rank_documents(queries[:, i],
                                                top_k=3))
 
-    def test_size_trigger_flushes_before_deadline(self, served,
-                                                  queries):
-        config = ServingConfig(max_batch=3, max_wait_ms=60_000.0)
-        with MicroBatchDispatcher(served, config=config) as dispatcher:
-            futures = [dispatcher.submit(queries[:, i % 6], top_k=2)
-                       for i in range(3)]
-            for future in futures:
-                future.result(timeout=10)
-            stats = dispatcher.stats()
-        assert stats.size_flushes >= 1
-        assert stats.timeout_flushes == 0
-
-    def test_deadline_flushes_partial_batch(self, served, queries):
-        config = ServingConfig(max_batch=64, max_wait_ms=5.0)
-        with MicroBatchDispatcher(served, config=config) as dispatcher:
-            future = dispatcher.submit(queries[:, 0], top_k=2)
-            ranking = future.result(timeout=10)
-            stats = dispatcher.stats()
+    def test_lone_submit_flushes_without_waiting(self, served,
+                                                 queries):
+        with MicroBatchDispatcher(served) as dispatcher:
+            ranking = dispatcher.submit(queries[:, 0],
+                                        top_k=2).result(timeout=10)
         assert np.array_equal(
             ranking, served.rank_documents(queries[:, 0], top_k=2))
-        assert stats.timeout_flushes >= 1
+        assert dispatcher.stats() == DispatchStats(
+            submitted=1, completed=1, batches=1, coalesced=0)
 
     def test_identical_queries_coalesce_in_one_flush(self, served,
                                                      queries):
-        config = ServingConfig(max_batch=4, max_wait_ms=60_000.0)
-        with MicroBatchDispatcher(served, config=config) as dispatcher:
+        gated = _GatedIndex(served)
+        with MicroBatchDispatcher(gated) as dispatcher:
+            first = dispatcher.submit(queries[:, 1], top_k=2)
+            assert gated.entered.wait(timeout=10)
+            # Queued while the flusher ranks ``first``: one flush.
             futures = [dispatcher.submit(queries[:, 0], top_k=2)
                        for _ in range(4)]
+            gated.release.set()
             rows = [f.result(timeout=10) for f in futures]
-            stats = dispatcher.stats()
-        assert stats.coalesced == 3
+            first.result(timeout=10)
+        assert dispatcher.stats() == DispatchStats(
+            submitted=5, completed=5, batches=2, coalesced=3)
+        assert gated.widths == [1, 1]
         assert all(np.array_equal(rows[0], row) for row in rows[1:])
+        assert np.array_equal(
+            rows[0], served.rank_documents(queries[:, 0], top_k=2))
 
     def test_mixed_top_k_groups_flush_separately(self, served,
                                                  queries):
-        config = ServingConfig(max_batch=8, max_wait_ms=1.0)
-        with MicroBatchDispatcher(served, config=config) as dispatcher:
+        with MicroBatchDispatcher(served) as dispatcher:
             narrow = dispatcher.submit(queries[:, 0], top_k=2)
             wide = dispatcher.submit(queries[:, 1], top_k=5)
             assert narrow.result(timeout=10).size == 2
             assert wide.result(timeout=10).size == 5
-            stats = dispatcher.stats()
-        assert stats.batches >= 2
+        assert dispatcher.stats().batches == 2
+
+    def test_burst_splits_at_the_flush_limit(self, served, rng):
+        gated = _GatedIndex(served)
+        burst = rng.random((served.n_terms, _MAX_FLUSH + 8))
+        with MicroBatchDispatcher(gated) as dispatcher:
+            first = dispatcher.submit(burst[:, 0], top_k=2)
+            assert gated.entered.wait(timeout=10)
+            futures = [dispatcher.submit(burst[:, i], top_k=2)
+                       for i in range(1, burst.shape[1])]
+            gated.release.set()
+            first.result(timeout=10)
+            rows = [f.result(timeout=10) for f in futures]
+        assert gated.widths == [1, _MAX_FLUSH, 7]
+        for i, row in enumerate(rows, start=1):
+            assert np.array_equal(
+                row, served.rank_documents(burst[:, i], top_k=2))
 
     def test_close_drains_queue_then_rejects(self, served, queries):
-        config = ServingConfig(max_batch=64, max_wait_ms=60_000.0)
-        dispatcher = MicroBatchDispatcher(served, config=config)
-        future = dispatcher.submit(queries[:, 0], top_k=2)
-        dispatcher.close()
-        dispatcher.close()  # idempotent
-        assert future.result(timeout=10).size == 2
-        assert dispatcher.stats().close_flushes >= 1
+        gated = _GatedIndex(served)
+        dispatcher = MicroBatchDispatcher(gated)
+        futures = [dispatcher.submit(queries[:, 0], top_k=2)]
+        assert gated.entered.wait(timeout=10)
+        futures += [dispatcher.submit(queries[:, i], top_k=2)
+                    for i in (1, 2, 3)]
+        closer = threading.Thread(target=dispatcher.close)
+        closer.start()
+        deadline = time.monotonic() + 10
+        while not dispatcher._closed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # Closed while three queries wait behind the running flush.
         with pytest.raises(DispatcherClosedError):
             dispatcher.submit(queries[:, 0])
+        gated.release.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        dispatcher.close()  # idempotent
+        for i, future in enumerate(futures):
+            assert np.array_equal(
+                future.result(timeout=0),
+                served.rank_documents(queries[:, i], top_k=2))
+        assert dispatcher.stats() == DispatchStats(
+            submitted=4, completed=4, batches=2, coalesced=0)
+        assert gated.widths == [1, 3]
 
     def test_validation_failures_raise_in_caller(self, served):
         with MicroBatchDispatcher(served) as dispatcher:
@@ -233,29 +297,19 @@ class TestMicroBatchDispatcher:
             n_terms = served.n_terms
             n_documents = served.n_documents
             generation = 0
-            config = None
 
             def rank_batch(self, queries, *, top_k=None):
                 raise RuntimeError("index on fire")
 
-        config = ServingConfig(max_batch=4, max_wait_ms=1.0)
-        with MicroBatchDispatcher(Exploding(),
-                                  config=config) as dispatcher:
+        with MicroBatchDispatcher(Exploding()) as dispatcher:
             future = dispatcher.submit(np.ones(served.n_terms))
             with pytest.raises(RuntimeError, match="on fire"):
                 future.result(timeout=10)
 
-    def test_inherits_index_config(self, model):
-        index = ServedIndex(
-            model, config=ServingConfig(max_batch=7))
-        with MicroBatchDispatcher(index) as dispatcher:
-            assert dispatcher.config.max_batch == 7
-
     def test_generation_bump_invalidates_coalescing(self, model, rng,
                                                     queries):
         index = ServedIndex(model)
-        config = ServingConfig(max_batch=64, max_wait_ms=0.0)
-        with MicroBatchDispatcher(index, config=config) as dispatcher:
+        with MicroBatchDispatcher(index) as dispatcher:
             before = dispatcher.submit(queries[:, 0],
                                        top_k=None).result(timeout=10)
             index.add_documents(rng.random((30, 2)))
@@ -268,7 +322,6 @@ class TestMicroBatchDispatcher:
     def test_concurrent_writer_never_yields_stale_rows(self, model,
                                                        rng, queries):
         index = ServedIndex(model)
-        config = ServingConfig(max_batch=4, max_wait_ms=0.5)
         stop = threading.Event()
 
         def writer_loop():
@@ -278,8 +331,7 @@ class TestMicroBatchDispatcher:
         writer = threading.Thread(target=writer_loop)
         writer.start()
         try:
-            with MicroBatchDispatcher(index,
-                                      config=config) as dispatcher:
+            with MicroBatchDispatcher(index) as dispatcher:
                 futures = [dispatcher.submit(queries[:, i % 6],
                                              top_k=3)
                            for i in range(32)]

@@ -2,7 +2,8 @@
 
 Each carries a correctness contract this file pins down:
 
-- the engine scores in float64 only, through reused scratch buffers;
+- the engine scores in float64 only, and one call's scores never
+  reach another's;
 - a manifest written when a float32 mode existed loads and ranks
   exactly like the float64 index that was saved;
 - mmap-loaded indexes rank bit-identically to eager loads, mutate
@@ -57,8 +58,8 @@ class TestFloat64Engine:
 
     def test_scratch_reuse_does_not_leak_between_batches(
             self, model, queries):
-        # Same engine, different batches: preallocated scratch must
-        # not let one batch's scores contaminate the next.
+        # Same engine, different batches: one batch's scores must not
+        # contaminate the next.
         engine = BatchQueryEngine(
             model.svd.u, *normalize_columns(model.document_vectors()))
         first = engine.score_batch(queries).copy()
