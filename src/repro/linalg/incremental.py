@@ -4,38 +4,46 @@ The paper's guarantees are statements about the rank-``k`` spectral
 structure of a corpus, but :func:`~repro.linalg.svd.truncated_svd` can
 only obtain that structure by holding the whole term–document matrix in
 RAM.  This module removes that constraint with the one-pass merge
-algorithm popularised by gensim's LSI: decompose fixed-width *column
-blocks* independently (each small enough to fit in memory), then fold
-the per-block factors together with an orthogonal merge.  A merge's
-factorisation costs ``O(n·w² + w³)`` at working rank ``w`` whatever
-the documents absorbed; carrying the right factor ``vt`` adds an
-``O(w²·m)`` rotation over the ``m`` columns absorbed so far.
+algorithm popularised by gensim's LSI: fold fixed-width *column
+blocks* one at a time into a running factorisation with an orthogonal
+merge.  A merge's factorisation costs ``O(n·w² + w³)`` at working rank
+``w`` whatever the documents absorbed; carrying the right factor ``vt``
+adds an ``O(w²·m)`` rotation over the ``m`` columns absorbed so far.
+Only streamed fits still pay that rotation: an incremental refit
+(:mod:`repro.serving.writer`) starts its merge from the ``k × k``
+identity and rotates ``k`` plus the new columns.
 
-Every block is factored directly: for a block ``B`` (``n × b``) at
-working rank ``w``, the top-``w`` eigenvectors ``V`` of its Gram matrix
-``BᵀB`` give one Rayleigh–Ritz step, ``Q = qr(B·V)`` and a small SVD of
-``QᵀB``.  The result ``U·S·Vᵀ = QQᵀB`` is an orthogonal projection of
+A block enters through its Gram matrix: for a block ``B`` (``n × b``)
+at working rank ``w``, the top-``w`` eigenvectors ``V`` of ``BᵀB`` are
+its Ritz vectors and ``B·V`` its scaled left factor (``U·S = B·V``,
+``Vᵀ`` the right factor).  ``B·V·Vᵀ`` is an orthogonal projection of
 ``B``, so its Pythagorean residual is a valid error bound, and a thin
-block needs no iterative solver.  Blocks wider than
-:data:`DIRECT_SPLIT_WIDTH` are split into pieces that wide and merged.
-The kernel is deterministic: it takes no seed and no options.
+block needs no iterative solver.  :meth:`PartialSVD.from_block`
+factors a stream's first block from them (``Q = qr(B·V)`` and a small
+SVD of ``QᵀB``); every later block is merged as it is (:func:`merge`
+takes a raw block), where the merge's own rank-revealing SVD of the
+residual does that work, so a merged block is never factored on its
+own.  Blocks wider than :data:`DIRECT_SPLIT_WIDTH` are split into
+pieces that wide.  The kernel is deterministic: it takes no seed and
+no options.
 
-The merge of ``A₁ ≈ U₁·S₁·V₁ᵀ`` and ``A₂ ≈ U₂·S₂·V₂ᵀ`` for the column
-concatenation ``[A₁ A₂]`` is exact on the inputs' approximants:
+The merge of ``A₁ ≈ U₁·S₁·V₁ᵀ`` with the columns ``A₂ ≈ W₂·V₂ᵀ``
+(``W₂ = U₂·S₂`` for a partial SVD, ``B·V`` for a raw block) for the
+column concatenation ``[A₁ A₂]`` is exact on the inputs' approximants:
 
-1. project: ``C = U₁ᵀ·U₂``;
+1. project: ``C = U₁ᵀ·W₂``;
 2. orthogonalise the out-of-subspace part rank-revealingly:
-   ``Q·R ≈ U₂ − U₁·C`` with the ``j ≤ k₂`` directions not already in
+   ``Q·R ≈ W₂ − U₁·C`` with the ``j ≤ k₂`` directions not already in
    ``span(U₁)`` (detected by SVD, so heavily-overlapping or
    ``k₁+k₂ > n`` merges stay orthonormal);
 3. small SVD of the ``(k₁+j) × (k₁+k₂)`` middle matrix
-   ``K = [[S₁, C·S₂], [0, R·S₂]] = Uₖ·Sₖ·Vₖᵀ``;
+   ``K = [[S₁, C], [0, R]] = Uₖ·Sₖ·Vₖᵀ``;
 4. rotate: ``U = [U₁ Q]·Uₖ``, ``S = Sₖ``,
    ``Vᵀ = Vₖᵀ·diag(V₁ᵀ, V₂ᵀ)``, truncated back to the working rank.
 
-Because ``[U₁ Q]`` has orthonormal columns and ``[C; R]`` satisfies
-``CᵀC + RᵀR = I``, step 3 conserves energy exactly
-(``‖K‖_F² = ‖S₁‖² + ‖S₂‖²``), so every Frobenius unit lost is lost in
+Because ``[U₁ Q]`` has orthonormal columns and ``[C; R]`` is
+``W₂`` in that basis, step 3 conserves energy exactly
+(``‖K‖_F² = ‖S₁‖² + ‖W₂‖²``), so every Frobenius unit lost is lost in
 an explicit truncation whose discarded tail is added to a running
 triangle-inequality error bound (:attr:`PartialSVD.error_bound`).
 
@@ -163,6 +171,13 @@ def concat_columns(blocks):
         np.concatenate([block.data for block in blocks]))
 
 
+def _ritz_pairs(op, rank: int):
+    """The top-``rank`` eigenpairs of ``BᵀB``, largest first: the Ritz
+    values ``λ`` and vectors ``V`` of the block behind ``op``."""
+    values, vectors = np.linalg.eigh(op.gram())     # ascending
+    return values[::-1][:rank], vectors[:, ::-1][:, :rank]
+
+
 def _direct_svd(op, rank: int):
     """Factor one block by its Gram matrix and a Rayleigh–Ritz step.
 
@@ -176,11 +191,21 @@ def _direct_svd(op, rank: int):
     from repro.linalg.svd import SVDResult
 
     rank = min(rank, *op.shape)
-    _, vectors = np.linalg.eigh(op.gram())          # ascending
-    basis = np.linalg.qr(op.matmat(vectors[:, ::-1][:, :rank]))[0]
+    basis = np.linalg.qr(op.matmat(_ritz_pairs(op, rank)[1]))[0]
     u_small, s, vt = np.linalg.svd(op.rmatmat(basis).T,
                                    full_matrices=False)
     return SVDResult(basis @ u_small, s, vt, op.frobenius_norm() ** 2)
+
+
+def _pieces(block, op):
+    """``op``'s column pieces, each at most :data:`DIRECT_SPLIT_WIDTH`
+    wide, as operators (``op`` itself when it is that narrow)."""
+    if op.shape[1] <= DIRECT_SPLIT_WIDTH:
+        yield op
+        return
+    source = block if isinstance(block, CSRMatrix) else op.to_dense()
+    for piece in iter_column_blocks(source, DIRECT_SPLIT_WIDTH):
+        yield as_operator(piece)
 
 
 @dataclass(frozen=True)
@@ -243,8 +268,10 @@ class PartialSVD:
         """Factor one column block into a mergeable partial SVD.
 
         Uses the direct Gram/Rayleigh–Ritz kernel of the module
-        docstring, splitting blocks wider than
-        :data:`DIRECT_SPLIT_WIDTH` into pieces and merging them.
+        docstring.  A block wider than :data:`DIRECT_SPLIT_WIDTH` is
+        split into pieces that wide: the first is factored, and each
+        later piece is merged into it raw, as :func:`merge` merges a
+        raw block.
 
         Args:
             block: dense ``(n, b)`` array or
@@ -267,16 +294,11 @@ class PartialSVD:
             raise ValidationError(
                 f"cannot factor an empty block of shape {op.shape}")
         rank = min(check_positive_int(rank, "rank"), min(op.shape))
-        if op.shape[1] <= DIRECT_SPLIT_WIDTH:
-            return cls.from_svd_result(_direct_svd(op, rank))
-        source = block if isinstance(block, CSRMatrix) \
-            else op.to_dense()
-        pieces = (cls.from_svd_result(_direct_svd(as_operator(piece),
-                                                  rank))
-                  for piece in iter_column_blocks(source,
-                                                  DIRECT_SPLIT_WIDTH))
+        pieces = _pieces(block, op)
+        first = cls.from_svd_result(_direct_svd(next(pieces), rank))
         return functools.reduce(
-            lambda left, right: merge(left, right, rank=rank), pieces)
+            lambda left, piece: _merge_ritz(left, piece, rank), pieces,
+            first)
 
     @classmethod
     def from_svd_result(cls, result) -> "PartialSVD":
@@ -364,9 +386,9 @@ class PartialSVD:
                 f"energy={self.energy_fraction():.3f})")
 
 
-def merge(a: PartialSVD, b: PartialSVD, *,
+def merge(a: PartialSVD, b: "PartialSVD | np.ndarray | CSRMatrix", *,
           rank: "int | None" = None) -> PartialSVD:
-    """Merge two partial SVDs of column-disjoint blocks ``[A B]``.
+    """Merge a partial SVD with the columns that follow it, ``[A B]``.
 
     The stacked-factor QR/small-SVD merge from the module docstring:
     exact on the inputs' rank-``k`` approximants, with any truncation
@@ -375,65 +397,127 @@ def merge(a: PartialSVD, b: PartialSVD, *,
     (and exactly energy-conserving before truncation), so a merge tree
     of any shape over the same blocks spans the same space.
 
+    ``b`` is either the partial SVD of the next columns or the columns
+    themselves: a raw dense or :class:`~repro.linalg.sparse.CSRMatrix`
+    block enters through its top Ritz pairs (the eigenvectors ``V`` of
+    ``BᵀB``: ``U₂·S₂ = B·V``, ``V₂ᵀ = Vᵀ``), at most ``rank`` of them
+    per :data:`DIRECT_SPLIT_WIDTH`-wide piece, so it is never factored
+    on its own.  Ritz values at or below ``max(n, b)·ε·λ₁`` are
+    dropped; the energy they and any unkept pairs carry is charged to
+    ``error_bound``.
+
     Args:
         a: left partial factorisation (its columns come first).
-        b: right partial factorisation.
+        b: the right :class:`PartialSVD`, or a raw ``(n, b)`` column
+            block.
         rank: triplets to keep (default: all ``k₁ + k₂``).  Keeping at
             least ``max(k₁, k₂)`` preserves the monotonicity of
             ``captured_energy``.
 
     Returns:
         The merged :class:`PartialSVD` over ``a``'s then ``b``'s
-        columns.
+        columns.  Each piece of a raw block counts as one merge.
 
     Raises:
-        ValidationError: when the inputs' term dimensions differ.
+        ValidationError: when the inputs' term dimensions differ, on
+            an empty raw block, or on a ``rank`` that is not a
+            positive integer.
     """
-    if a.n_terms != b.n_terms:
+    if rank is not None:
+        rank = check_positive_int(rank, "rank")
+    if isinstance(b, PartialSVD):
+        _check_term_space(a, b.n_terms)
+        return _merge_columns(
+            a, b.u * b.singular_values, b.singular_values ** 2, b.vt,
+            frobenius_norm_sq=b.frobenius_norm_sq,
+            error_bound=b.error_bound, merges=b.merges + 1, rank=rank)
+    op = as_operator(b)
+    _check_term_space(a, op.shape[0])
+    if op.shape[1] == 0:
         raise ValidationError(
-            f"cannot merge partial SVDs over different term spaces "
-            f"({a.n_terms} vs {b.n_terms} rows)")
-    k1, k2 = a.rank, b.rank
+            f"cannot merge an empty block of shape {op.shape}")
+    for piece in _pieces(b, op):
+        a = _merge_ritz(a, piece, rank)
+    return a
 
-    projection = a.u.T @ b.u                       # (k1, k2)
-    residual = b.u - a.u @ projection
+
+def _check_term_space(a: PartialSVD, n_terms: int) -> None:
+    if a.n_terms != n_terms:
+        raise ValidationError(
+            f"cannot merge columns over different term spaces "
+            f"({a.n_terms} vs {n_terms} rows)")
+
+
+def _merge_ritz(a: PartialSVD, op, rank: "int | None") -> PartialSVD:
+    """Merge one raw piece (at most :data:`DIRECT_SPLIT_WIDTH` wide)
+    through its top-``rank`` Ritz pairs."""
+    values, vectors = _ritz_pairs(
+        op, min(op.shape) if rank is None else min(rank, *op.shape))
+    kept = int(np.sum(values > max(op.shape) * np.finfo(np.float64).eps
+                      * values[0]))
+    vectors = np.ascontiguousarray(vectors[:, :kept])
+    scaled = op.matmat(vectors)                      # U₂·S₂ = B·V
+    energies = np.einsum("ij,ij->j", scaled, scaled)
+    frobenius_norm_sq = op.frobenius_norm() ** 2
+    # B·V·Vᵀ is an orthogonal projection of B: what it misses, the
+    # dropped and unkept Ritz pairs included, is its Pythagorean
+    # residual.
+    return _merge_columns(
+        a, scaled, energies, vectors.T,
+        frobenius_norm_sq=frobenius_norm_sq,
+        error_bound=math.sqrt(max(
+            0.0, frobenius_norm_sq - math.fsum(energies))),
+        merges=1, rank=rank)
+
+
+def _merge_columns(a: PartialSVD, scaled, energies, vt, *,
+                   frobenius_norm_sq: float, error_bound: float,
+                   merges: int, rank: "int | None") -> PartialSVD:
+    """Merge ``a`` with the columns ``scaled·vt``, where ``scaled`` is
+    their ``U₂·S₂`` and ``energies`` its squared column norms; the
+    keywords are the columns' own bookkeeping."""
+    k1, k2 = a.rank, scaled.shape[1]
+
+    projection = a.u.T @ scaled                    # (k1, k2)
+    residual = scaled - a.u @ projection
     # Second Gram–Schmidt pass: keeps the new directions numerically
     # orthogonal to span(U₁) even when the overlap is large.
     residual -= a.u @ (a.u.T @ residual)
-    # The residual is rank-deficient whenever span(U₂) overlaps
+    # The residual is rank-deficient whenever span(W₂) overlaps
     # span(U₁) (always when k₁ + k₂ > n), so its numerical rank is
     # detected with an SVD rather than trusted from an unpivoted QR.
+    # Rounding leaves about ε·‖W₂‖ in it, so the tolerance scales with
+    # W₂, not with the residual: columns wholly inside span(U₁) then
+    # add no direction.
     q, res_sv, _ = np.linalg.svd(residual, full_matrices=False)
     tol = max(residual.shape) * np.finfo(np.float64).eps \
-        * (float(res_sv[0]) if res_sv.size else 0.0)
+        * math.sqrt(float(np.max(energies, initial=0.0)))
     j = int(np.sum(res_sv > tol))
     q = q[:, :j]                                   # (n, j), q ⟂ U₁
     r = q.T @ residual                             # (j, k2)
 
     middle = np.zeros((k1 + j, k1 + k2))
     middle[:k1, :k1] = np.diag(a.singular_values)
-    middle[:k1, k1:] = projection * b.singular_values
-    middle[k1:, k1:] = r * b.singular_values
+    middle[:k1, k1:] = projection
+    middle[k1:, k1:] = r
     u_mid, s_mid, vt_mid = np.linalg.svd(middle, full_matrices=False)
 
-    keep = k1 + j if rank is None else \
-        min(check_positive_int(rank, "rank"), k1 + j)
+    keep = k1 + j if rank is None else min(rank, k1 + j)
     # Everything lost here is either an explicit truncation tail or
     # the (tolerance-sized) null directions dropped above; charging
     # the full energy deficit covers both.
     retained = math.fsum(float(s) * float(s) for s in s_mid[:keep])
-    dropped = max(0.0, a.captured_energy() + b.captured_energy()
+    dropped = max(0.0, a.captured_energy() + math.fsum(energies)
                   - retained)
 
     return PartialSVD(
         u=np.hstack([a.u, q]) @ u_mid[:, :keep],
         singular_values=s_mid[:keep],
         vt=np.hstack([vt_mid[:keep, :k1] @ a.vt,
-                      vt_mid[:keep, k1:] @ b.vt]),
-        frobenius_norm_sq=a.frobenius_norm_sq + b.frobenius_norm_sq,
-        error_bound=a.error_bound + b.error_bound
-        + math.sqrt(dropped),
-        merges=a.merges + b.merges + 1)
+                      vt_mid[:keep, k1:] @ vt]),
+        frobenius_norm_sq=a.frobenius_norm_sq + frobenius_norm_sq,
+        error_bound=a.error_bound + error_bound + math.sqrt(dropped),
+        merges=a.merges + merges)
 
 
 def block_updates(stream, rank: int, *,
@@ -441,10 +525,12 @@ def block_updates(stream, rank: int, *,
                   oversample: int = 8) -> PartialSVD:
     """Consume a stream of column blocks into one partial SVD.
 
-    Each block is factored at the working rank ``rank + oversample``
-    by :meth:`PartialSVD.from_block` and merged left-to-right; the
-    final result is truncated to ``rank``.  Peak memory is one block
-    plus the factors — the stream is never concatenated.
+    The first block is factored at the working rank
+    ``rank + oversample`` by :meth:`PartialSVD.from_block`; every
+    later one is merged as it is (:func:`merge` takes a raw block)
+    at that rank, left to right, and the final result is truncated to
+    ``rank``.  Peak memory is one block plus the factors — the stream
+    is never concatenated.
 
     Args:
         stream: iterable of column blocks (dense arrays or
@@ -471,15 +557,10 @@ def block_updates(stream, rank: int, *,
     work_rank = rank + oversample
     accumulated: "PartialSVD | None" = None
     for block in _rechunked(stream, block_size):
-        part = PartialSVD.from_block(block, work_rank)
         if accumulated is None:
-            accumulated = part
-        elif part.n_terms != accumulated.n_terms:
-            raise ValidationError(
-                f"stream block has {part.n_terms} rows; previous "
-                f"blocks had {accumulated.n_terms}")
+            accumulated = PartialSVD.from_block(block, work_rank)
         else:
-            accumulated = merge(accumulated, part, rank=work_rank)
+            accumulated = merge(accumulated, block, rank=work_rank)
     if accumulated is None:
         raise EmptyCorpusError("block_updates received an empty stream")
     return accumulated.truncate(min(rank, accumulated.rank))

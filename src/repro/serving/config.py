@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ValidationError
 from repro.utils.validation import check_fraction, check_non_negative_int, \
     check_positive_int
 
@@ -57,6 +58,9 @@ class ServingConfig:
     stream_oversample: int = 8
 
     def __post_init__(self):
+        if not isinstance(self.mmap, bool):
+            raise ValidationError(
+                f"mmap must be True or False, got {self.mmap!r}")
         check_non_negative_int(self.cache_capacity, "cache_capacity")
         if self.drift_threshold is not None:
             check_fraction(self.drift_threshold, "drift_threshold")

@@ -409,17 +409,18 @@ class ServedIndex:
 
     def refit(self, matrix=None, *, rank=None,
               engine: "str | None" = None, seed=None,
-              **engine_kwargs) -> LSIModel:
-        """Absorb accumulated updates into the factors.
+              **engine_kwargs) -> None:
+        """Absorb accumulated updates into the factors; return None.
 
         ``refit()`` with no matrix merges the buffered fold-in block
-        into the basis incrementally with the direct block kernel (no
-        from-scratch SVD; the config's
-        ``stream_block_size``/``stream_oversample`` steer the merge,
-        and it takes no engine or engine option); ``refit(matrix)``
-        re-decomposes from scratch (``engine=None`` means Lanczos) and
-        also purges tombstoned mass — see
-        :meth:`repro.serving.writer.IndexWriter.refit`.
+        into the basis incrementally (no from-scratch SVD; the
+        config's ``stream_block_size``/``stream_oversample`` steer the
+        merge, and it takes no engine or engine option);
+        ``refit(matrix)`` re-decomposes from scratch (``engine=None``
+        means Lanczos) and also purges tombstoned mass — see
+        :meth:`repro.serving.writer.IndexWriter.refit`.  Neither
+        builds :attr:`model`; read it after the call when it is
+        wanted.
 
         Raises:
             ValidationError: on an option the engine does not take, an
@@ -439,11 +440,9 @@ class ServedIndex:
             engine_kwargs.setdefault(
                 "oversample", self._config.stream_oversample)
         with self._write_lock:
-            model = self._writer.refit(
-                matrix, rank=rank, engine=engine, seed=seed,
-                **engine_kwargs)
+            self._writer.refit(matrix, rank=rank, engine=engine,
+                               seed=seed, **engine_kwargs)
             self._bump()
-        return model
 
     def _bump(self) -> None:
         """Advance the generation and drop stale cache entries (the

@@ -23,9 +23,9 @@ arrivals barely perturb the basis).  Crossing ``drift_threshold`` flips
 :meth:`IndexWriter.refit` absorbs the accumulated updates.  Since the
 incremental-SVD subsystem (:mod:`repro.linalg.incremental`) the default
 is *not* a from-scratch decomposition: the writer buffers the folded
-term-space columns and, on ``refit()``, concatenates them, factors the
-result in fixed-width blocks and merges those into the current factors
-— cost proportional to the fold-in block, not the corpus.  A
+term-space columns and, on ``refit()``, concatenates them and merges
+them, in fixed-width blocks, into the current factors — cost
+proportional to the fold-in block, plus one pass over the store.  A
 from-scratch decomposition is still available as
 ``refit(matrix)`` and remains the only way to *purge* tombstoned mass
 from the basis (an incremental merge can add subspace directions but
@@ -35,9 +35,15 @@ stays in the drift numerator until a full refit).
 The document store is ``(doc_unit, doc_norms)``: each column ``Uₖᵀ·c``
 of §2 as its direction and length, all cosine ranking needs.  The
 writer keeps no other copy: :attr:`IndexWriter.model` derives the
-fitted ``Vₖᵀ = Σ⁻¹·(doc_unit·doc_norms)`` on demand, and incremental
-refits start from it, so they give the same bits with or without a
-save and load in between.
+fitted ``Vₖᵀ = Σ⁻¹·(doc_unit·doc_norms)`` on demand, and no refit
+needs it.  An incremental refit works in the store's coordinates:
+its merge starts from ``(Uₖ, Σ)`` with the fitted columns' right
+factor the ``k × k`` identity, so it rotates ``k`` plus the new
+columns, never the ``m`` documents (only streamed fits still pay the
+``O(w²·m)`` ``vt`` rotation), and one ``(k′ × k)·(k × m)`` product
+then writes the fitted part of the new store.  It reads only the
+store, so it gives the same bits with or without a save and load in
+between.
 
 The store is appendable.  The writer holds it in a C-ordered
 ``(k, capacity)`` buffer and a ``(capacity,)`` norms buffer and
@@ -84,6 +90,12 @@ __all__ = ["IndexWriter"]
 _GROWTH_DIVISOR = 8
 
 
+def _divisors(norms: np.ndarray) -> np.ndarray:
+    """What :func:`~repro.linalg.dense.normalize_columns` divided each
+    column by: its norm above ``ZERO_NORM_TOL``, else 1."""
+    return np.where(norms > ZERO_NORM_TOL, norms, 1.0)
+
+
 def _normalize_in_place(columns: np.ndarray) -> np.ndarray:
     """Scale ``(k, p)`` float64 columns to unit length; return their norms.
 
@@ -99,7 +111,7 @@ def _normalize_in_place(columns: np.ndarray) -> np.ndarray:
     for row in columns[1:]:
         squares += np.multiply(row, row, out=scratch)
     norms = np.sqrt(squares)
-    columns /= np.where(norms > ZERO_NORM_TOL, norms, 1.0)
+    columns /= _divisors(norms)
     return norms
 
 
@@ -180,15 +192,15 @@ class IndexWriter:
         divisor :func:`~repro.linalg.dense.normalize_columns` used (its
         norm above ``ZERO_NORM_TOL``, else 1); rows with ``σᵢ = 0`` are
         zero.  It costs one pass over the fitted store and one more
-        ``(k, m)`` array; no query, fold-in, save or load builds it.
+        ``(k, m)`` array; no query, fold-in, refit, save or load
+        builds it.
         """
         view = self._view
         if view is None:
             doc_unit, doc_norms = self._store
             norms = doc_norms[:self._n_original]
             vt = np.multiply(doc_unit[:, :self._n_original],
-                             np.where(norms > ZERO_NORM_TOL, norms, 1.0),
-                             order="C")
+                             _divisors(norms), order="C")
             positive = self._singular_values > 0
             vt /= np.where(positive, self._singular_values, 1.0)[:, None]
             vt[~positive] = 0.0
@@ -424,24 +436,27 @@ class IndexWriter:
               engine: "str | None" = None, seed=None,
               block_size: "int | None" = None,
               oversample: "int | None" = None,
-              **engine_kwargs) -> LSIModel:
+              **engine_kwargs) -> None:
         """Absorb the accumulated updates into the factors.
 
         Two modes, and neither replaces the other:
 
         - **Incremental (default)** — ``refit()`` with no matrix
-          concatenates the buffered fold-in columns into one block,
-          factors it ``block_size`` columns at a time with the direct
-          kernel of :mod:`repro.linalg.incremental` and merges each
-          factorisation into the factors of :attr:`model` via
-          :func:`repro.linalg.incremental.merge`.  That view is
-          derived from the store, so the result has the same bits
-          whether or not the index was saved and loaded since its
-          last refit.  The refit merges
+          concatenates the buffered fold-in columns into one block
+          and merges it, ``block_size`` columns at a time, into the
+          served ``(Uₖ, Σ)`` with one
+          :func:`repro.linalg.incremental.merge` call per block, the
+          fitted columns' right factor standing as the ``k × k``
+          identity.  One product of the merged factors with the
+          store then writes the new store's fitted columns, so the
+          refit reads only the store: it has the same bits whether
+          or not the index was saved and loaded since its last
+          refit, and it derives no :attr:`model`.  The refit merges
           ``⌈pending / block_size⌉`` times however many
           :meth:`add_documents` calls filled the buffer.  No
           from-scratch decomposition runs and no corpus matrix is
-          needed; cost scales with the fold block, not the corpus.
+          needed; cost scales with the fold block, plus one pass over
+          the store.
           Fold-in drift is absorbed; tombstones (and their deleted
           energy) survive, because a merge can only *add* subspace
           mass — purging deletions needs the full mode.
@@ -471,9 +486,9 @@ class IndexWriter:
                 :func:`~repro.linalg.svd.engine_options`).
 
         Returns:
-            The model the fit or merge produced.  The writer keeps its
-            basis, spectrum and the unit store of its ``Σ·Vᵀ``;
-            :attr:`model` is derived anew from them on next access.
+            None.  The writer keeps the new basis, spectrum and unit
+            store; :attr:`model` derives the model from them on
+            access, which a refit never pays for.
 
         Raises:
             ValidationError: on an option ``engine`` does not take;
@@ -497,22 +512,23 @@ class IndexWriter:
                     f"unknown option(s) {sorted(engine_kwargs)} for the "
                     f"incremental refit; an engine and its options "
                     f"apply to refit(matrix) only")
-            return self._refit_incremental(
+            self._refit_incremental(
                 rank=rank, block_size=block_size,
                 oversample=8 if oversample is None else oversample)
+            return
         if block_size is not None:
             raise ValidationError(
                 "block_size applies to the incremental refit only; "
                 "refit(matrix) decomposes the whole matrix")
         if oversample is not None:
             engine_kwargs["oversample"] = oversample
-        return self._refit_full(
+        self._refit_full(
             matrix, rank=rank,
             engine="lanczos" if engine is None else engine, seed=seed,
             **engine_kwargs)
 
     def _refit_full(self, matrix, *, rank, engine, seed,
-                    **engine_kwargs) -> LSIModel:
+                    **engine_kwargs) -> None:
         """From-scratch decomposition; resets every accounting bucket."""
         rank = int(self._u.shape[1]) if rank is None else rank
         model = LSIModel.fit(matrix, rank, engine=engine, seed=seed,
@@ -526,12 +542,11 @@ class IndexWriter:
         self._deleted_energy = 0.0
         self._deletes = 0
         self._refits += 1
-        return model
 
     def _refit_incremental(self, *, rank, block_size,
-                           oversample) -> LSIModel:
-        """Merge the concatenated fold buffer into the factors of
-        :attr:`model`, ``block_size`` columns at a time."""
+                           oversample) -> None:
+        """Merge the concatenated fold buffer into the served factors,
+        ``block_size`` columns at a time, and rotate the store."""
         if not self.can_refit_incrementally:
             raise ValidationError(
                 f"incremental refit needs the term-space fold "
@@ -546,23 +561,50 @@ class IndexWriter:
             else check_rank(rank, served_rank)
         work_rank = served_rank \
             + check_non_negative_int(oversample, "oversample")
-        partial = PartialSVD.from_svd_result(self.model.svd)
+        # The fitted columns are Uₖ·Σ·Vᵀ: merging into (Uₖ, Σ, I)
+        # rotates the k coordinates Vᵀ stands for, not its m columns.
+        partial = PartialSVD.from_svd_result(SVDResult(
+            self._u, self._singular_values, np.eye(served_rank),
+            self._frobenius_norm_sq))
         if self._fold_buffer:
             pending = concat_columns(self._fold_buffer)
             width = pending.shape[1] if block_size is None \
                 else block_size
             for block in iter_column_blocks(pending, width):
-                partial = merge(partial,
-                                PartialSVD.from_block(block, work_rank),
-                                rank=work_rank)
+                partial = merge(partial, block, rank=work_rank)
         partial = partial.truncate(min(rank, partial.rank))
-        model = LSIModel(partial.to_svd_result())
         # Fold mass is now in the basis; deleted mass is not — a merge
         # never subtracts, so tombstones and their energy survive
         # until a full refit purges them.
-        self._install(model.svd)
+        self._adopt(partial.u, partial.singular_values,
+                    partial.frobenius_norm_sq, self._merged_store(partial),
+                    self.n_documents)
         self._refits += 1
-        return model
+
+    def _merged_store(self, partial: PartialSVD):
+        """The unit store of ``partial``'s ``Σ′·V′ᵀ``, in one new array.
+
+        ``partial`` merged the fold columns into ``(Uₖ, Σ, I)``, so
+        the first ``k`` columns ``M`` of its ``vt`` rotate the fitted
+        columns' ``Vᵀ = Σ⁻¹·(doc_unit·divisors)`` and the rest are the
+        fold columns' ``V′ᵀ``.  The fitted part is therefore
+        ``G·doc_unit`` scaled by the divisors, with
+        ``G = diag(σ′)·M·Σ⁻¹`` (zero where ``σᵢ = 0``, as in
+        :attr:`model`): one ``(k′ × k)·(k × m)`` product.
+        """
+        spectrum = self._singular_values
+        k = spectrum.shape[0]
+        inverse = np.divide(1.0, spectrum, out=np.zeros(k),
+                            where=spectrum > 0)
+        scale = partial.singular_values[:, None]
+        doc_unit, doc_norms = self._store
+        fitted = self._n_original
+        unit = np.empty((partial.rank, self.n_documents))
+        np.matmul(scale * partial.vt[:, :k] * inverse,
+                  doc_unit[:, :fitted], out=unit[:, :fitted])
+        unit[:, :fitted] *= _divisors(doc_norms[:fitted])
+        np.multiply(scale, partial.vt[:, k:], out=unit[:, fitted:])
+        return unit, _normalize_in_place(unit)
 
     # ------------------------------------------------------------------
     # Persistence plumbing

@@ -34,8 +34,9 @@ from repro.linalg.incremental import (
     iter_column_blocks,
     merge,
 )
+from repro.linalg.dense import normalize_columns
 from repro.linalg.sparse import CSRMatrix
-from repro.linalg.svd import exact_svd
+from repro.linalg.svd import SVDResult, exact_svd
 from repro.serving import IndexWriter, ServedIndex, ServingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -357,6 +358,81 @@ class TestDirectKernelProperties:
             PartialSVD.from_block(np.zeros((5, 0)), 2)
 
 
+@st.composite
+def raw_merges(draw):
+    """A partial SVD, a raw block to merge into it, and the rank.
+
+    The block is dense or CSR: generic, with repeated or zeroed
+    columns, all zero, narrower than the rank, or wider than
+    ``DIRECT_SPLIT_WIDTH``.  A wide block is exactly low rank and the
+    rank leaves room for it beside ``a``, so merging it piece by piece
+    truncates nothing the factored block keeps.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 30))
+    left = rng.standard_normal((n, draw(st.integers(1, 20))))
+    a = PartialSVD.from_block(left, draw(st.integers(1, 6)))
+    structure = draw(st.sampled_from(
+        ["generic", "duplicate", "zero_columns", "all_zero", "narrow",
+         "wide"]))
+    if structure == "wide":
+        rank = a.rank + draw(st.integers(1, 6))
+        inner = draw(st.integers(1, rank - a.rank))
+        block = rng.standard_normal((n, inner)) @ rng.standard_normal(
+            (inner, draw(st.integers(DIRECT_SPLIT_WIDTH + 1,
+                                     DIRECT_SPLIT_WIDTH + 80))))
+    else:
+        rank = draw(st.integers(1, 12))
+        b = draw(st.integers(1, rank - 1)) \
+            if structure == "narrow" and rank > 1 \
+            else draw(st.integers(1, 30))
+        block = rng.standard_normal((n, b))
+        if structure == "duplicate":
+            block = block[:, rng.integers(0, max(1, b // 2), b)]
+        elif structure == "zero_columns":
+            block[:, rng.random(b) < 0.5] = 0.0
+        elif structure == "all_zero":
+            block[:] = 0.0
+    raw = CSRMatrix.from_dense(block) if draw(st.booleans()) else block
+    return a, left, raw, block, rank
+
+
+class TestRawBlockMerge:
+    """``merge`` takes a raw block through its Ritz pairs."""
+
+    @given(raw_merges())
+    @settings(max_examples=80, deadline=None)
+    def test_raw_block_merge_matches_the_factored_block(self, case):
+        a, left, raw, block, rank = case
+        merged = merge(a, raw, rank=rank)
+        gram = merged.u.T @ merged.u
+        assert np.abs(gram - np.eye(merged.rank)).max() <= 1e-12
+        spectrum = merged.singular_values
+        assert np.all(np.isfinite(spectrum))
+        assert np.all(np.diff(spectrum) <= 0.0)
+        full = np.hstack([left, block])
+        approx = (merged.u * spectrum) @ merged.vt
+        actual = float(np.linalg.norm(full - approx))
+        # ‖B‖² − ‖B·V‖² cancels to about sqrt(eps)·‖B‖_F when the
+        # residual is tiny (see TestDirectKernelProperties).
+        norm = float(np.linalg.norm(full))
+        assert merged.error_bound >= actual - 1e-8 * max(norm, 1.0)
+        assert merged.n_columns == full.shape[1]
+        assert merged.frobenius_norm_sq == pytest.approx(
+            norm * norm, rel=1e-12)
+        factored = merge(a, PartialSVD.from_block(raw, rank), rank=rank)
+        assert abs(merged.captured_energy() - factored.captured_energy()) \
+            <= 1e-12 * factored.captured_energy()
+
+    def test_empty_block_raises(self, rng):
+        a = PartialSVD.from_block(rng.standard_normal((6, 4)), 2)
+        with pytest.raises(ValidationError, match="empty block"):
+            merge(a, np.zeros((6, 0)))
+        with pytest.raises(ValidationError, match="term spaces"):
+            merge(a, rng.standard_normal((7, 3)))
+
+
 class TestMergeValidation:
     def test_mismatched_term_spaces_raise(self, rng):
         a = exact_part(rng.standard_normal((8, 4)), 2)
@@ -522,7 +598,8 @@ class TestIncrementalRefit:
         assert writer.pending_columns == 30
         before_drift = writer.drift
         assert before_drift > 0.0
-        model = writer.refit(oversample=16)
+        assert writer.refit(oversample=16) is None
+        model = writer.model
         assert writer.refits == 1
         assert writer.fold_ins_since_refit == 0
         assert writer.pending_columns == 0
@@ -577,14 +654,14 @@ class TestIncrementalRefit:
             model, config=ServingConfig(stream_block_size=8,
                                         stream_oversample=16))
         index.add_documents(low_rank_matrix(rng, 50, 20, 6))
-        refitted = index.refit()
-        assert refitted.n_documents == 220
+        index.refit()
+        assert index.model.n_documents == 220
         assert index.n_documents == 220
 
     def test_incremental_refit_without_folds_is_noop_model(
             self, writer):
-        model = writer.refit()
-        assert model.n_documents == writer.n_documents
+        writer.refit()
+        assert writer.model.n_documents == writer.n_documents
         assert writer.refits == 1
 
     def test_refit_merges_once_per_block_of_the_buffer(
@@ -602,9 +679,10 @@ class TestIncrementalRefit:
 
         monkeypatch.setattr("repro.serving.writer.merge", counting_merge)
         pending = writer.pending_columns
-        split = writer.refit(block_size=16)
+        writer.refit(block_size=16)
         assert len(merges) == math.ceil(pending / 16) == 5
-        assert_models_close(split, once.refit(block_size=16))
+        once.refit(block_size=16)
+        assert_models_close(writer.model, once.model)
 
     @pytest.mark.parametrize("options, named", [
         pytest.param({"engine": "lanczos"}, "'engine'", id="engine"),
@@ -663,8 +741,10 @@ class TestIncrementalRefit:
 
     def test_incremental_refit_lowers_the_rank(self, writer, rng):
         writer.add_documents(rng.random((50, 4)))
-        assert writer.refit(rank=4).rank == 4
-        assert writer.refit(rank=4).rank == 4
+        writer.refit(rank=4)
+        assert writer.model.rank == 4
+        writer.refit(rank=4)
+        assert writer.model.rank == 4
         assert writer.pending_columns == 0
 
     def test_incremental_refit_ignores_seed(self, matrix, rng):
@@ -673,7 +753,8 @@ class TestIncrementalRefit:
         for seed in (0, 1):
             writer = IndexWriter(LSIModel.fit(matrix, 6, engine="exact"))
             writer.add_documents(folds)
-            models.append(writer.refit(seed=seed, block_size=16))
+            writer.refit(seed=seed, block_size=16)
+            models.append(writer.model)
         assert_models_close(*models, atol=0.0)
 
     def test_mixed_dense_and_csr_buffer_refits(self, writer, rng):
@@ -684,7 +765,86 @@ class TestIncrementalRefit:
         writer.add_documents(CSRMatrix.from_dense(folds[1]))
         writer.add_documents(folds[2])
         assert writer.pending_columns == 27
-        assert_models_close(writer.refit(), dense.refit())
+        writer.refit()
+        dense.refit()
+        assert_models_close(writer.model, dense.model)
+
+
+@st.composite
+def refit_cases(draw):
+    """A fitted writer's size and updates for two incremental refits.
+
+    Each refit folds in a dense block, a CSR block and a zero
+    document, removes a document, and merges in blocks narrower than
+    what is pending, at the served rank or a lower one.  The fitted
+    spectrum may end in a zero singular value.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    n_terms = draw(st.integers(12, 40))
+    rank = draw(st.integers(2, 8))
+    refits = [(draw(st.integers(1, 12)), draw(st.integers(1, 12)),
+               draw(st.integers(1, 8)), draw(st.integers(0, 1)))
+              for _ in range(2)]
+    return seed, n_terms, rank, draw(st.booleans()), refits
+
+
+def reference_refit(model, folds, block_size, rank):
+    """The refit as a derived model: factor each block of the folds,
+    merge it into the model's factors, normalise ``Σ·Vᵀ``."""
+    work_rank = model.rank + 8
+    partial = PartialSVD.from_svd_result(model.svd)
+    for block in iter_column_blocks(concat_columns(folds), block_size):
+        partial = merge(partial, PartialSVD.from_block(block, work_rank),
+                        rank=work_rank)
+    partial = partial.truncate(min(rank, partial.rank))
+    doc_unit, doc_norms = normalize_columns(
+        partial.singular_values[:, None] * partial.vt)
+    return partial.u, partial.singular_values, doc_unit, doc_norms
+
+
+class TestStoreCoordinateRefit:
+    """An incremental refit rotates the store instead of deriving
+    ``Vᵀ``, and agrees with the path that derives it."""
+
+    @given(refit_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_refit_matches_the_derived_model_path(self, case):
+        seed, n_terms, rank, zero_sigma, refits = case
+        rng = np.random.default_rng(seed)
+        fitted = exact_svd(rng.random((n_terms, 3 * rank))).truncate(rank)
+        spectrum = fitted.singular_values.copy()
+        if zero_sigma:
+            spectrum[-1] = 0.0
+        writer = IndexWriter(LSIModel(SVDResult(
+            fitted.u, spectrum, fitted.vt, fitted.frobenius_norm_sq)))
+        for dense_width, sparse_width, block_size, lower in refits:
+            sparse = rng.random((n_terms, sparse_width))
+            sparse[sparse < 0.6] = 0.0
+            folds = [rng.random((n_terms, dense_width)),
+                     CSRMatrix.from_dense(sparse), np.zeros((n_terms, 1))]
+            for columns in folds:
+                writer.add_documents(columns)
+            live = sorted(set(range(writer.n_documents))
+                          - set(writer.tombstones))
+            writer.remove_documents(int(rng.choice(live)))
+            # Narrower than the pending width, which is one more.
+            block_size = min(block_size, dense_width + sparse_width)
+            target = max(1, writer.term_basis.shape[1] - lower)
+            u, sigma, doc_unit, doc_norms = reference_refit(
+                writer.model, folds, block_size, target)
+            writer.refit(rank=target, block_size=block_size)
+            top = float(sigma[0])
+            np.testing.assert_allclose(writer.singular_values, sigma,
+                                       rtol=1e-12, atol=1e-12 * top)
+            unit, norms = writer.store
+            np.testing.assert_allclose(norms, doc_norms, rtol=1e-12,
+                                       atol=1e-12 * top)
+            # Singular vectors carry an arbitrary sign, so compare each
+            # document as a term-space direction.
+            cosines = np.sum((u @ doc_unit) * (writer.term_basis @ unit),
+                             axis=0)
+            assert np.all(cosines[doc_norms > 1e-9 * top] >= 1 - 1e-12)
+            assert writer.n_documents == writer.n_original
 
 
 class TestFullRefitOptions:
@@ -702,11 +862,16 @@ class TestFullRefitOptions:
         return ServedIndex(model)
 
     def test_oversample_reaches_the_engine(self, target, matrix):
-        refitted = target.refit(matrix, engine="randomized", seed=3,
-                                oversample=40)
+        target.refit(matrix, engine="randomized", seed=3, oversample=40)
+        refitted = target.model
         wanted = LSIModel.fit(matrix, 5, engine="randomized", seed=3,
                               oversample=40)
-        assert_models_close(refitted, wanted, atol=0.0)
+        # Uₖ and Σ are served as fitted; .model derives Vᵀ from the
+        # store, which rounds it.
+        assert np.array_equal(refitted.svd.u, wanted.svd.u)
+        assert np.array_equal(refitted.svd.singular_values,
+                              wanted.svd.singular_values)
+        assert_models_close(refitted, wanted, atol=1e-14)
         default = LSIModel.fit(matrix, 5, engine="randomized", seed=3)
         assert not np.array_equal(refitted.svd.u, default.svd.u)
 
@@ -760,7 +925,8 @@ class TestNoDensify:
         for start in range(200, 400, 50):
             writer.add_documents(
                 CSRMatrix.from_dense(dense[:, start:start + 50]))
-        model = writer.refit(block_size=64)
+        writer.refit(block_size=64)
+        model = writer.model
         exact = truncated_svd(dense, 6, engine="exact")
         assert np.allclose(model.svd.singular_values,
                            exact.singular_values, rtol=1e-10)

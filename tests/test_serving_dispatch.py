@@ -77,6 +77,9 @@ class TestServingConfig:
         {"drift_threshold": "abc"},
         {"drift_threshold": True},
         {"drift_threshold": "0.5"},
+        # A truthy string or int used to be stored and map the bundle.
+        {"mmap": "no"},
+        {"mmap": 1},
     ])
     def test_bad_values_raise(self, fields):
         with pytest.raises(ValidationError):
