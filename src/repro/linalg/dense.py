@@ -121,7 +121,13 @@ def fold_rows(basis, rows, values) -> np.ndarray:
     model charges it: a query with ``c`` nonzero terms reads ``c`` rows
     of the basis, ``Uₖ[rows]ᵀ·q[rows]``, not all ``n``.  When ``rows``
     covers every row, the basis is multiplied in place with no gather,
-    so a dense column costs (and gives the bits of) the plain product.
+    so a dense column costs (and gives the bits of) the plain GEMV.
+
+    The library folds every query alone, one 1-D ``values`` per call:
+    :meth:`~repro.core.lsi.LSIModel.project_query` and the serving
+    engine make the same call, so a query folds to the same bits in
+    both and whatever block it is served in.  A 2-D ``values`` is one
+    product, whose columns' bits can depend on how many it holds.
 
     Args:
         basis: ``(n, k)`` array, e.g. the LSI term basis ``Uₖ``.

@@ -1,7 +1,7 @@
 """Micro-batching in front of a served index.
 
-The batched kernel (:mod:`repro.serving.engine`) amortises projection
-and normalisation across a whole query block, but callers arrive one
+The batched kernel (:mod:`repro.serving.engine`) amortises the scan of
+the document store across a whole query block, but callers arrive one
 query at a time.  :class:`MicroBatchDispatcher` closes that gap: each
 :meth:`~MicroBatchDispatcher.submit` enqueues one query and returns a
 :class:`concurrent.futures.Future`; a background flusher coalesces the
@@ -18,9 +18,13 @@ they arrive faster than the index ranks them (the measurements behind
 that policy are in ``docs/SERVING.md``).
 
 Queries flush in arrival order, grouped by requested ``top_k`` (a
-block shares one cutoff).  Each query is validated once, on its nonzero
-terms, when it is submitted; a flush joins the submitted one-query
-batches without checking them again.  Within a flush, identical
+block shares one cutoff).  A ranking is a function of the query's terms
+and the store alone, so a future resolves to what a direct
+``rank_documents`` call would return against the store its flush
+ranks.  Each query is validated once, on its nonzero terms, when it is
+submitted, and its requested cutoff is queued, so the index clamps it
+to that store; a flush joins the submitted one-query batches without
+checking them again.  Within a flush, identical
 submissions — same term ids and weights, same cutoff, same index
 generation, detected with the shared
 :class:`~repro.serving.engine.CacheKey` — collapse into one
@@ -119,8 +123,9 @@ class MicroBatchDispatcher:
 
         Args:
             query_vector: a 1-D term-space query.
-            top_k: cutoff policy, normalised exactly as the index
-                normalises it (``None`` = all).
+            top_k: cutoff policy, validated here as the index validates
+                it (``None`` = all).  The requested cutoff is queued,
+                so the index clamps it to the store the flush ranks.
 
         Raises:
             ValidationError: if the query is not a finite 1-D vector
@@ -134,7 +139,8 @@ class MicroBatchDispatcher:
                 f"query has {query.n_terms} terms; the index "
                 f"expects {self._index.n_terms}")
         if top_k is not None:
-            top_k = check_top_k(top_k, self._index.n_documents)
+            check_top_k(top_k, self._index.n_documents)
+            top_k = int(top_k)
         future: "Future[np.ndarray]" = Future()
         with self._cond:
             if self._closed:

@@ -1,21 +1,23 @@
 """Batched query execution against an LSI document store.
 
-Scoring one query against rank-``k`` LSI is two small GEMVs; scoring a
-block of ``q`` queries one at a time wastes the hardware the paper's §5
-cost model is fighting for.  :class:`BatchQueryEngine` instead folds
-the whole ``(n × q)`` query block into the LSI space with one product,
-scans every document with a second GEMM, and takes top-``k`` per query
-by descending float64 cosine with ascending-id ties, the policy of
-``np.argsort(kind="stable")`` (see
+Scoring one query against rank-``k`` LSI is a small fold and a scan of
+every document; scanning a block of ``q`` queries one at a time wastes
+the hardware the paper's §5 cost model is fighting for.
+:class:`BatchQueryEngine` folds each query into the LSI space on its
+own, scans every document for the whole block with one GEMM, and takes
+top-``k`` per query by descending float64 cosine with ascending-id
+ties, the policy of ``np.argsort(kind="stable")`` (see
 :func:`~repro.linalg.dense.stable_top_k`).
 
 A query costs its terms, not the vocabulary.  :class:`QueryBatch`
 holds each query as its nonzero terms — ascending term ids and their
-weights — checked for finiteness once, when the batch is built.  The
-fold reads only the rows of ``Uₖ`` the block touches
-(``Uₖ[rows]ᵀ·Q[rows]``, :func:`~repro.linalg.dense.fold_rows`); a block
-that touches every row multiplies ``Uₖ`` in place, so dense queries
-keep the plain GEMM and its bits.
+weights — checked for finiteness once, when the batch is built.  Each
+query folds through its own rows of ``Uₖ`` (``Uₖ[ids]ᵀ·weights``,
+:func:`~repro.linalg.dense.fold_rows`, the fold
+:meth:`~repro.core.lsi.LSIModel.project_query` makes), into its own
+contiguous row, which is normalised on its own: a query's unit vector
+has the same bits alone and in any block.  A query that uses every term
+multiplies ``Uₖ`` in place, one GEMV.
 
 A finite ``top_k`` is ranked in two stages, the move the paper's §5
 makes for the decomposition as a whole: do the bulk of the work in a
@@ -37,12 +39,10 @@ work only where it matters.
    kernel runs only where the scan cannot decide.
 
 A ranking is therefore the kernel's order over every active document,
-ties by ascending id: it does not depend on which scan ran, on where a
-document sits in the store, or on how BLAS blocked or threaded the
-scan.  (The fold is one product per block, so a query's folded vector
-can still differ in its last bit between blocks of different widths,
-and with it the order of two documents whose cosines tie to that bit.)
-A full ranking (``top_k=None``) scans in float64, sorts every active
+ties by ascending id: a function of the query's terms and the store.
+It does not depend on which scan ran, on where a document sits in the
+store, on how BLAS blocked or threaded the scan, or on which other
+queries share the block.  A full ranking (``top_k=None``) scans in float64, sorts every active
 document without a stable sort, since every tie lies in a run the
 kernel re-sorts, and re-sorts its runs.
 :meth:`BatchQueryEngine.score` and
@@ -55,7 +55,7 @@ engine, and half the store again in memory.  A memory-mapped store (a
 cold start) and a small one are scanned in float64 as given, without a
 copy.
 
-An engine holds no mutable state: each call allocates its own fold,
+An engine holds no mutable state: each call allocates its own folds,
 unit queries and scan scores, so threads share one engine without a
 lock, and the arrays :meth:`~BatchQueryEngine.score` and
 :meth:`~BatchQueryEngine.score_batch` return are the caller's.
@@ -178,13 +178,14 @@ def _cosines(doc_unit, ids, query) -> np.ndarray:
 
 
 class QueryBatch:
-    """A block of term-space queries, stored as columns.
+    """A block of term-space queries, each held as its nonzero terms.
 
-    Each query is also held as its nonzero terms: ascending term ids and
-    their weights (:meth:`terms`).  Their bytes are the query's
-    result-cache key (:meth:`query_hash`), and their ids tell the engine
-    which rows of ``Uₖ`` the block touches.  A batch is immutable once
-    built.
+    A query is its ascending term ids and their weights (:meth:`terms`),
+    extracted once, when the batch is built.  Their bytes are the
+    query's result-cache key (:meth:`query_hash`), and the engine folds
+    each query through its own rows of ``Uₖ``.  The dense
+    ``(n_terms, q)`` block is built only when :attr:`matrix` or
+    :meth:`query` is read.  A batch is immutable once built.
 
     Args:
         matrix: dense ``(n_terms, q)`` array, one query per column.
@@ -208,21 +209,25 @@ class QueryBatch:
         if block.size and not np.isfinite(block).all():
             raise ValidationError(
                 "query batch contains non-finite entries")
-        self._matrix = block
+        columns = block.T
+        nonzero = columns != 0
+        queries, ids = nonzero.nonzero()
+        weights = columns[nonzero]
+        bounds = np.searchsorted(
+            queries, np.arange(block.shape[1] + 1)).tolist()
         self._n_terms, self._n_queries = block.shape
-        # Extracted on first use: a dense block handed straight to the
-        # engine never needs its terms.
-        self._terms: "list | None" = None
+        self._terms = [(ids[lo:hi], weights[lo:hi])
+                       for lo, hi in zip(bounds, bounds[1:])]
+        self._matrix = None
 
     @classmethod
-    def _of_terms(cls, n_terms: int, terms: list,
-                  matrix=None) -> "QueryBatch":
+    def _of_terms(cls, n_terms: int, terms: list) -> "QueryBatch":
         """A batch over already-validated ``(ids, weights)`` pairs, one
-        per query; ``matrix`` is rebuilt from them if not given."""
+        per query."""
         batch = cls.__new__(cls)
-        batch._matrix = matrix
         batch._n_terms, batch._n_queries = n_terms, len(terms)
         batch._terms = terms
+        batch._matrix = None
         return batch
 
     @classmethod
@@ -245,8 +250,7 @@ class QueryBatch:
         if np.count_nonzero(np.isfinite(weights)) < ids.size:
             raise ValidationError(
                 "query_vector contains non-finite entries")
-        return cls._of_terms(vector.shape[0], [(ids, weights)],
-                             vector[:, None])
+        return cls._of_terms(vector.shape[0], [(ids, weights)])
 
     @classmethod
     def from_vectors(cls, vectors) -> "QueryBatch":
@@ -290,66 +294,24 @@ class QueryBatch:
             raise ShapeError(
                 f"queries live in different term spaces: sizes {sorted(sizes)}")
         return cls._of_terms(sizes.pop(), [
-            pair for batch in batches for pair in batch._query_terms()])
+            pair for batch in batches for pair in batch._terms])
 
     def select(self, columns) -> "QueryBatch":
         """The queries at ``columns``, in that order, as a new batch.
 
-        Shares this batch's validated terms: nothing is checked again,
-        and the dense block is not copied (the new batch rebuilds its
-        own :attr:`matrix` only if it is read).  Selecting every query
-        in order returns this batch.
+        Shares this batch's validated terms: nothing is checked again or
+        copied.  Selecting every query in order returns this batch.
         """
         picked = list(columns)
         if picked == list(range(self._n_queries)):
             return self
-        terms = self._query_terms()
-        return self._of_terms(self._n_terms, [terms[i] for i in picked])
-
-    def _query_terms(self) -> list:
-        """Every query's ``(ids, weights)``, extracted once."""
-        if self._terms is None:
-            block = self._matrix.T
-            nonzero = block != 0
-            columns, ids = nonzero.nonzero()
-            weights = block[nonzero]
-            bounds = np.searchsorted(
-                columns, np.arange(self._n_queries + 1)).tolist()
-            self._terms = [(ids[lo:hi], weights[lo:hi])
-                           for lo, hi in zip(bounds, bounds[1:])]
-        return self._terms
-
-    def _touched(self) -> "tuple[np.ndarray, np.ndarray]":
-        """``(rows, block)``: the ascending ids of every term the batch
-        uses, and the queries restricted to them, ``(len(rows), q)``.
-
-        A batch that uses every term returns its :attr:`matrix`, so the
-        fold multiplies ``Uₖ`` in place.
-        """
-        terms = self._terms
-        if terms is None:
-            rows = np.flatnonzero(np.any(self._matrix, axis=1))
-        elif self._n_queries == 1:
-            rows = terms[0][0]
-        else:
-            used = np.zeros(self._n_terms, dtype=bool)
-            for ids, _ in terms:
-                used[ids] = True
-            rows = np.flatnonzero(used)
-        if rows.size == self._n_terms:
-            return rows, self.matrix
-        if terms is None:
-            return rows, self._matrix[rows]
-        if self._n_queries == 1:
-            return rows, terms[0][1][:, None]
-        block = np.zeros((rows.size, self._n_queries))
-        for column, (ids, weights) in enumerate(terms):
-            block[np.searchsorted(rows, ids), column] = weights
-        return rows, block
+        return self._of_terms(self._n_terms,
+                              [self._terms[i] for i in picked])
 
     @property
     def matrix(self) -> np.ndarray:
-        """The ``(n_terms, q)`` query block (do not mutate)."""
+        """The ``(n_terms, q)`` query block, built from the terms on
+        first read (do not mutate)."""
         if self._matrix is None:
             block = np.zeros((self._n_terms, self._n_queries))
             for column, (ids, weights) in enumerate(self._terms):
@@ -377,7 +339,7 @@ class QueryBatch:
 
         Explicit zeros and ``-0.0`` are not terms.
         """
-        return self._query_terms()[i]
+        return self._terms[i]
 
     def query_hash(self, i: int) -> bytes:
         """Query ``i``'s cache key: the bytes of its term ids, then of
@@ -488,7 +450,7 @@ class LRUResultCache:
 
 
 class BatchQueryEngine:
-    """Projects and cosine-ranks query blocks in single GEMMs.
+    """Folds each query alone, then cosine-ranks the block in one GEMM.
 
     The engine is a read-only view over an index generation's document
     store: the serving layer hands it the writer's arrays and discards
@@ -595,21 +557,33 @@ class BatchQueryEngine:
         zero documents score exactly 0, and every score is clipped to
         [−1, 1]; tombstones are the caller's.
 
+        Each query folds alone (:func:`~repro.linalg.dense.fold_rows`)
+        into its own contiguous row of a ``(q, k)`` block, and each
+        row's norm sums the same ``k`` values in the same order, so a
+        query's unit vector does not depend on the block.  (Summed down
+        the columns of a ``(k, q)`` block, a lone query's norm would be
+        pairwise and a block's sequential.)  ``unit`` is the transpose
+        of such a row block.
+
         On a small store a text query's fold and scan take a few µs
         each, no more than numpy's Python wrappers around a ufunc, so
         this skips the wrappers: ``np.sqrt(np.add.reduce(p * p,
-        axis=0))`` is what ``np.linalg.norm(p, axis=0)`` computes, bit
+        axis=1))`` is what ``np.linalg.norm(p, axis=1)`` computes, bit
         for bit, and the ``ndarray.clip`` method runs ``np.clip``'s
         ufunc in one pass (``np.maximum`` then ``np.minimum`` would
         take two, slower on a large store).
         """
-        rows, block = batch._touched()
-        projected = fold_rows(self._basis, rows, block)
-        norms = np.sqrt(np.add.reduce(projected * projected, axis=0))
+        basis = self._basis
+        projected = np.empty((batch.n_queries, basis.shape[1]))
+        for row, (ids, weights) in enumerate(batch._terms):
+            projected[row] = fold_rows(basis, ids, weights)
+        norms = np.sqrt(np.add.reduce(projected * projected, axis=1))
         zero = norms <= ZERO_NORM_TOL
         some_zero = np.count_nonzero(zero)
-        unit = projected / (np.where(zero, 1.0, norms) if some_zero
-                            else norms)
+        # Divided as (k, q), the layout of ``projected.T``: each query
+        # stays one contiguous row of a (q, k) block.
+        unit = projected.T / (np.where(zero, 1.0, norms) if some_zero
+                              else norms)
         queries = unit if store.dtype == unit.dtype \
             else unit.astype(store.dtype)
         scores = np.matmul(queries.T, store)
@@ -631,10 +605,10 @@ class BatchQueryEngine:
     def score_batch(self, queries) -> np.ndarray:
         """Cosine scores of every document for every query, ``(q, m)``.
 
-        One product folds the block through the rows of ``Uₖ`` it
-        touches, a float64 GEMM computes all cosines.  Zero-norm
-        queries, zero-vector documents, and tombstoned documents score
-        exactly 0, matching the per-query path.  A score can differ
+        Each query folds through its own rows of ``Uₖ``, and one
+        float64 GEMM computes all cosines.  Zero-norm queries,
+        zero-vector documents, and tombstoned documents score exactly
+        0, matching the per-query path.  A score can differ
         from the ranking kernel's in the last bit.
 
         Raises:

@@ -326,17 +326,12 @@ class ServedIndex:
     def rank_batch(self, queries, *, top_k=None) -> np.ndarray:
         """Ranked ids for a query block, ``(q, top_k_eff)``.
 
-        Cached queries are answered from the LRU cache; the remaining
-        columns are projected and ranked in single GEMMs.  Each ranking
-        is the ranking kernel's order, ties by ascending id, for the
-        query as its block folded it.  The misses fold in one BLAS
-        product, so a query's folded vector can differ in its last bit
-        from the one :meth:`rank_documents` folds for it alone, and
-        depends on which other queries missed with it.  Two documents
-        whose cosines tie to that bit can then swap places between the
-        two calls; rankings without such near-ties are the same.  The
-        ROADMAP item "one fold per query" would make a ranking depend on
-        the query and the store alone.
+        Cached queries are answered from the LRU cache; the engine ranks
+        the rest as one block.  Each ranking is the ranking kernel's
+        order, ties by ascending id, a function of the query's terms and
+        the store alone: it equals :meth:`rank_documents` for that
+        query, bit for bit, whatever else the block holds and whichever
+        queries hit the cache.
 
         Args:
             queries: a :class:`~repro.serving.engine.QueryBatch`, a

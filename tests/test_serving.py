@@ -2,6 +2,7 @@
 
 import gc
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -26,7 +27,8 @@ from repro.errors import (
     ValidationError,
 )
 from repro.ir.retriever import Retriever
-from repro.linalg.dense import ZERO_NORM_TOL, normalize_columns
+from repro.linalg.dense import ZERO_NORM_TOL, fold_rows, \
+    normalize_columns
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import SVDResult
 from repro.serving import (
@@ -34,6 +36,7 @@ from repro.serving import (
     BatchQueryEngine,
     IndexWriter,
     LRUResultCache,
+    MicroBatchDispatcher,
     QueryBatch,
     ServedIndex,
     ServingConfig,
@@ -47,6 +50,7 @@ from repro.serving import engine as engine_module
 from repro.serving.bundle import MANIFEST_NAME, IndexBundle, \
     sha256_file, write_bundle
 from repro.utils.validation import check_top_k
+from tests.test_serving_dispatch import _GatedIndex
 
 ENGINES = ("lanczos", "subspace", "randomized", "exact")
 
@@ -667,6 +671,143 @@ class TestServedRanking:
                             assert hits >= 3 * queries.shape[1]
                         else:
                             assert hits == 0
+
+
+def _near_tie_index(seed, capacity):
+    """A served index whose store is full of near-ties, and the texts
+    folded into it.
+
+    A random rank-24 basis over 300 terms and 200 fitted documents
+    takes 100 text-like documents (20 terms each) as dense blocks of 50,
+    then again one at a time: a dense fold-in is one product per block,
+    so each re-folded copy differs from its first fold in its last bits.
+    The first block is folded twice (exact duplicates, ties by id),
+    three zero documents follow, and a fifth of the store is
+    tombstoned.  The same seed builds the same bits.
+    """
+    local = np.random.default_rng(seed)
+    n_terms, rank = 300, 24
+    basis, _ = np.linalg.qr(local.standard_normal((n_terms, rank)))
+    spectrum = np.sort(local.random(rank) + 0.5)[::-1]
+    index = ServedIndex(LSIModel(SVDResult(
+        basis, spectrum, local.standard_normal((rank, 200)),
+        float(np.sum(spectrum ** 2)) + 1.0)),
+        config=ServingConfig(cache_capacity=capacity))
+    texts = np.zeros((n_terms, 100))
+    for column in texts.T:
+        terms = local.choice(n_terms, size=20, replace=False)
+        column[terms] = local.integers(1, 4, size=terms.size)
+    for block in (texts[:, :50], texts[:, 50:], texts[:, :50]):
+        index.add_documents(block)
+    for j in range(texts.shape[1]):
+        index.add_documents(texts[:, j:j + 1])
+    index.add_documents(np.zeros((n_terms, 3)))
+    index.remove_documents(local.choice(
+        index.n_documents, size=index.n_documents // 5, replace=False))
+    return index, texts
+
+
+def _near_tie_queries(texts, seed, n_queries, kind):
+    """``n_queries`` queries of 2–4 terms of one folded text each; with
+    ``kind`` "zero" or "dense", the last is a zero-norm or a dense
+    query instead."""
+    local = np.random.default_rng(seed + 1)
+    queries = np.zeros((texts.shape[0], n_queries))
+    for column in queries.T:
+        text = texts[:, int(local.integers(texts.shape[1]))]
+        terms = local.choice(np.flatnonzero(text),
+                             size=int(local.integers(2, 5)), replace=False)
+        column[terms] = local.integers(1, 4, size=terms.size)
+    if kind == "zero":
+        queries[:, -1] *= local.choice([0.0, 1e-15])
+    elif kind == "dense":
+        queries[:, -1] = local.random(texts.shape[0])
+    return queries
+
+
+def _unit_queries(engine, batch):
+    """The engine's unit queries ``(k, q)`` for ``batch``, and each
+    query's fold as :func:`fold_rows` returned it."""
+    folds = []
+
+    def recording(basis, rows, values):
+        folds.append(fold_rows(basis, rows, values))
+        return folds[-1]
+
+    with mock.patch.object(engine_module, "fold_rows", recording):
+        _, unit, _ = engine._score_into(batch, engine._doc_unit)
+    return unit, folds
+
+
+class TestOneFoldPerQuery:
+    """A ranking is a function of the query's terms and the store: the
+    same whatever block, cache split or flush the query rides in."""
+
+    TOP_KS = (1, 10, 100, None)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 5),
+           st.sampled_from(["text", "zero", "dense"]))
+    @example(1, 5, "text")
+    @settings(max_examples=20, deadline=None)
+    def test_blocks_cache_splits_and_flushes_rank_as_alone(
+            self, seed, n_queries, kind):
+        off, texts = _near_tie_index(seed, capacity=0)
+        on, _ = _near_tie_index(seed, capacity=256)
+        assert np.array_equal(on._writer.store[0], off._writer.store[0])
+        queries = _near_tie_queries(texts, seed, n_queries, kind)
+        engine, model = off._engine(), off.model
+        alone = []
+        for column in queries.T:
+            unit, folds = _unit_queries(engine,
+                                        QueryBatch.from_vector(column))
+            assert len(folds) == 1
+            assert np.array_equal(folds[0], model.project_query(column))
+            alone.append(unit[:, 0])
+        blocks = [list(chosen) for size in range(1, n_queries + 1)
+                  for chosen in itertools.combinations(range(n_queries),
+                                                       size)]
+        for block in blocks + [list(range(n_queries))[::-1]]:
+            unit, folds = _unit_queries(engine,
+                                        QueryBatch(queries[:, block]))
+            assert len(folds) == len(block)
+            for position, i in enumerate(block):
+                assert np.array_equal(unit[:, position], alone[i])
+        expected = {top_k: np.stack([off.rank_documents(column,
+                                                        top_k=top_k)
+                                     for column in queries.T])
+                    for top_k in self.TOP_KS}
+        for top_k, rankings in expected.items():
+            # Cache off: a block's misses are any subset of it.
+            for block in blocks:
+                assert np.array_equal(
+                    off.rank_batch(queries[:, block], top_k=top_k),
+                    rankings[block])
+            # Cache on: every split of the block into hits and misses.
+            for hits in [[]] + blocks:
+                on._cache.clear()
+                for i in hits:
+                    on.rank_documents(queries[:, i], top_k=top_k)
+                before = on._cache.hits
+                assert np.array_equal(on.rank_batch(queries, top_k=top_k),
+                                      rankings)
+                assert on._cache.hits - before >= len(hits)
+        for index in (off, on):
+            index._cache.clear()
+            gated = _GatedIndex(index)
+            with MicroBatchDispatcher(gated) as dispatcher:
+                first = dispatcher.submit(queries[:, 0])
+                assert gated.entered.wait(timeout=10)
+                # Queued behind ``first``: one flush per cutoff.
+                futures = {top_k: [dispatcher.submit(column, top_k=top_k)
+                                   for column in queries.T]
+                           for top_k in self.TOP_KS}
+                gated.release.set()
+                first.result(timeout=10)
+                for top_k, pending in futures.items():
+                    assert np.array_equal(
+                        np.stack([f.result(timeout=10) for f in pending]),
+                        expected[top_k])
+            assert len(gated.widths) == 1 + len(self.TOP_KS)
 
 
 class TestLRUResultCache:

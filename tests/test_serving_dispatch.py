@@ -245,6 +245,24 @@ class TestMicroBatchDispatcher:
             assert wide.result(timeout=10).size == 5
         assert dispatcher.stats().batches == 2
 
+    def test_cutoff_is_clamped_to_the_store_its_flush_ranks(
+            self, model, rng, queries):
+        # Submitted to a 24-document index; a fold-in lands before its
+        # flush, so the index it ranks holds 54.
+        index = ServedIndex(model)
+        gated = _GatedIndex(index)
+        with MicroBatchDispatcher(gated) as dispatcher:
+            first = dispatcher.submit(queries[:, 1], top_k=2)
+            assert gated.entered.wait(timeout=10)
+            wide = dispatcher.submit(queries[:, 0], top_k=40)
+            index.add_documents(rng.random((30, 30)))
+            gated.release.set()
+            first.result(timeout=10)
+            ranking = wide.result(timeout=10)
+        assert ranking.size == 40
+        assert np.array_equal(
+            ranking, index.rank_documents(queries[:, 0], top_k=40))
+
     def test_burst_splits_at_the_flush_limit(self, served, rng):
         gated = _GatedIndex(served)
         burst = rng.random((served.n_terms, _MAX_FLUSH + 8))
