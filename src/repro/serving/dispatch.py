@@ -138,9 +138,7 @@ class MicroBatchDispatcher:
             raise ValidationError(
                 f"query has {query.n_terms} terms; the index "
                 f"expects {self._index.n_terms}")
-        if top_k is not None:
-            check_top_k(top_k, self._index.n_documents)
-            top_k = int(top_k)
+        check_top_k(top_k, self._index.n_documents)
         future: "Future[np.ndarray]" = Future()
         with self._cond:
             if self._closed:
